@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-diff bench-all loadbench load-smoke failover-smoke quick full fuzz serve load smoke clean
+.PHONY: all build vet test race bench bench-test bench-diff bench-all loadbench load-smoke failover-smoke quick full fuzz serve load smoke clean
 
 all: build vet test
 
@@ -29,6 +29,11 @@ BENCH_BASE ?= BENCH_6.json
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
+
+# bench/ is its own module (optimus/bench), so `go test ./...` never compiles
+# it; this keeps an API change in internal/* from breaking it unnoticed (~6 s).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Like bench, but also print per-benchmark ns/op and allocs/op deltas against
 # the previous committed snapshot.

@@ -186,67 +186,11 @@ func (f *Fitter) compact() {
 
 // Preprocess applies the paper's outlier removal and normalization and
 // returns the cleaned (k, normalized loss) series plus the normalization
-// constant. It is exported for tests and for the experiment harness.
+// constant. It is exported for tests and for the experiment harness; the
+// returned slice is caller-owned.
 func Preprocess(points []Point, window int) ([]Point, float64) {
-	if len(points) == 0 {
-		return nil, 0
-	}
-	cleaned := make([]Point, len(points))
-	copy(cleaned, points)
-
-	// Outlier removal: a point must fall within [min of the next `window`
-	// losses, max of the previous `window` losses]; otherwise it is replaced
-	// by the mean of its immediate neighbours.
-	if window > 0 {
-		orig := make([]Point, len(points))
-		copy(orig, points)
-		for i := range orig {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for j := i + 1; j <= i+window && j < len(orig); j++ {
-				if orig[j].Loss < lo {
-					lo = orig[j].Loss
-				}
-			}
-			for j := i - 1; j >= 0 && j >= i-window; j-- {
-				if orig[j].Loss > hi {
-					hi = orig[j].Loss
-				}
-			}
-			if math.IsInf(lo, 1) || math.IsInf(hi, -1) {
-				continue // boundary points keep their value
-			}
-			if orig[i].Loss >= lo && orig[i].Loss <= hi {
-				continue
-			}
-			var sum float64
-			var n int
-			if i > 0 {
-				sum += orig[i-1].Loss
-				n++
-			}
-			if i+1 < len(orig) {
-				sum += orig[i+1].Loss
-				n++
-			}
-			if n > 0 {
-				cleaned[i].Loss = sum / float64(n)
-			}
-		}
-	}
-
-	var maxLoss float64
-	for _, p := range cleaned {
-		if p.Loss > maxLoss {
-			maxLoss = p.Loss
-		}
-	}
-	if maxLoss <= 0 {
-		maxLoss = 1
-	}
-	for i := range cleaned {
-		cleaned[i].Loss /= maxLoss
-	}
-	return cleaned, maxLoss
+	var s fitScratch
+	return s.preprocess(points, window)
 }
 
 // Fit fits the convergence model to the samples collected so far. At least
@@ -293,6 +237,7 @@ func (s *fitScratch) fitPoints(points []Point, window int) (Model, error) {
 	}
 
 	best := Model{Residual: math.Inf(1), MaxLoss: maxLoss}
+	s.mat.Rows = -1 // stale design matrix: the first candidate rebuilds it
 	const gridSteps = 40
 	for g := 0; g <= gridSteps; g++ {
 		b2 := minLoss * float64(g) / float64(gridSteps+1)
@@ -378,22 +323,35 @@ func (s *fitScratch) preprocess(points []Point, window int) ([]Point, float64) {
 // fitWithAsymptote solves the linear subproblem for a fixed β2 and evaluates
 // the residual in loss space. The design matrix and rhs are assembled in the
 // scratch buffers and solved with the scratch workspace, which warm-starts
-// from the previous candidate's (or previous refit's) active set.
+// from the previous candidate's (or previous refit's) active set and reuses
+// the design matrix's QR factors across candidates.
+//
+// Only the rhs depends on β2 once the kept rows are fixed, so the design
+// matrix [k, 1] is rebuilt only when the kept-row count changes. The count
+// identifies the set: fitPoints' β2 grid is monotone (rounding is monotone),
+// so each candidate's kept rows are a subset or superset of the previous
+// candidate's, and a chain of sets with equal sizes is one set.
 func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2 float64) (Model, bool) {
-	data := s.mat.Data[:0]
 	rhs := s.rhs[:0]
 	for _, p := range cleaned {
 		d := p.Loss - b2
 		if d <= 1e-9 {
 			continue // point at/below asymptote: cannot transform
 		}
-		data = append(data, p.K, 1)
 		rhs = append(rhs, 1/d)
 	}
-	s.mat.Data, s.rhs = data, rhs
-	s.mat.Rows, s.mat.Cols = len(rhs), 2
-	if s.mat.Rows < 3 {
+	s.rhs = rhs
+	if len(rhs) < 3 {
 		return Model{}, false
+	}
+	if s.mat.Rows != len(rhs) {
+		data := s.mat.Data[:0]
+		for _, p := range cleaned {
+			if p.Loss-b2 > 1e-9 {
+				data = append(data, p.K, 1)
+			}
+		}
+		s.mat.Data, s.mat.Rows, s.mat.Cols = data, len(rhs), 2
 	}
 	x, _, err := s.ws.Solve(&s.mat, rhs)
 	if err != nil {

@@ -1,0 +1,185 @@
+package nnls
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// solveBoth runs one solve on the optimized workspace and on the verbatim
+// pre-factor-cache reference, and requires Float64bits-identical solutions,
+// residuals and error outcomes.
+func solveBoth(t *testing.T, label string, ws *Workspace, ref *refWorkspace, a *Matrix, b []float64) {
+	t.Helper()
+	x, res, err := ws.Solve(a, b)
+	rx, rres, rerr := ref.SolveWith(a, b, Options{})
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("%s: err %v, reference err %v", label, err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if math.Float64bits(res) != math.Float64bits(rres) {
+		t.Fatalf("%s: residual %v (%#x), reference %v (%#x)",
+			label, res, math.Float64bits(res), rres, math.Float64bits(rres))
+	}
+	for j := range rx {
+		if math.Float64bits(x[j]) != math.Float64bits(rx[j]) {
+			t.Fatalf("%s: x[%d] = %v, reference %v (x %v, reference %v)", label, j, x[j], rx[j], x, rx)
+		}
+	}
+}
+
+// lossDesign is a lossfit-shaped problem: rows [k, 1] and a noisy loss curve
+// whose transform 1/(l − β2) is the rhs for each asymptote candidate.
+func lossDesign(r *rand.Rand, m int) (*Matrix, []float64) {
+	a := NewMatrix(m, 2)
+	loss := make([]float64, m)
+	b0, b1, b2 := 0.05+0.3*r.Float64(), 0.5+2*r.Float64(), 0.2*r.Float64()
+	for i := range loss {
+		k := float64(i + 1)
+		a.Set(i, 0, k)
+		a.Set(i, 1, 1)
+		loss[i] = (1/(b0*k+b1) + b2) * (1 + 0.002*r.NormFloat64())
+	}
+	return a, loss
+}
+
+func minOf(v []float64) float64 {
+	lo := math.Inf(1)
+	for _, x := range v {
+		lo = math.Min(lo, x)
+	}
+	return lo
+}
+
+// TestFactorCacheMatchesReference drives one optimized workspace and one
+// reference workspace through the same seeded solve sequences — each kind of
+// sequence a factor cache could get wrong — and requires every solve to agree
+// bit for bit. The workspaces are shared across seeds and sequences, so stale
+// cache state from one sequence meets the next.
+func TestFactorCacheMatchesReference(t *testing.T) {
+	ws := NewWorkspace()
+	ref := new(refWorkspace)
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+
+		// 41-rhs β2 sweep on one design matrix: a candidate that ends on the
+		// previous candidate's passive set reuses its factors. (Large β2 can
+		// push β1 to the bound, which changes the set once.)
+		a, loss := lossDesign(r, 20+r.Intn(200))
+		b := make([]float64, a.Rows)
+		var prev [2]bool
+		for g := 0; g <= 40; g++ {
+			b2 := minOf(loss) * float64(g) / 41
+			for i, l := range loss {
+				b[i] = 1 / (l - b2)
+			}
+			before := ws.factorings
+			solveBoth(t, "sweep", ws, ref, a, b)
+			now := [2]bool{ws.warm[0], ws.warm[1]}
+			if g > 0 && now == prev && ws.factorings != before {
+				t.Fatalf("seed %d: candidate %d kept passive set %v yet refactored", seed, g, now)
+			}
+			prev = now
+		}
+
+		// The design matrix grows by one row per refit.
+		for step := 0; step < 10; step++ {
+			k := float64(a.Rows + 1)
+			a.Data = append(a.Data, k, 1)
+			a.Rows++
+			b = append(b, 1/(loss[len(loss)-1]*(1-0.001*float64(step+1))))
+			loss = append(loss, 0)
+			solveBoth(t, "grow", ws, ref, a, b)
+		}
+
+		// One entry moved by one ulp must miss the cache.
+		i := r.Intn(len(a.Data))
+		a.Data[i] = math.Nextafter(a.Data[i], math.Inf(1))
+		before := ws.factorings
+		solveBoth(t, "ulp", ws, ref, a, b)
+		if ws.factorings == before {
+			t.Fatalf("seed %d: a one-ulp change hit the factor cache", seed)
+		}
+
+		// +0 and −0 compare equal but are different matrices.
+		g, rhs := randWellPosed(r)
+		z := r.Intn(len(g.Data))
+		g.Data[z] = 0
+		solveBoth(t, "+0", ws, ref, g, rhs)
+		g.Data[z] = math.Copysign(0, -1)
+		before = ws.factorings
+		solveBoth(t, "-0", ws, ref, g, rhs)
+		if ws.factorings == before {
+			t.Fatalf("seed %d: −0 hit the factor cache of +0", seed)
+		}
+
+		// Rank-deficient: a duplicated column, swept over several rhs.
+		d, rhs := randWellPosed(r)
+		dup := r.Intn(d.Cols - 1)
+		for row := 0; row < d.Rows; row++ {
+			d.Set(row, dup+1, d.At(row, dup))
+		}
+		for s := 0; s < 5; s++ {
+			for row := range rhs {
+				rhs[row] += 0.1 * r.NormFloat64()
+			}
+			solveBoth(t, "rank-deficient", ws, ref, d, rhs)
+		}
+
+		// A sweep whose solution crosses the orthant boundary partway, so the
+		// passive set changes between rhs on one matrix.
+		p, _ := randWellPosed(r)
+		from, to := make([]float64, p.Cols), make([]float64, p.Cols)
+		for j := range from {
+			from[j] = 2 * r.Float64()
+			to[j] = 2*r.Float64() - 1.5
+		}
+		rhs = make([]float64, p.Rows)
+		firstPassive := make([]bool, p.Cols)
+		changed := false
+		for s := 0; s <= 20; s++ {
+			f := float64(s) / 20
+			for row := range rhs {
+				var dot float64
+				for j := 0; j < p.Cols; j++ {
+					dot += p.At(row, j) * ((1-f)*from[j] + f*to[j])
+				}
+				rhs[row] = dot + 0.01*r.NormFloat64()
+			}
+			solveBoth(t, "passive-change", ws, ref, p, rhs)
+			if s == 0 {
+				copy(firstPassive, ws.warm[:p.Cols])
+			} else {
+				for j, v := range firstPassive {
+					changed = changed || ws.warm[j] != v
+				}
+			}
+		}
+		if !changed {
+			t.Fatalf("seed %d: the passive-change sweep never changed the passive set", seed)
+		}
+	}
+}
+
+// TestLeastSquaresMatchesReference pins the factor/apply split of the
+// unconstrained solver to the single-pass kernel bit for bit.
+func TestLeastSquaresMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 100; trial++ {
+		a, b := randWellPosed(r)
+		x, err := LeastSquares(a, b)
+		qr, rhs := a.Clone(), append([]float64(nil), b...)
+		rx := make([]float64, a.Cols)
+		rerr := refLstsqInPlace(qr, make([]float64, a.Cols), rhs, rx)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("trial %d: err %v, reference err %v", trial, err, rerr)
+		}
+		for j := range rx {
+			if err == nil && math.Float64bits(x[j]) != math.Float64bits(rx[j]) {
+				t.Fatalf("trial %d: x[%d] = %v, reference %v", trial, j, x[j], rx[j])
+			}
+		}
+	}
+}

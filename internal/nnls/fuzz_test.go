@@ -48,9 +48,11 @@ func FuzzSolve(f *testing.F) {
 		// optimizer's tolerance. Warm-starting may pick a different vertex only
 		// when the problem is degenerate, so compare residuals, not coordinates.
 		var ws Workspace
+		var ref refWorkspace
 		if _, _, err := ws.Solve(a, b); err != nil {
 			return
 		}
+		_, _, _ = ref.SolveWith(a, b, Options{})
 		rows2 := rows + r.Intn(3)
 		a2 := NewMatrix(rows2, cols)
 		copy(a2.Data, a.Data)
@@ -65,6 +67,7 @@ func FuzzSolve(f *testing.F) {
 				b2[i] = r.NormFloat64()
 			}
 		}
+		_, _, _ = ref.SolveWith(a2, b2, Options{})
 		wx, wres, werr := ws.Solve(a2, b2)
 		cx, cres, cerr := Solve(a2, b2)
 		if (werr == nil) != (cerr == nil) {
@@ -82,6 +85,29 @@ func FuzzSolve(f *testing.F) {
 		if math.Abs(wres-cres) > tol {
 			t.Fatalf("warm residual %v vs cold %v (tol %v)\nwarm x %v\ncold x %v",
 				wres, cres, tol, wx, cx)
+		}
+
+		// Same matrix, new rhs (lossfit's β2 sweep): the solve that may reuse
+		// the cached factors must match the reference workspace, which saw the
+		// same call sequence and refactors every time, bit for bit.
+		for i := range b2 {
+			b2[i] = r.NormFloat64()
+		}
+		sx, sres, serr := ws.Solve(a2, b2)
+		rx, rres, rerr := ref.SolveWith(a2, b2, Options{})
+		if (serr == nil) != (rerr == nil) {
+			t.Fatalf("new-rhs err %v, reference err %v", serr, rerr)
+		}
+		if serr != nil {
+			return
+		}
+		if math.Float64bits(sres) != math.Float64bits(rres) {
+			t.Fatalf("new-rhs residual %v, reference %v", sres, rres)
+		}
+		for i := range rx {
+			if math.Float64bits(sx[i]) != math.Float64bits(rx[i]) {
+				t.Fatalf("new-rhs x[%d] = %v, reference %v", i, sx[i], rx[i])
+			}
 		}
 	})
 }

@@ -20,23 +20,28 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	copy(rhs, b)
 	diag := make([]float64, a.Cols)
 	x := make([]float64, a.Cols)
-	if err := lstsqInPlace(qr, diag, rhs, x); err != nil {
+	if err := factorInPlace(qr, diag); err != nil {
+		return nil, err
+	}
+	if err := solveFactored(qr, diag, rhs, x); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// lstsqInPlace is the allocation-free core of LeastSquares: it factorizes qr
-// in place (reflector vectors in the lower triangle, R diagonal in diag),
-// destroys rhs, and writes the solution into x (length qr.Cols). The
-// operation sequence is bit-identical to the historical implementation that
-// stashed the diagonal in a shadow segment of the Data slice.
-func lstsqInPlace(qr *Matrix, diag, rhs, x []float64) error {
+// factorInPlace is the allocation-free Householder QR factorization behind
+// LeastSquares: it overwrites qr with the reflector vectors (lower triangle
+// including the diagonal) and R's strict upper triangle, and writes R's
+// diagonal into diag. The factors depend on qr alone, so one factorization
+// serves any number of right-hand sides through solveFactored.
+//
+// factorInPlace followed by solveFactored performs exactly the floating-point
+// operations of the historical single-pass kernel (which applied reflector k
+// to the rhs right after computing it): reflector k reads only column k, which
+// no later step modifies, so the results are bit-identical.
+func factorInPlace(qr *Matrix, diag []float64) error {
 	if qr.Rows < qr.Cols {
 		return errors.New("nnls: underdetermined system (rows < cols)")
-	}
-	if len(rhs) != qr.Rows {
-		return errors.New("nnls: rhs length mismatch")
 	}
 	m, n := qr.Rows, qr.Cols
 
@@ -77,7 +82,22 @@ func lstsqInPlace(qr *Matrix, diag, rhs, x []float64) error {
 				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
 			}
 		}
-		// Apply the reflector to the right-hand side.
+		// The reflector occupies the lower triangle including the diagonal
+		// position, so R's diagonal (-norm) lives in a separate slice.
+		diag[k] = -norm
+	}
+	return nil
+}
+
+// solveFactored solves min‖A·x − rhs‖₂ from factorInPlace's output: it applies
+// the reflectors to rhs in order (destroying it) and back-substitutes into x
+// (length qr.Cols).
+func solveFactored(qr *Matrix, diag, rhs, x []float64) error {
+	if len(rhs) != qr.Rows {
+		return errors.New("nnls: rhs length mismatch")
+	}
+	m, n := qr.Rows, qr.Cols
+	for k := 0; k < n; k++ {
 		var s float64
 		for i := k; i < m; i++ {
 			s += qr.At(i, k) * rhs[i]
@@ -86,9 +106,6 @@ func lstsqInPlace(qr *Matrix, diag, rhs, x []float64) error {
 		for i := k; i < m; i++ {
 			rhs[i] += s * qr.At(i, k)
 		}
-		// The reflector occupies the lower triangle including the diagonal
-		// position, so R's diagonal (-norm) lives in a separate slice.
-		diag[k] = -norm
 	}
 
 	// Back substitution on R (upper triangle of qr with diagonal in diag).

@@ -22,8 +22,17 @@ func Solve(a *Matrix, b []float64) ([]float64, float64, error) {
 
 // SolveWith is Solve with explicit options.
 func SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
-	var ws Workspace
+	ws := Workspace{oneShot: true}
 	return ws.SolveWith(a, b, opt)
+}
+
+func allPassive(passive []bool) bool {
+	for _, p := range passive {
+		if !p {
+			return false
+		}
+	}
+	return true
 }
 
 func allPositive(z []float64, passive []bool, tol float64) bool {

@@ -109,20 +109,38 @@ func TestWarmStartRefitSequence(t *testing.T) {
 
 // TestWorkspaceSolveAllocationFree pins down the workspace contract: after
 // the first solve sized the buffers, repeat solves of same-shaped problems
-// allocate nothing.
+// allocate nothing — whether they hit the factor cache (one matrix) or miss
+// it every time (two matrices alternating, so the key and factors are
+// rewritten on every solve).
 func TestWorkspaceSolveAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a, b := randWellPosed(r)
-	ws := NewWorkspace()
-	if _, _, err := ws.Solve(a, b); err != nil {
-		t.Fatal(err)
+	a2 := a.Clone()
+	for i := range a2.Data {
+		a2.Data[i] += 0.1 * r.NormFloat64()
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := ws.Solve(a, b); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		mats []*Matrix
+	}{
+		{"same-matrix", []*Matrix{a}},
+		{"alternating", []*Matrix{a, a2}},
+	} {
+		ws := NewWorkspace()
+		for _, m := range tc.mats {
+			if _, _, err := ws.Solve(m, b); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warmed Workspace.Solve allocated %.1f times per run, want 0", allocs)
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := ws.Solve(tc.mats[i%len(tc.mats)], b); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warmed Workspace.Solve allocated %.1f times per run, want 0", tc.name, allocs)
+		}
 	}
 }

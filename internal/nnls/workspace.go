@@ -3,6 +3,7 @@ package nnls
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Workspace holds every scratch buffer one NNLS solve needs, so repeated
@@ -19,6 +20,13 @@ import (
 // resumes the outer loop from it — usually terminating immediately with the
 // KKT check instead of rebuilding the passive set one column at a time.
 //
+// A workspace also keeps the Householder QR factors of the last passive
+// subproblem it solved, keyed by the matrix's value (bit for bit, never by
+// pointer: callers refill one buffer). A solve on an identical matrix with a
+// new right-hand side — lossfit's β2 grid, 41 rhs against one design matrix —
+// reuses the factors and only applies the reflectors to the new rhs, which
+// yields exactly the bits a fresh factorization would.
+//
 // A Workspace is not safe for concurrent use. The zero value is ready to use.
 type Workspace struct {
 	// solver state
@@ -28,7 +36,7 @@ type Workspace struct {
 	z       []float64
 	passive []bool
 
-	// passive-subproblem scratch
+	// passive-subproblem scratch; sub and diag double as the factor cache
 	cols   []int
 	sub    Matrix
 	subRhs []float64
@@ -39,6 +47,19 @@ type Workspace struct {
 	warm     []bool
 	warmCols int
 	hasWarm  bool
+
+	// factor cache: key is a copy of the last matrix solved, keyTol its
+	// automatic dual tolerance (0 = not computed yet), and when factored is
+	// set, sub/diag hold the factors of key's columns fcols.
+	key      Matrix
+	keyTol   float64
+	fcols    []int
+	factored bool
+	// oneShot marks the package-level Solve's throwaway workspace, which
+	// never sees a second matrix and so skips copying the key.
+	oneShot bool
+	// factorings counts QR factorizations; tests observe cache hits with it.
+	factorings int
 }
 
 // NewWorkspace returns an empty workspace. The zero value works too; the
@@ -47,7 +68,8 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Reset drops the warm-start memory. Buffers are kept. Call it when the next
 // problem is unrelated to the previous one (different model family, reused
-// workspace across jobs) and a cold start is wanted.
+// workspace across jobs) and a cold start is wanted. The factor cache stays:
+// it is keyed by value, so it can never serve a different matrix.
 func (ws *Workspace) Reset() { ws.hasWarm = false }
 
 // Solve is SolveWith with default options.
@@ -69,20 +91,14 @@ func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, 
 		return nil, Norm2(b), errors.New("nnls: empty matrix")
 	}
 	ws.ensure(a.Rows, n)
+	ws.rekey(a)
 
 	tol := opt.Tol
 	if tol == 0 {
-		// Scale-aware tolerance, mirroring the classical implementation.
-		var amax float64
-		for _, v := range a.Data[:a.Rows*a.Cols] {
-			if av := math.Abs(v); av > amax {
-				amax = av
-			}
+		if ws.keyTol == 0 { // not yet computed for this matrix
+			ws.keyTol = autoTol(a)
 		}
-		tol = 10 * 2.2e-16 * amax * float64(maxInt(a.Rows, a.Cols))
-		if tol == 0 {
-			tol = 1e-12
-		}
+		tol = ws.keyTol
 	}
 	maxIter := opt.MaxIter
 	if maxIter == 0 {
@@ -120,6 +136,9 @@ func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, 
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
+		if allPassive(passive) {
+			break // no active column left for the KKT check to pick
+		}
 		// Dual vector w = Aᵀ(b − A·x).
 		w := ws.dualInto(a, x, b)
 
@@ -197,7 +216,8 @@ func (ws *Workspace) ensure(m, n int) {
 		ws.z = make([]float64, n)
 		ws.subSol = make([]float64, n)
 		ws.diag = make([]float64, n)
-		ws.cols = make([]int, 0, n)
+		ints := make([]int, 2*n) // one allocation for both column lists
+		ws.cols, ws.fcols = ints[:0:n], ints[n:n]
 		ws.passive = make([]bool, n)
 		w := make([]bool, n)
 		copy(w, ws.warm)
@@ -210,6 +230,50 @@ func (ws *Workspace) ensure(m, n int) {
 	if cap(ws.sub.Data) < m*n {
 		ws.sub.Data = make([]float64, m*n)
 	}
+}
+
+// autoTol is the scale-aware dual-feasibility tolerance, mirroring the
+// classical implementation. It is never zero.
+func autoTol(a *Matrix) float64 {
+	var amax float64
+	for _, v := range a.Data[:a.Rows*a.Cols] {
+		if av := math.Abs(v); av > amax {
+			amax = av
+		}
+	}
+	tol := 10 * 2.2e-16 * amax * float64(maxInt(a.Rows, a.Cols))
+	if tol == 0 {
+		tol = 1e-12
+	}
+	return tol
+}
+
+// rekey makes a the cache key. A matrix equal to the key bit for bit keeps
+// the cached factors and tolerance; any other matrix drops them (+0 and −0
+// differ, so do NaNs with different payloads).
+func (ws *Workspace) rekey(a *Matrix) {
+	data := a.Data[:a.Rows*a.Cols]
+	if ws.key.Rows == a.Rows && ws.key.Cols == a.Cols && sameBits(ws.key.Data, data) {
+		return
+	}
+	ws.factored, ws.keyTol = false, 0
+	if ws.oneShot {
+		return
+	}
+	ws.key.Rows, ws.key.Cols = a.Rows, a.Cols
+	ws.key.Data = append(ws.key.Data[:0], data...)
+}
+
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i, v := range x {
+		if math.Float64bits(v) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // residInto computes b − a·x into the workspace residual buffer.
@@ -245,7 +309,8 @@ func (ws *Workspace) dualInto(a *Matrix, x, b []float64) []float64 {
 
 // solvePassive solves the unconstrained least-squares problem restricted to
 // the passive columns, returning a full-length workspace-owned vector with
-// zeros elsewhere.
+// zeros elsewhere. It factors the column subset only when the cache does not
+// already hold its factors for this matrix.
 func (ws *Workspace) solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, bool) {
 	n := a.Cols
 	cols := ws.cols[:0]
@@ -263,19 +328,27 @@ func (ws *Workspace) solvePassive(a *Matrix, b []float64, passive []bool) ([]flo
 		return z, true
 	}
 	m, nc := a.Rows, len(cols)
-	ws.sub.Rows, ws.sub.Cols = m, nc
-	ws.sub.Data = ws.sub.Data[:m*nc]
-	for i := 0; i < m; i++ {
-		src := a.Data[i*n : (i+1)*n]
-		dst := ws.sub.Data[i*nc : (i+1)*nc]
-		for jj, c := range cols {
-			dst[jj] = src[c]
+	if !ws.factored || !slices.Equal(ws.fcols, cols) {
+		ws.sub.Rows, ws.sub.Cols = m, nc
+		ws.sub.Data = ws.sub.Data[:m*nc]
+		for i := 0; i < m; i++ {
+			src := a.Data[i*n : (i+1)*n]
+			dst := ws.sub.Data[i*nc : (i+1)*nc]
+			for jj, c := range cols {
+				dst[jj] = src[c]
+			}
 		}
+		ws.factorings++
+		ws.factored = factorInPlace(&ws.sub, ws.diag[:nc]) == nil
+		if !ws.factored {
+			return nil, false
+		}
+		ws.fcols = append(ws.fcols[:0], cols...)
 	}
 	rhs := ws.subRhs[:m]
 	copy(rhs, b)
 	sol := ws.subSol[:nc]
-	if err := lstsqInPlace(&ws.sub, ws.diag[:nc], rhs, sol); err != nil {
+	if err := solveFactored(&ws.sub, ws.diag[:nc], rhs, sol); err != nil {
 		return nil, false
 	}
 	for jj, c := range cols {

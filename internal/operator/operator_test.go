@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"encoding/gob"
 	"fmt"
 	"os"
 	"testing"
@@ -213,6 +214,25 @@ func TestOperatorReplacesStragglers(t *testing.T) {
 	}
 }
 
+// savedSteps sums the progress counters a SaveState file recorded.
+func savedSteps(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var st persistedState
+	if err := gob.NewDecoder(f).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var steps int
+	for _, pj := range st.Jobs {
+		steps += pj.TotalSteps
+	}
+	return steps
+}
+
 // §5.5 fault tolerance: an operator crash loses nothing — a fresh operator
 // recovers the persisted job state (parameters included) and finishes the
 // workload.
@@ -236,11 +256,11 @@ func TestOperatorCrashRecovery(t *testing.T) {
 	if err := op1.SaveState(statePath); err != nil {
 		t.Fatal(err)
 	}
-	var stepsBefore int
-	for _, st := range op1.Status() {
-		stepsBefore += st.Steps
-	}
 	op1.Shutdown()
+	// Compare against the progress the save recorded, not op1.Status(): the
+	// trainers keep stepping between SaveState and Shutdown, so a later
+	// status read runs ahead of what recovery can restore.
+	stepsBefore := savedSteps(t, statePath)
 
 	// Restart: fresh control plane, fresh operator, recovered state.
 	api2 := newAPI(t, 3)
