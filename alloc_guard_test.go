@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"optimus/internal/cells"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/lossfit"
@@ -115,59 +114,6 @@ func TestAllocationBudgets(t *testing.T) {
 		// room for map growth internals without tolerating per-row costs.
 		if allocs > 30 {
 			t.Errorf("warmed Place: %.1f allocs/op, budget 30", allocs)
-		}
-	})
-
-	t.Run("cells-interval", func(t *testing.T) {
-		zoo := workload.Zoo()
-		rng := rand.New(rand.NewSource(2))
-		const nJobs = 60
-		jobs := make([]*core.JobInfo, nJobs)
-		for i := range jobs {
-			m := zoo[i%len(zoo)]
-			mode := speedfit.Mode(rng.Intn(2))
-			jobs[i] = &core.JobInfo{
-				ID:            i + 1,
-				RemainingWork: 1000 + rng.Float64()*100000,
-				Speed:         func(p, w int) float64 { return m.TrueSpeed(mode, p, w) },
-				WorkerRes:     m.WorkerRes,
-				PSRes:         m.PSRes,
-				MaxWorkers:    16,
-				MaxPS:         16,
-			}
-		}
-		cl := cluster.Uniform(12, cluster.Resources{
-			cluster.CPU: 48, cluster.Memory: 192,
-		})
-		capacity := cl.Capacity()
-		ms := cells.New(cells.Options{Cells: 3})
-		reqs := make([]core.PlacementRequest, 0, nJobs)
-		interval := func() {
-			alloc := ms.Allocate(jobs, capacity)
-			cl.ResetAll()
-			reqs = reqs[:0]
-			for _, in := range jobs {
-				a := alloc[in.ID]
-				if a.PS > 0 && a.Workers > 0 {
-					reqs = append(reqs, core.PlacementRequest{
-						JobID: in.ID, Alloc: a,
-						WorkerRes: in.WorkerRes, PSRes: in.PSRes,
-					})
-				}
-			}
-			ms.Place(reqs, cl)
-		}
-		for i := 0; i < 3; i++ { // warm scratch, bind store, settle assignments
-			interval()
-		}
-		allocs := testing.AllocsPerRun(10, interval)
-		// A steady-state interval's unavoidable costs are the kernels'
-		// caller-owned result maps/slices plus the per-cell goroutine
-		// fan-out — all O(placed jobs), none O(rounds). Budget carries ~2×
-		// headroom over the measured steady state (~370) so a reintroduced
-		// per-node or per-task allocation (≥ thousands here) still trips it.
-		if allocs > 700 {
-			t.Errorf("steady-state cells interval: %.1f allocs/op, budget 700", allocs)
 		}
 	})
 

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"optimus/internal/cells"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/experiments"
@@ -433,72 +432,49 @@ func BenchmarkIncrementalInterval(b *testing.B) {
 	b.Run("membership=1%", func(b *testing.B) { run(b, 0.01, true) })
 }
 
-// BenchmarkCells measures one full scheduling interval (allocate + place) at
-// the scalability design point — 10k jobs across 10k nodes — for the
-// single-engine §4 kernels and the sharded multi-cell scheduler at several
-// cell counts. The multi-cell rows also report the optimistic-commit
-// protocol's per-interval conflict and retry counts, the price of computing
-// cells in parallel against possibly-stale snapshots.
-func BenchmarkCells(b *testing.B) {
+// BenchmarkScaleInterval measures one cold scheduling interval (allocate +
+// place from scratch, no incremental session) with the single-engine §4
+// kernels at the scalability design point: 10k jobs across 10k nodes.
+func BenchmarkScaleInterval(b *testing.B) {
 	const nJobs, nNodes = 10000, 10000
-	mkJobs := func() []*core.JobInfo {
-		rng := rand.New(rand.NewSource(1))
-		jobs := make([]*core.JobInfo, nJobs)
-		for i := range jobs {
-			wcpu := 2 + float64(rng.Intn(6))
-			pcpu := 1 + float64(rng.Intn(4))
-			sa := 0.5 + rng.Float64()
-			sb := 0.5 + rng.Float64()*2
-			jobs[i] = &core.JobInfo{
-				ID:            i + 1,
-				RemainingWork: 1000 + rng.Float64()*100000,
-				Speed: func(p, w int) float64 {
-					return sa * float64(p*w) / (sb*float64(p) + float64(w))
-				},
-				WorkerRes:  cluster.Resources{cluster.CPU: wcpu, cluster.Memory: 4 * wcpu},
-				PSRes:      cluster.Resources{cluster.CPU: pcpu, cluster.Memory: 4 * pcpu},
-				MaxWorkers: 16,
-				MaxPS:      16,
-			}
-		}
-		return jobs
-	}
-	interval := func(b *testing.B,
-		allocate func([]*core.JobInfo, cluster.Resources) map[int]core.Allocation,
-		place func([]core.PlacementRequest, *cluster.Cluster) (map[int]core.Placement, []int)) {
-		jobs := mkJobs()
-		cl := cluster.Uniform(nNodes, cluster.Resources{cluster.CPU: 32, cluster.Memory: 128})
-		capacity := cl.Capacity()
-		reqs := make([]core.PlacementRequest, 0, nJobs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			alloc := allocate(jobs, capacity)
-			cl.ResetAll()
-			reqs = reqs[:0]
-			for _, in := range jobs {
-				a := alloc[in.ID]
-				if a.PS > 0 && a.Workers > 0 {
-					reqs = append(reqs, core.PlacementRequest{
-						JobID: in.ID, Alloc: a,
-						WorkerRes: in.WorkerRes, PSRes: in.PSRes,
-					})
-				}
-			}
-			place(reqs, cl)
+	rng := rand.New(rand.NewSource(1))
+	jobs := make([]*core.JobInfo, nJobs)
+	for i := range jobs {
+		wcpu := 2 + float64(rng.Intn(6))
+		pcpu := 1 + float64(rng.Intn(4))
+		sa := 0.5 + rng.Float64()
+		sb := 0.5 + rng.Float64()*2
+		jobs[i] = &core.JobInfo{
+			ID:            i + 1,
+			RemainingWork: 1000 + rng.Float64()*100000,
+			Speed: func(p, w int) float64 {
+				return sa * float64(p*w) / (sb*float64(p) + float64(w))
+			},
+			WorkerRes:  cluster.Resources{cluster.CPU: wcpu, cluster.Memory: 4 * wcpu},
+			PSRes:      cluster.Resources{cluster.CPU: pcpu, cluster.Memory: 4 * pcpu},
+			MaxWorkers: 16,
+			MaxPS:      16,
 		}
 	}
-	b.Run("engine=single", func(b *testing.B) {
-		alloc, place := core.NewAllocState(), core.NewPlaceState()
-		interval(b, alloc.Allocate, place.Place)
-	})
-	for _, n := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
-			ms := cells.New(cells.Options{Cells: n})
-			interval(b, ms.Allocate, ms.Place)
-			st := ms.Stats()
-			b.ReportMetric(float64(st.Conflicts)/float64(b.N), "conflicts/op")
-			b.ReportMetric(float64(st.Retries)/float64(b.N), "retries/op")
-		})
+	cl := cluster.Uniform(nNodes, cluster.Resources{cluster.CPU: 32, cluster.Memory: 128})
+	capacity := cl.Capacity()
+	alloc, place := core.NewAllocState(), core.NewPlaceState()
+	reqs := make([]core.PlacementRequest, 0, nJobs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grants := alloc.Allocate(jobs, capacity)
+		cl.ResetAll()
+		reqs = reqs[:0]
+		for _, in := range jobs {
+			a := grants[in.ID]
+			if a.PS > 0 && a.Workers > 0 {
+				reqs = append(reqs, core.PlacementRequest{
+					JobID: in.ID, Alloc: a,
+					WorkerRes: in.WorkerRes, PSRes: in.PSRes,
+				})
+			}
+		}
+		place.Place(reqs, cl)
 	}
 }
 

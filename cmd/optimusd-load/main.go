@@ -21,9 +21,7 @@
 // The run reports per-op p50/p99/p999, attempted vs completed throughput and
 // the daemon's interval-overrun rate (scraped from /v1/cluster before and
 // after). It exits non-zero when the error rate exceeds -max-error-rate or
-// the overall p99 exceeds -max-p99, making it a CI SLO gate. With -bench the
-// summary is also emitted as a `go test -bench`-format line so benchjson can
-// track it in BENCH_N.json.
+// the overall p99 exceeds -max-p99, making it a CI SLO gate.
 //
 // Failover scenario (-urls): a comma-separated target list turns the
 // open-loop run into an HA probe — every transport failure or 5xx rotates to
@@ -79,7 +77,6 @@ func main() {
 
 		maxErrRate = flag.Float64("max-error-rate", 0, "exit non-zero when errors/ops exceeds this fraction")
 		maxP99     = flag.Duration("max-p99", 0, "exit non-zero when overall p99 exceeds this (0 disables)")
-		benchName  = flag.String("bench", "", "also print a go-bench format summary line under this name")
 	)
 	flag.Parse()
 	if *duration > 0 {
@@ -88,7 +85,7 @@ func main() {
 			arrivals: *arrivals,
 			mix:      *mix, dist: *dist, theta: *theta, clients: *clients,
 			seed: *seed, timeout: *timeout,
-			maxErrRate: *maxErrRate, maxP99: *maxP99, benchName: *benchName,
+			maxErrRate: *maxErrRate, maxP99: *maxP99,
 		}
 		if err := runOpenLoop(cfg); err != nil {
 			lg.Fatalf("%v", err)
@@ -260,7 +257,6 @@ type loadConfig struct {
 	timeout    time.Duration
 	maxErrRate float64
 	maxP99     time.Duration
-	benchName  string
 }
 
 type opKind int
@@ -658,17 +654,6 @@ func report(cfg loadConfig, weights [numOps]float64, elapsed time.Duration,
 		fmt.Printf("failover: %d targets, %d switches, %d lost requests, blackout window %s, ended on %s\n",
 			len(cfg.tg.urls), cfg.tg.switches.Load(), cfg.tg.lost.Load(),
 			cfg.tg.blackout().Round(time.Millisecond), cfg.tg.url())
-	}
-
-	if cfg.benchName != "" && all.Count() > 0 {
-		// go-bench format so benchjson (and its -diff warnings) can track the
-		// open-loop numbers in BENCH_N.json alongside the micro-benchmarks.
-		meanNs := all.Sum() / float64(all.Count()) * 1e9
-		fmt.Printf("Benchmark%s \t %d \t %.0f ns/op \t %.0f ops/s \t %.3f p99-ms \t %.4f overrun-rate \t %.5f err-rate\n",
-			cfg.benchName, all.Count(), meanNs,
-			float64(okTotal+errTotal)/elapsed.Seconds(),
-			all.Quantile(0.99)*1e3, overrunRate,
-			errRate(errTotal, okTotal))
 	}
 
 	if r := errRate(errTotal, okTotal); r > cfg.maxErrRate {

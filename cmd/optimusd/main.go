@@ -75,7 +75,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address (use :0 for a random port)")
 		portfile = flag.String("portfile", "", "write the bound address to this file (for scripts using -addr :0)")
 		nodes    = flag.Int("nodes", 0, "uniform cluster size; 0 uses the paper's 13-node testbed")
-		cellsN   = flag.Int("cells", 1, "scheduling cells; >1 runs the sharded shared-state multi-scheduler with optimistic commits")
 		interval = flag.Float64("interval", 600, "simulated seconds of training per scheduling round")
 		tick     = flag.Duration("tick", time.Second, "wall-clock period between rounds (tick < interval·1s runs faster than real time)")
 		seed     = flag.Int64("seed", 1, "PRNG seed for observation noise and stragglers")
@@ -136,7 +135,6 @@ func main() {
 			Interval:            *interval,
 			Tick:                *tick,
 			Seed:                *seed,
-			Cells:               *cellsN,
 			MaxJobs:             *maxJobs,
 			StragglerProb:       *stragglerProb,
 			SpeedNoise:          *speedNoise,
@@ -297,8 +295,8 @@ func run(opts options, lg *obs.Logger) error {
 		role = "standalone"
 	}
 	lg.Infof("%s", obs.Build())
-	lg.Infof("listening on %s (%s, %d nodes, %d cells, interval %gs, tick %s)",
-		ln.Addr(), role, c.Len(), max(opts.cfg.Cells, 1), opts.cfg.Interval, opts.cfg.Tick)
+	lg.Infof("listening on %s (%s, %d nodes, interval %gs, tick %s)",
+		ln.Addr(), role, c.Len(), opts.cfg.Interval, opts.cfg.Tick)
 
 	if opts.pprofAddr != "" {
 		pln, err := net.Listen("tcp", opts.pprofAddr)

@@ -25,7 +25,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			for i, row := range tbl.Rows {
 				if len(row) != len(tbl.Columns) {
-					t.Errorf("row %d has %d cells, want %d", i, len(row), len(tbl.Columns))
+					t.Errorf("row %d has %d columns, want %d", i, len(row), len(tbl.Columns))
 				}
 			}
 			var buf bytes.Buffer
@@ -60,12 +60,12 @@ func TestIDsCoverEveryPaperExhibit(t *testing.T) {
 	}
 }
 
-// cell parses a numeric table cell.
-func cell(t *testing.T, s string) float64 {
+// num parses a numeric table entry.
+func num(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		t.Fatalf("cell %q not numeric: %v", s, err)
+		t.Fatalf("entry %q not numeric: %v", s, err)
 	}
 	return v
 }
@@ -77,7 +77,7 @@ func TestFig11Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range tbl.Rows {
-		normJCT := cell(t, row[1])
+		normJCT := num(t, row[1])
 		switch row[0] {
 		case "optimus":
 			if normJCT != 1 {
@@ -102,7 +102,7 @@ func TestTable3Shape(t *testing.T) {
 	}
 	mx, paa := tbl.Rows[0], tbl.Rows[1]
 	for col := 1; col <= 3; col++ {
-		if cell(t, paa[col]) >= cell(t, mx[col]) {
+		if num(t, paa[col]) >= num(t, mx[col]) {
 			t.Errorf("column %s: PAA %s not below MXNet %s",
 				tbl.Columns[col], paa[col], mx[col])
 		}
@@ -115,8 +115,8 @@ func TestFig20Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := cell(t, tbl.Rows[0][3])
-	last := cell(t, tbl.Rows[len(tbl.Rows)-1][3])
+	first := num(t, tbl.Rows[0][3])
+	last := num(t, tbl.Rows[len(tbl.Rows)-1][3])
 	if last <= first {
 		t.Errorf("PAA speedup should grow with ps: %.3f → %.3f", first, last)
 	}
@@ -130,7 +130,7 @@ func TestFig15Shape(t *testing.T) {
 	}
 	for _, row := range tbl.Rows {
 		if row[1] == "0" {
-			if v := cell(t, row[2]); v < 0.95 || v > 1.05 {
+			if v := num(t, row[2]); v < 0.95 || v > 1.05 {
 				t.Errorf("zero-error norm-JCT = %g, want ≈ 1", v)
 			}
 		}

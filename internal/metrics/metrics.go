@@ -41,13 +41,6 @@ type Recorder struct {
 	wastedWork   float64
 	recoveryTime float64
 
-	// sharded-scheduler bookkeeping (internal/cells optimistic commits)
-	cellCommits          int
-	cellConflicts        int
-	cellConflictsAvoided int
-	cellRetries          int
-	cellJobsMoved        int
-
 	// incremental-scheduler bookkeeping (internal/core dirty-set sessions):
 	// the cumulative tier counters of the run's session pair, overwritten
 	// each interval because the session already accumulates.
@@ -98,22 +91,6 @@ func (r *Recorder) AddWastedWork(d float64) { r.wastedWork += d }
 // AddRecoveryTime accounts job-seconds paused in checkpoint-restore recovery.
 func (r *Recorder) AddRecoveryTime(d float64) { r.recoveryTime += d }
 
-// AddCellCommits counts successful optimistic grant commits.
-func (r *Recorder) AddCellCommits(n int) { r.cellCommits += n }
-
-// AddCellConflicts counts commit attempts rejected at revalidation.
-func (r *Recorder) AddCellConflicts(n int) { r.cellConflicts += n }
-
-// AddCellConflictsAvoided counts stale-snapshot commits that revalidated and
-// still landed (the arktos "conflict avoided" outcome).
-func (r *Recorder) AddCellConflictsAvoided(n int) { r.cellConflictsAvoided += n }
-
-// AddCellRetries counts re-place/re-commit attempts after conflicts.
-func (r *Recorder) AddCellRetries(n int) { r.cellRetries += n }
-
-// AddCellJobsMoved counts jobs migrated between cells by the rebalancer.
-func (r *Recorder) AddCellJobsMoved(n int) { r.cellJobsMoved += n }
-
 // SetIncrStats overwrites the incremental-session tier counters with the
 // session's cumulative snapshot (called once per scheduling interval).
 func (r *Recorder) SetIncrStats(s core.IncrStats) { r.incr, r.incrSet = s, true }
@@ -121,12 +98,6 @@ func (r *Recorder) SetIncrStats(s core.IncrStats) { r.incr, r.incrSet = s, true 
 // IncrStats returns the last recorded incremental-session counters; ok is
 // false when no incremental policy ever reported.
 func (r *Recorder) IncrStats() (s core.IncrStats, ok bool) { return r.incr, r.incrSet }
-
-// CellCounters returns the sharded-scheduler commit-protocol counters:
-// commits, conflicts, conflicts avoided, retries, and rebalancer moves.
-func (r *Recorder) CellCounters() (commits, conflicts, avoided, retries, moved int) {
-	return r.cellCommits, r.cellConflicts, r.cellConflictsAvoided, r.cellRetries, r.cellJobsMoved
-}
 
 // Timeline returns the recorded snapshots.
 func (r *Recorder) Timeline() []IntervalStats { return r.timeline }

@@ -79,7 +79,7 @@ func WriteGauge(w io.Writer, name, help string, v float64) error {
 
 // WriteLabeledGauge writes one gauge sample with a single label pair. The
 // family preamble is deduplicated through Exporter, so callers can emit one
-// sample per label value (e.g. per scheduling cell) in a loop.
+// sample per label value (e.g. per component) in a loop.
 func WriteLabeledGauge(w io.Writer, name, help, label, value string, v float64) error {
 	if err := writePreamble(w, name, help, "gauge"); err != nil {
 		return err
@@ -155,17 +155,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		{"optimus_tasks_restarted_total", "Tasks restarted by fault recovery.", "counter", float64(r.restarts)},
 		{"optimus_wasted_work_seconds_total", "Job-seconds of progress lost to failures and recomputed.", "counter", r.wastedWork},
 		{"optimus_recovery_time_seconds_total", "Job-seconds paused in checkpoint-restore recovery.", "counter", r.recoveryTime},
-	}
-	// Sharded-scheduler families appear only once the cells commit path has
-	// run, so single-engine expositions are byte-for-byte unchanged.
-	if r.cellCommits > 0 || r.cellConflicts > 0 || r.cellJobsMoved > 0 {
-		ms = append(ms,
-			metric{"optimus_cell_commits_total", "Optimistic grant commits applied to the shared-state store.", "counter", float64(r.cellCommits)},
-			metric{"optimus_cell_conflicts_total", "Grant commits rejected at revalidation.", "counter", float64(r.cellConflicts)},
-			metric{"optimus_cell_conflicts_avoided_total", "Stale-snapshot commits that revalidated and landed.", "counter", float64(r.cellConflictsAvoided)},
-			metric{"optimus_cell_commit_retries_total", "Re-place attempts after conflicted commits.", "counter", float64(r.cellRetries)},
-			metric{"optimus_cell_jobs_moved_total", "Jobs migrated between cells by the rebalancer.", "counter", float64(r.cellJobsMoved)},
-		)
 	}
 	// Incremental-scheduler families appear only once a delta-driven session
 	// has reported, so existing expositions are byte-for-byte unchanged.

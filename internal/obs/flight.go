@@ -12,11 +12,11 @@ import (
 
 // FlightRecorder is the daemon's always-on black box: a fixed ring of
 // seq-stamped structured events fed from every control-plane hot spot (engine
-// rounds, WAL appends and fsyncs, HA lease transitions, cells commits, SSE
-// drops). Unlike the Tracer it is meant to run in production builds at all
-// times, so the record path is built like AtomicHistogram's: a single atomic
-// sequence claim plus one per-slot mutex held for a struct copy — no global
-// lock, no allocation (CI-guarded by alloc_guard_test.go). When the process
+// rounds, WAL appends and fsyncs, HA lease transitions, SSE drops). Unlike
+// the Tracer it is meant to run in production builds at all times, so the
+// record path is built like AtomicHistogram's: a single atomic sequence claim
+// plus one per-slot mutex held for a struct copy — no global lock, no
+// allocation (CI-guarded by alloc_guard_test.go). When the process
 // fail-stops, the ring is what the debug bundle dumps: the last few thousand
 // things the scheduler believed and did.
 //
@@ -215,7 +215,7 @@ const maxFlightKV = 4
 type FlightEvent struct {
 	Seq       uint64 // recorder-assigned, strictly increasing
 	Wall      int64  // unix nanoseconds
-	Component string // "engine", "wal", "ha", "cells", "sse", "log", ...
+	Component string // "engine", "wal", "ha", "sse", "log", ...
 	Sev       Severity
 	Msg       string
 	KVs       [maxFlightKV]KV

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optimus/internal/cells"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/metrics"
@@ -259,8 +258,7 @@ type NodeStatus struct {
 	Used     map[string]float64 `json:"used"`
 }
 
-// ClusterStatus is the GET /v1/cluster response. Cells is present only when
-// the daemon runs the sharded multi-scheduler (-cells > 1).
+// ClusterStatus is the GET /v1/cluster response.
 type ClusterStatus struct {
 	SimTime  float64 `json:"simTime"`
 	Rounds   int     `json:"rounds"`
@@ -268,9 +266,8 @@ type ClusterStatus struct {
 	LiveJobs int     `json:"liveJobs"`
 	// IntervalOverruns counts Run ticks whose scheduling round outlasted the
 	// tick period — the daemon's SLO signal under open-loop load.
-	IntervalOverruns int64        `json:"intervalOverruns,omitempty"`
-	ClusterShare     float64      `json:"clusterShare"`
-	Cells            *cells.Stats `json:"cells,omitempty"`
+	IntervalOverruns int64   `json:"intervalOverruns,omitempty"`
+	ClusterShare     float64 `json:"clusterShare"`
 	// Scheduler carries the incremental-session tier counters (clean /
 	// incremental / full intervals, dirty-set sizes, tasks migrated); present
 	// only when the daemon runs a delta-driven policy.
@@ -325,10 +322,6 @@ func (d *Daemon) publishClusterLocked() {
 		Jobs:             d.reg.len(),
 		LiveJobs:         int(d.live.Load()),
 		IntervalOverruns: d.overruns.Load(),
-	}
-	if d.cells != nil {
-		cs := d.cells.Stats()
-		st.Cells = &cs
 	}
 	if d.policy.Incr != nil {
 		is := d.policy.Incr.Stats()
@@ -542,20 +535,6 @@ func (d *Daemon) writeMetrics(w io.Writer) {
 			"Records the follower is behind the leader's log (0 on the leader).",
 			float64(ha.LagRecords))
 	}
-	if snap := d.clusterSnap.Load(); snap.status.Cells != nil {
-		// One sample per cell; the Exporter deduplicates family preambles.
-		ex := metrics.NewExporter(w)
-		for _, cs := range snap.status.Cells.PerCell {
-			id := strconv.Itoa(cs.Cell)
-			_ = metrics.WriteLabeledGauge(ex, "optimusd_cell_jobs",
-				"Jobs assigned to each scheduling cell.", "cell", id, float64(cs.Jobs))
-			_ = metrics.WriteLabeledGauge(ex, "optimusd_cell_weight",
-				"Aggregate dominant-share weight of each cell's jobs.", "cell", id, cs.Weight)
-			_ = metrics.WriteLabeledGauge(ex, "optimusd_cell_nodes",
-				"Nodes in each cell's stripe.", "cell", id, float64(cs.Nodes))
-		}
-	}
-
 	// Readiness plane (health.go): the aggregate verdict plus one labeled
 	// sample per component check.
 	ready := d.Readiness()

@@ -170,14 +170,6 @@ func (d *Daemon) stepLocked() {
 		d.lastIncr = st
 	}
 
-	if d.cells != nil {
-		if rs := d.cells.LastRound(); rs.JobsMoved > 0 {
-			d.publish(Event{Type: EventRebalanced,
-				Detail: fmt.Sprintf("moved=%d conflicts=%d retries=%d",
-					rs.JobsMoved, rs.Conflicts, rs.Retries)})
-		}
-	}
-
 	// Apply the round's deployments through the shard seams, emitting
 	// decision events and charging §5.4 scaling pauses for changed
 	// configurations. Each job's deployment swap is one short shard-lock

@@ -25,9 +25,6 @@ const (
 	EventCancelled EventType = "cancelled" // owner cancelled the job
 	EventFault     EventType = "fault"     // injected degradation (straggler)
 	EventRecovered EventType = "recovered" // fault repaired (§5.2 replacement)
-	// EventRebalanced fires when the multi-cell rebalancer migrated jobs
-	// between scheduling cells this round (-cells > 1 only).
-	EventRebalanced EventType = "rebalanced"
 	// EventRescheduled fires once per round under an incremental policy,
 	// reporting which tier each kernel took (clean / incremental / full), the
 	// dirty-set size and the number of tasks migrated, e.g.

@@ -13,13 +13,13 @@ import (
 	"optimus/internal/workload"
 )
 
-// This file is the serving-path before/after exhibit behind BENCH_6.json:
-// the same submit+status traffic driven against (a) a single-mutex facade
+// This file is the serving-path before/after exhibit: the same
+// submit+status traffic driven against (a) a single-mutex facade
 // reproducing the pre-sharding daemon — every API call and the scheduler
 // round serialized on one lock, JSON marshaled inside it — and (b) the
 // sharded daemon. Each benchmark reports sustained ops/s and the p99
-// latency (log-bucketed histogram) alongside ns/op, so benchjson records
-// the full exhibit in one entry.
+// latency (log-bucketed histogram) alongside ns/op, so one go-bench line
+// carries the full exhibit.
 
 // singleMutexServing is the executable reference spec of the old serving
 // path: one global mutex across Submit, Status, Cluster and Step, with JSON

@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optimus/internal/cells"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/lossfit"
@@ -88,13 +87,6 @@ type Config struct {
 	// replaces the straggler after one detection round. Zero disables.
 	StragglerProb     float64
 	StragglerSlowdown float64 // default 0.5
-
-	// Cells, when > 1, runs the sharded shared-state multi-scheduler
-	// (internal/cells) instead of the single-engine kernels: the cluster is
-	// split into Cells stripes, each scheduling in parallel against a
-	// snapshot of a shared store with optimistic conflict-aware commits.
-	// Per-cell stats appear in GET /v1/cluster and /metrics. Default 1.
-	Cells int
 
 	// MaxJobs is the admission-control cap on live (non-terminal) jobs;
 	// submissions beyond it are rejected with 429. Default 4096.
@@ -290,7 +282,6 @@ type arrival struct {
 type Daemon struct {
 	cfg    Config
 	policy sim.Policy
-	cells  *cells.MultiScheduler // non-nil only when cfg.Cells > 1
 	bus    *eventBus
 	// tracer/audit are non-nil only when cfg.Trace is set; every use is
 	// nil-receiver-safe, so the disabled daemon skips the whole layer.
@@ -370,16 +361,6 @@ func New(cfg Config) (*Daemon, error) {
 	// Engine freshness is measured from construction until the first round.
 	d.lastRoundWall.Store(d.startWall.UnixNano())
 	d.reg.init()
-	if cfg.Cells > 1 {
-		d.cells = cells.New(cells.Options{Cells: cfg.Cells, Recorder: d.rec,
-			Flight: flight})
-		d.policy = sim.Policy{
-			Name:       fmt.Sprintf("cells-%d", cfg.Cells),
-			Allocate:   d.cells.Allocate,
-			Place:      d.cells.Place,
-			Instrument: d.cells.Instrument,
-		}
-	}
 	if cfg.Trace {
 		d.tracer = obs.NewTracer(cfg.TraceBuffer)
 		d.audit = obs.NewAuditLog(cfg.AuditBuffer)

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
 	"optimus/internal/baselines"
-	"optimus/internal/cells"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/obs"
@@ -29,31 +26,6 @@ func OptimusPolicy() Policy {
 				inc.Alloc.St.Trace, inc.Alloc.St.Audit = tr, au
 				inc.Place.St.Trace, inc.Place.St.Audit = tr, au
 			},
-		}
-	}
-	p := session()
-	p.Session = session
-	return p
-}
-
-// CellsPolicy is the sharded shared-state scheduler: the cluster split into
-// n cells, each running its own §4.1/§4.2 kernel session against a shared
-// store with optimistic conflict-aware commits (internal/cells). With n=1 it
-// is byte-equivalent to OptimusPolicy — the golden equivalence tests pin
-// that — so the sharding seam costs nothing until it is actually sharded.
-func CellsPolicy(n int) Policy {
-	if n < 1 {
-		n = 1
-	}
-	name := fmt.Sprintf("cells-%d", n)
-	session := func() Policy {
-		ms := cells.New(cells.Options{Cells: n})
-		return Policy{
-			Name:         name,
-			Allocate:     ms.Allocate,
-			Place:        ms.Place,
-			Instrument:   ms.Instrument,
-			BindRecorder: ms.BindRecorder,
 		}
 	}
 	p := session()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"optimus/internal/chaos"
@@ -62,12 +61,6 @@ type Policy struct {
 	// with Config.Trace and Config.Audit — either may be nil, meaning that
 	// sink is off. Policies without internal state leave it nil.
 	Instrument func(tr *obs.Tracer, au *obs.AuditLog)
-
-	// BindRecorder, when set, points the policy's internal counters (e.g.
-	// the cells commit/conflict protocol) at the run's metrics recorder. Run
-	// calls it once per run, after Instrument, so Result.Metrics carries the
-	// policy's own counters alongside the simulator's.
-	BindRecorder func(rec *metrics.Recorder)
 }
 
 // Config parameterizes one simulation run.
@@ -255,9 +248,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rec := metrics.NewRecorder()
-	if cfg.Policy.BindRecorder != nil {
-		cfg.Policy.BindRecorder(rec)
-	}
 	fitCache := make(map[string]speedfit.Model)
 	faults, err := newFaultRuntime(cfg.Faults, rec)
 	if err != nil {
@@ -848,7 +838,7 @@ func estimateEpochs(js *jobState, cfg Config) float64 {
 // policyHandlesStragglers reports whether the policy performs §5.2 straggler
 // replacement (only Optimus does in the paper's system).
 func policyHandlesStragglers(p Policy) bool {
-	return p.Name == "optimus" || strings.HasPrefix(p.Name, "cells")
+	return p.Name == "optimus"
 }
 
 // snapshot computes the Fig-14 interval statistics from the current states.
