@@ -68,9 +68,9 @@ fuzz:
 serve:
 	$(GO) run ./cmd/optimusd -addr :8080 -tick 1s
 
-# Fire 1000 concurrent submissions at a daemon started with `make serve`.
+# 10s of open-loop load against a daemon started with `make serve`.
 load:
-	$(GO) run ./cmd/optimusd-load -url http://localhost:8080 -n 1000 -c 64
+	$(GO) run ./cmd/optimusd-load -url http://localhost:8080 -duration 10s -rate 500
 
 # End-to-end daemon smoke: boot on a random port, submit, poll, snapshot,
 # restore. Used by CI.

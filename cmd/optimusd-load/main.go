@@ -1,19 +1,12 @@
-// Command optimusd-load is a load generator for optimusd with two modes.
-//
-// Closed-loop (default, the original CI smoke gate): fire -n submissions
-// from -c concurrent clients as fast as they complete, poll a created job,
-// report latency percentiles:
-//
-//	optimusd-load -url http://localhost:8080 -n 1000 -c 64
-//
-// Open-loop (YCSB-style, enabled by -duration): a dispatcher fires
-// operations at their scheduled arrival times regardless of how fast the
-// daemon answers — the open-loop model that exposes queueing collapse which
-// closed-loop clients hide. Latency is measured from each operation's
-// *intended* start (coordinated-omission safe: a stalled daemon is charged
-// for the stall, not forgiven for it). Operations are drawn from a pluggable
-// mix over submit / status / delete / SSE-connect; status and delete target
-// existing jobs through a YCSB key distribution (zipfian, latest, uniform):
+// Command optimusd-load is an open-loop (YCSB-style) load generator for
+// optimusd: a dispatcher fires operations at their scheduled arrival times
+// regardless of how fast the daemon answers — the open-loop model that
+// exposes queueing collapse which closed-loop clients hide. Latency is
+// measured from each operation's *intended* start (coordinated-omission
+// safe: a stalled daemon is charged for the stall, not forgiven for it).
+// Operations are drawn from a pluggable mix over submit / status / delete /
+// SSE-connect; status and delete target existing jobs through a YCSB key
+// distribution (zipfian, latest, uniform):
 //
 //	optimusd-load -url http://localhost:8080 -duration 10s -rate 500 \
 //	    -mix submit=5,status=90,delete=3,sse=2 -dist zipfian -clients 256
@@ -36,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -45,7 +37,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,120 +52,33 @@ var lg = obs.NewLogger(os.Stderr, "optimusd-load", nil)
 func main() {
 	var (
 		url     = flag.String("url", "http://localhost:8080", "optimusd base URL")
-		urls    = flag.String("urls", "", "comma-separated failover targets (open-loop only; overrides -url)")
-		n       = flag.Int("n", 1000, "closed-loop mode: total submissions")
-		c       = flag.Int("c", 64, "closed-loop mode: concurrent clients")
+		urls    = flag.String("urls", "", "comma-separated failover targets (overrides -url)")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 
-		duration = flag.Duration("duration", 0, "open-loop mode: run length (0 = closed-loop mode)")
-		rate     = flag.Float64("rate", 500, "open-loop mode: mean arrival rate, ops/sec")
-		arrivals = flag.String("arrivals", "poisson", "open-loop arrival process: poisson or uniform")
+		duration = flag.Duration("duration", 10*time.Second, "run length")
+		rate     = flag.Float64("rate", 500, "mean arrival rate, ops/sec")
+		arrivals = flag.String("arrivals", "poisson", "arrival process: poisson or uniform")
 		mix      = flag.String("mix", "submit=5,status=90,delete=3,sse=2", "operation mix as kind=weight pairs")
 		dist     = flag.String("dist", "zipfian", "key distribution for status/delete: zipfian, latest or uniform")
 		theta    = flag.Float64("theta", 0, "zipfian skew constant (default 0.99)")
-		clients  = flag.Int("clients", 256, "open-loop mode: worker pool size")
+		clients  = flag.Int("clients", 256, "worker pool size")
 		seed     = flag.Int64("seed", 1, "rng seed for mix and key choices")
 
 		maxErrRate = flag.Float64("max-error-rate", 0, "exit non-zero when errors/ops exceeds this fraction")
 		maxP99     = flag.Duration("max-p99", 0, "exit non-zero when overall p99 exceeds this (0 disables)")
 	)
 	flag.Parse()
-	if *duration > 0 {
-		cfg := loadConfig{
-			tg: newTargets(*urls, *url), duration: *duration, rate: *rate,
-			arrivals: *arrivals,
-			mix:      *mix, dist: *dist, theta: *theta, clients: *clients,
-			seed: *seed, timeout: *timeout,
-			maxErrRate: *maxErrRate, maxP99: *maxP99,
-		}
-		if err := runOpenLoop(cfg); err != nil {
-			lg.Fatalf("%v", err)
-		}
-		return
+	cfg := loadConfig{
+		tg: newTargets(*urls, *url), duration: *duration, rate: *rate,
+		arrivals: *arrivals,
+		mix:      *mix, dist: *dist, theta: *theta, clients: *clients,
+		seed: *seed, timeout: *timeout,
+		maxErrRate: *maxErrRate, maxP99: *maxP99,
 	}
-	if *urls != "" {
-		lg.Fatalf("-urls requires open-loop mode (set -duration)")
-	}
-	if err := runClosedLoop(*url, *n, *c, *timeout); err != nil {
+	if err := runOpenLoop(cfg); err != nil {
 		lg.Fatalf("%v", err)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Closed-loop mode (the original smoke gate).
-
-func runClosedLoop(url string, n, conc int, timeout time.Duration) error {
-	client := &http.Client{Timeout: timeout}
-
-	models := []string{"resnext-110", "resnet-50", "seq2seq"}
-	jobs := make(chan int)
-	latencies := make([]time.Duration, n)
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				body := fmt.Sprintf(
-					`{"model":%q,"mode":"async","threshold":0.05,"downscale":0.2}`,
-					models[i%len(models)])
-				t0 := time.Now()
-				resp, err := client.Post(url+"/v1/jobs", "application/json",
-					bytes.NewReader([]byte(body)))
-				latencies[i] = time.Since(t0)
-				if err != nil {
-					failed.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusCreated {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(latencies)-1))
-		return latencies[idx]
-	}
-	ok := int64(n) - failed.Load()
-	fmt.Printf("submissions: %d ok, %d failed in %s (%.0f/s)\n",
-		ok, failed.Load(), elapsed.Round(time.Millisecond),
-		float64(n)/elapsed.Seconds())
-	fmt.Printf("latency: p50 %s  p95 %s  max %s\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-		pct(1.0).Round(time.Microsecond))
-
-	// Spot-check that the daemon actually registered the jobs.
-	resp, err := client.Get(url + "/v1/jobs/1")
-	if err != nil {
-		return fmt.Errorf("poll job 1: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("poll job 1: status %d", resp.StatusCode)
-	}
-
-	if failed.Load() > 0 {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop mode.
 
 // targets is the (possibly single-element) pool of optimusd base URLs. Every
 // transport failure or 5xx rotates the pool to the next target and counts a

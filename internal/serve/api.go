@@ -323,10 +323,8 @@ func (d *Daemon) publishClusterLocked() {
 		LiveJobs:         int(d.live.Load()),
 		IntervalOverruns: d.overruns.Load(),
 	}
-	if d.policy.Incr != nil {
-		is := d.policy.Incr.Stats()
-		st.Scheduler = &is
-	}
+	is := d.incr.Stats()
+	st.Scheduler = &is
 	st.HA = d.haStat.Load()
 	slo := d.SLO()
 	st.SLO = &slo

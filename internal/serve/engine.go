@@ -49,9 +49,7 @@ func (d *Daemon) stepLocked() {
 		// session cannot see this out-of-band reset, so its cache must not
 		// survive it.
 		d.cfg.Cluster.ResetAll()
-		if d.policy.Incr != nil {
-			d.policy.Incr.Place.Invalidate()
-		}
+		d.incr.Place.Invalidate()
 		d.advanceClockLocked(d.now + d.cfg.Interval)
 		d.rounds++
 		d.roundsN.Store(int64(d.rounds))
@@ -93,82 +91,21 @@ func (d *Daemon) stepLocked() {
 	}
 	d.tracer.End(fitSpan)
 
-	// Allocate against the cluster's aggregate capacity.
-	allocSpan := d.tracer.Begin("allocate")
-	allocStart := time.Now()
-	alloc := d.policy.Allocate(infos, d.cfg.Cluster.Capacity())
-	d.rec.ObserveAllocateDuration(time.Since(allocStart).Seconds())
-	d.tracer.End(allocSpan)
+	// Allocate against the cluster's aggregate capacity and place, through
+	// the round kernel shared with sim.Run. The placement session rebuilds
+	// the cluster from scratch whenever it recomputes — so cancelled jobs'
+	// resources are released — and skips both on rounds where nothing
+	// changed.
+	d.round.Allocate(infos, d.cfg.Cluster.Capacity())
+	d.round.Place()
 
-	// Place. The cluster is rebuilt from scratch each round — so cancelled
-	// jobs' resources are implicitly released — except that an incremental
-	// policy owns the rebuild itself (its session skips both the reset and
-	// the re-placement on rounds where nothing changed).
-	placeSpan := d.tracer.Begin("place")
-	placeStart := time.Now()
-	if d.policy.Incr == nil {
-		d.cfg.Cluster.ResetAll()
-	}
-	reqs := make([]core.PlacementRequest, 0, len(active))
-	for _, info := range infos {
-		a := alloc[info.ID]
-		if a.PS > 0 && a.Workers > 0 {
-			reqs = append(reqs, core.PlacementRequest{
-				JobID: info.ID, Alloc: a,
-				WorkerRes: info.WorkerRes, PSRes: info.PSRes,
-			})
-		}
-	}
-	placements, unplacedIDs := d.policy.Place(reqs, d.cfg.Cluster)
-
-	// Fragmentation escape hatch (§4.2): shrink an unpackable allocation
-	// until it fits rather than leaving the job idle for a round. Retries
-	// bypass the incremental session (PlaceRetry) and the rescued placements
-	// override — never mutate — the policy's returned maps.
-	placeRetry := d.policy.PlaceRetry
-	if placeRetry == nil {
-		placeRetry = d.policy.Place
-	}
-	placeOverride := make(map[int]core.Placement)
-	infoByID := make(map[int]*core.JobInfo, len(infos))
-	for _, in := range infos {
-		infoByID[in.ID] = in
-	}
-	for _, id := range unplacedIDs {
-		a, info := alloc[id], infoByID[id]
-		if info == nil || a.PS < 1 || a.Workers < 1 {
-			continue
-		}
-		for a.PS+a.Workers > 2 {
-			if a.Workers >= a.PS {
-				a.Workers--
-			} else {
-				a.PS--
-			}
-			retry := []core.PlacementRequest{{
-				JobID: id, Alloc: a,
-				WorkerRes: info.WorkerRes, PSRes: info.PSRes,
-			}}
-			pls, unp := placeRetry(retry, d.cfg.Cluster)
-			if len(unp) == 0 {
-				placeOverride[id] = pls[id]
-				break
-			}
-		}
-	}
-	d.rec.ObservePlaceDuration(time.Since(placeStart).Seconds())
-	d.tracer.End(placeSpan)
-
-	// Surface the round's incremental-session tier outcome: cumulative
-	// counters into the recorder (for /metrics), a per-round delta onto the
-	// event stream.
-	if d.policy.Incr != nil {
-		st := d.policy.Incr.Stats()
-		d.rec.SetIncrStats(st)
-		d.publish(Event{Type: EventRescheduled,
-			Detail: roundTierDetail(d.lastIncr, st)})
-		d.lastIncr = st
-	}
+	// Publish the round's incremental-session tier outcome on the event
+	// stream: the delta of the cumulative counters the kernel surfaced into
+	// the recorder (for /metrics).
+	st := d.incr.Stats()
+	d.publish(Event{Type: EventRescheduled,
+		Detail: roundTierDetail(d.lastIncr, st)})
+	d.lastIncr = st
 
 	// Apply the round's deployments through the shard seams, emitting
 	// decision events and charging §5.4 scaling pauses for changed
@@ -180,10 +117,7 @@ func (d *Daemon) stepLocked() {
 	pauses := make(map[int]float64)
 	for _, j := range active {
 		id := j.spec.ID
-		pl, ok := placements[id]
-		if o, rescued := placeOverride[id]; rescued {
-			pl, ok = o, true
-		}
+		pl, ok := d.round.Placement(id)
 		sh := d.reg.shard(id)
 		sh.mu.Lock()
 		if j.state.terminal() { // cancelled mid-round

@@ -280,9 +280,12 @@ type arrival struct {
 // Daemon owns the job registry, the cluster state and the scheduling loop.
 // All methods are safe for concurrent use.
 type Daemon struct {
-	cfg    Config
-	policy sim.Policy
-	bus    *eventBus
+	cfg Config
+	// round is the scheduling-round kernel shared with sim.Run, running
+	// OptimusPolicy over the incremental session incr.
+	round *sim.Round
+	incr  *core.Incremental
+	bus   *eventBus
 	// tracer/audit are non-nil only when cfg.Trace is set; every use is
 	// nil-receiver-safe, so the disabled daemon skips the whole layer.
 	tracer *obs.Tracer
@@ -349,9 +352,10 @@ func New(cfg Config) (*Daemon, error) {
 	if flight == nil {
 		flight = obs.NewFlightRecorder(cfg.FlightBuffer)
 	}
+	policy := sim.OptimusPolicy().Session()
 	d := &Daemon{
 		cfg:       cfg,
-		policy:    sim.OptimusPolicy().Session(),
+		incr:      policy.Incr,
 		bus:       newEventBus(cfg.EventBuffer, flight),
 		flight:    flight,
 		rec:       metrics.NewRecorder(),
@@ -365,9 +369,7 @@ func New(cfg Config) (*Daemon, error) {
 		d.tracer = obs.NewTracer(cfg.TraceBuffer)
 		d.audit = obs.NewAuditLog(cfg.AuditBuffer)
 	}
-	if d.policy.Instrument != nil {
-		d.policy.Instrument(d.tracer, d.audit)
-	}
+	d.round = sim.NewRound(policy, cfg.Cluster, nil, d.tracer, d.audit, d.rec)
 	d.mu.Lock()
 	d.publishClusterLocked()
 	d.mu.Unlock()

@@ -1,0 +1,234 @@
+package sim
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"sort"
+	"testing"
+
+	"optimus/internal/cluster"
+	"optimus/internal/core"
+	"optimus/internal/obs"
+	"optimus/internal/workload"
+)
+
+// pinnedRun is one seeded sim.Run whose schedule was recorded bit for bit
+// before the two drivers shared one scheduling-round kernel. digest folds
+// every interval's deployment of each active job — ID, placed flag, (PS,
+// workers) and the per-node task spread with node IDs — then every JCT, the
+// unfinished list and the interval count. retries is the number of
+// shrink-by-one placement attempts the run made.
+type pinnedRun struct {
+	name    string
+	digest  uint64
+	retries int
+}
+
+// pinnedConfigs are the runs the table covers: the Optimus session policy
+// on true and on estimated models, with the §7 churn damper, a §7 share
+// schedule and a chaos schedule; both baselines; and two hybrids whose
+// stateless core.Place takes the shrink-retry path through Place itself.
+// Changing any of them invalidates the table below.
+var pinnedConfigs = map[string]func() Config{
+	"optimus/1": func() Config { return pinnedBase(OptimusPolicy(), 1) },
+	"optimus/2": func() Config { return pinnedBase(OptimusPolicy(), 2) },
+	"optimus/estimated": func() Config {
+		cfg := pinnedBase(OptimusPolicy(), 3)
+		cfg.UseTrueModels = false
+		cfg.SpeedNoise, cfg.LossNoise = 0.03, 0.01
+		cfg.PriorityFactor = 0.95
+		return cfg
+	},
+	"optimus/damped": func() Config {
+		cfg := pinnedBase(OptimusPolicy(), 4)
+		cfg.UseTrueModels = false
+		cfg.SpeedNoise, cfg.LossNoise = 0.03, 0.01
+		cfg.PriorityFactor = 0.95
+		cfg.ScalingBase, cfg.ScalingPerTask = 12, 0.3
+		cfg.ReconfigThreshold = 0.15
+		return cfg
+	},
+	"optimus/share": func() Config {
+		cfg := pinnedBase(OptimusPolicy(), 5)
+		cfg.ShareSchedule = func(t float64) float64 {
+			if t < 2400 {
+				return 0.5
+			}
+			return 1
+		}
+		return cfg
+	},
+	"optimus/chaos": func() Config {
+		cfg := pinnedBase(OptimusPolicy(), 11)
+		cfg.Faults = faultMix()
+		return cfg
+	},
+	"drf/1":    func() Config { return pinnedBase(DRFPolicy(), 1) },
+	"drf/2":    func() Config { return pinnedBase(DRFPolicy(), 2) },
+	"tetris/1": func() Config { return pinnedBase(TetrisPolicy(), 1) },
+	"tetris/2": func() Config { return pinnedBase(TetrisPolicy(), 2) },
+	"drf-alloc+place/1": func() Config {
+		return pinnedBase(Hybrid("drf-alloc", DRFAllocatorOnly, core.Place), 1)
+	},
+	"optimus-alloc+place/6": func() Config {
+		return pinnedBase(Hybrid("optimus-alloc", core.Allocate, core.Place), 6)
+	},
+}
+
+// pinnedBase is a testbed run of twelve downscaled jobs: enough load that
+// allocations granted against aggregate capacity often do not pack.
+func pinnedBase(p Policy, seed int64) Config {
+	cfg := testbedConfig(p, workload.Generate(workload.GenConfig{
+		N: 12, Horizon: 3000, Seed: seed, Downscale: 0.02,
+	}))
+	cfg.Seed = seed
+	return cfg
+}
+
+// digestRun runs cfg and digests its schedule (see pinnedRun).
+func digestRun(t *testing.T, cfg Config) (uint64, *Result) {
+	t.Helper()
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	deployHook = func(round int, active []*jobState) {
+		put(uint64(round))
+		for _, js := range active {
+			put(uint64(js.spec.ID))
+			if !js.placed {
+				put(0)
+				continue
+			}
+			put(1)
+			put(uint64(js.alloc.PS))
+			put(uint64(js.alloc.Workers))
+			for i, n := range js.nodes {
+				h.Write([]byte(n))
+				put(uint64(js.spread.PSOnNode[i]))
+				put(uint64(js.spread.WorkersOnNode[i]))
+			}
+		}
+	}
+	defer func() { deployHook = nil }()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, 0, len(res.JCTs))
+	for id := range res.JCTs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		put(uint64(id))
+		put(math.Float64bits(res.JCTs[id]))
+	}
+	for _, id := range res.Unfinished {
+		put(1<<63 | uint64(id))
+	}
+	put(uint64(res.Intervals))
+	return h.Sum64(), res
+}
+
+// countRetries reruns cfg counting its shrink-by-one placement attempts. A
+// stateless policy retries through Place, called once per interval plus
+// once per attempt. A session policy retries through its session, so the
+// rerun is traced and counts the placement kernels beyond one per "place"
+// span (tracing forces the session's full tier: one kernel call per Place);
+// the traced schedule must equal the untraced one.
+func countRetries(t *testing.T, cfg Config, untraced uint64) int {
+	t.Helper()
+	if cfg.Policy.Session == nil {
+		calls := 0
+		place := cfg.Policy.Place
+		cfg.Policy.Place = func(reqs []core.PlacementRequest, c *cluster.Cluster) (map[int]core.Placement, []int) {
+			calls++
+			return place(reqs, c)
+		}
+		_, res := digestRun(t, cfg)
+		return calls - res.Intervals
+	}
+	cfg.Trace = obs.NewTracer(1 << 16)
+	if traced, _ := digestRun(t, cfg); traced != untraced {
+		t.Errorf("tracing moved a decision: digest %#x, untraced %#x", traced, untraced)
+	}
+	return placeRetries(t, cfg.Trace)
+}
+
+// placeRetries counts a traced run's placement kernels beyond one per
+// "place" span.
+func placeRetries(t *testing.T, tr *obs.Tracer) int {
+	t.Helper()
+	spans := tr.Spans()
+	if int64(len(spans)) != tr.Len() {
+		t.Fatalf("trace ring kept %d of %d spans", len(spans), tr.Len())
+	}
+	n := 0
+	for _, s := range spans {
+		switch s.Name {
+		case "place-kernel":
+			n++
+		case "place":
+			n--
+		}
+	}
+	return n
+}
+
+// TestRunSchedulesPinned requires every pinned run to reproduce its recorded
+// schedule and retry count exactly, and the table to take the shrink-retry
+// path both through a session and through Place.
+func TestRunSchedulesPinned(t *testing.T) {
+	if len(pinnedTable) != len(pinnedConfigs) {
+		t.Fatalf("pinned table has %d runs, want one per config (%d)", len(pinnedTable), len(pinnedConfigs))
+	}
+	sessionRetries, statelessRetries := 0, 0
+	for _, want := range pinnedTable {
+		mk, ok := pinnedConfigs[want.name]
+		if !ok {
+			t.Fatalf("no config for pinned run %q", want.name)
+		}
+		digest, _ := digestRun(t, mk())
+		retries := countRetries(t, mk(), digest)
+		if got := (pinnedRun{want.name, digest, retries}); got != want {
+			t.Errorf("schedule changed\n got  %s\n want %s", pinnedString(got), pinnedString(want))
+		}
+		if mk().Policy.Session != nil {
+			sessionRetries += retries
+		} else {
+			statelessRetries += retries
+		}
+	}
+	if sessionRetries == 0 || statelessRetries == 0 {
+		t.Errorf("shrink-retry attempts: %d through a session, %d through Place; the table must take both routes",
+			sessionRetries, statelessRetries)
+	}
+}
+
+func pinnedString(p pinnedRun) string {
+	return fmt.Sprintf("{%q, %#x, %d},", p.name, p.digest, p.retries)
+}
+
+// pinnedTable was recorded at the parent of the round-kernel extraction
+// (ac480b9) by running every config above through digestRun and
+// countRetries.
+var pinnedTable = []pinnedRun{
+	{"optimus/1", 0x699197357e64a21b, 13},
+	{"optimus/2", 0x71f889822bae61ce, 3},
+	{"optimus/estimated", 0x30be97065090c31c, 8},
+	{"optimus/damped", 0xc0aa09274a2cf2f1, 6},
+	{"optimus/share", 0xe88702cbc2c33949, 6},
+	{"optimus/chaos", 0x332ce27819eb31f2, 21},
+	{"drf/1", 0xe59fb8227b65fe39, 12},
+	{"drf/2", 0xe6580b35dfcdddce, 36},
+	{"tetris/1", 0x8e44902f39bff5a6, 0},
+	{"tetris/2", 0x6bb60de5f425ce34, 0},
+	{"drf-alloc+place/1", 0x2d732cd5c6409027, 22},
+	{"optimus-alloc+place/6", 0xb880e786557c726b, 12},
+}

@@ -4,7 +4,6 @@ import (
 	"optimus/internal/baselines"
 	"optimus/internal/cluster"
 	"optimus/internal/core"
-	"optimus/internal/obs"
 )
 
 // OptimusPolicy is the full §4 scheduler: marginal-gain allocation plus
@@ -17,15 +16,10 @@ func OptimusPolicy() Policy {
 	session := func() Policy {
 		inc := core.NewIncremental()
 		return Policy{
-			Name:       "optimus",
-			Allocate:   inc.Alloc.Allocate,
-			Place:      inc.Place.Place,
-			PlaceRetry: inc.Place.PlaceRetry,
-			Incr:       inc,
-			Instrument: func(tr *obs.Tracer, au *obs.AuditLog) {
-				inc.Alloc.St.Trace, inc.Alloc.St.Audit = tr, au
-				inc.Place.St.Trace, inc.Place.St.Audit = tr, au
-			},
+			Name:     "optimus",
+			Allocate: inc.Alloc.Allocate,
+			Place:    inc.Place.Place,
+			Incr:     inc,
 		}
 	}
 	p := session()

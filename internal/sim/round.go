@@ -1,0 +1,164 @@
+package sim
+
+import (
+	"time"
+
+	"optimus/internal/cluster"
+	"optimus/internal/core"
+	"optimus/internal/metrics"
+	"optimus/internal/obs"
+)
+
+// Round is the decision half of one scheduling round, the one copy both
+// drivers of the paper's control loop run — sim.Run per replayed interval
+// and the optimusd daemon (serve.Daemon.Step) per tick: allocate by marginal
+// gain (§4.1), place by Theorem 1 (§4.2), and shrink a job that does not
+// pack until it does rather than leave it idle for a round (§4.2). A Round
+// owns scratch reused from round to round and is not safe for concurrent
+// use.
+//
+// What stays with each driver, and why:
+//   - The views. sim's schedulerView damps beginning-state priority on the
+//     ground-truth progress fraction, EstimatedView (the daemon's) on the
+//     estimated one; merging them would move the pinned sim schedules.
+//   - Applying the decision. sim has faults, reservations and restore
+//     pauses; the daemon has WAL records, SSE events and shard locks.
+//   - The training physics.
+type Round struct {
+	policy  Policy
+	cluster *cluster.Cluster
+	trace   *obs.Tracer
+	rec     *metrics.Recorder
+	prepare func(*cluster.Cluster)
+
+	infos   []*core.JobInfo
+	byID    map[int]*core.JobInfo
+	grant   map[int]core.Allocation // the policy's own map: read only
+	keep    map[int]core.Allocation // the driver's overrides of grant
+	reqs    []core.PlacementRequest
+	retry   [1]core.PlacementRequest
+	placed  map[int]core.Placement // the policy's own map: read only
+	rescued map[int]core.Placement
+}
+
+// NewRound returns the round kernel for one driver run of policy p on
+// cluster c. prepare resets c to its pre-placement state before a placement
+// (nil means ResetAll); an incremental policy's placement session gets it as
+// its Prepare, so that clean rounds skip it. The tracer and audit log, either
+// of which may be nil, are attached to the session's kernels; rec receives
+// the allocate and place latencies and the session's tier counters.
+func NewRound(p Policy, c *cluster.Cluster, prepare func(*cluster.Cluster),
+	tr *obs.Tracer, au *obs.AuditLog, rec *metrics.Recorder) *Round {
+	if prepare == nil {
+		prepare = (*cluster.Cluster).ResetAll
+	}
+	if inc := p.Incr; inc != nil {
+		inc.Place.Prepare = prepare
+		inc.Alloc.St.Trace, inc.Alloc.St.Audit = tr, au
+		inc.Place.St.Trace, inc.Place.St.Audit = tr, au
+	}
+	return &Round{
+		policy: p, cluster: c, trace: tr, rec: rec, prepare: prepare,
+		byID:    make(map[int]*core.JobInfo),
+		keep:    make(map[int]core.Allocation),
+		rescued: make(map[int]core.Placement),
+	}
+}
+
+// Allocate starts a round: it runs the policy's allocation of infos against
+// capacity in an "allocate" span. The returned map is the policy's own — an
+// incremental session's cache — and must not be written.
+func (r *Round) Allocate(infos []*core.JobInfo, capacity cluster.Resources) map[int]core.Allocation {
+	span := r.trace.Begin("allocate")
+	start := time.Now()
+	r.grant = r.policy.Allocate(infos, capacity)
+	r.rec.ObserveAllocateDuration(time.Since(start).Seconds())
+	r.trace.End(span)
+	r.infos = infos
+	clear(r.byID)
+	for _, in := range infos {
+		r.byID[in.ID] = in
+	}
+	clear(r.keep)
+	return r.grant
+}
+
+// Info returns job id's view in this round.
+func (r *Round) Info(id int) *core.JobInfo { return r.byID[id] }
+
+// Keep makes this round place job id at a instead of its grant (the §7
+// churn damper's override); a shrink retry of the job starts from a.
+func (r *Round) Keep(id int, a core.Allocation) { r.keep[id] = a }
+
+func (r *Round) alloc(id int) core.Allocation {
+	if a, ok := r.keep[id]; ok {
+		return a
+	}
+	return r.grant[id]
+}
+
+// Place places every job at its allocation in a "place" span. A stateless
+// policy gets the cluster prepared first; an incremental one prepares it in
+// its session, only when it recomputes. A job can fit aggregate capacity yet
+// not pack onto nodes (fragmentation); rather than leave it idle until the
+// next interval (§4.2), every job that does not pack is shrunk by one task
+// at a time — a worker while workers are at least as
+// many as parameter servers, else a parameter server — and retried against
+// the partially committed cluster until it packs or is down to one of each.
+// A session policy retries through PlaceRetry, which bypasses its cache.
+func (r *Round) Place() {
+	span := r.trace.Begin("place")
+	start := time.Now()
+	r.reqs = r.reqs[:0]
+	for _, in := range r.infos {
+		if a := r.alloc(in.ID); a.PS > 0 && a.Workers > 0 {
+			r.reqs = append(r.reqs, request(in, a))
+		}
+	}
+	inc, place := r.policy.Incr, r.policy.Place
+	if inc == nil {
+		r.prepare(r.cluster)
+	}
+	var unplaced []int
+	r.placed, unplaced = place(r.reqs, r.cluster)
+	if inc != nil {
+		place = inc.Place.PlaceRetry
+	}
+	clear(r.rescued)
+	for _, id := range unplaced {
+		a, info := r.alloc(id), r.byID[id]
+		if info == nil || a.PS < 1 || a.Workers < 1 {
+			continue
+		}
+		for a.PS+a.Workers > 2 {
+			if a.Workers >= a.PS {
+				a.Workers--
+			} else {
+				a.PS--
+			}
+			r.retry[0] = request(info, a)
+			if pls, unp := place(r.retry[:], r.cluster); len(unp) == 0 {
+				r.rescued[id] = pls[id]
+				break
+			}
+		}
+	}
+	if inc != nil {
+		r.rec.SetIncrStats(inc.Stats())
+	}
+	r.rec.ObservePlaceDuration(time.Since(start).Seconds())
+	r.trace.End(span)
+}
+
+// Placement returns job id's placement this round, if it has one.
+func (r *Round) Placement(id int) (core.Placement, bool) {
+	if pl, ok := r.rescued[id]; ok {
+		return pl, true
+	}
+	pl, ok := r.placed[id]
+	return pl, ok
+}
+
+func request(in *core.JobInfo, a core.Allocation) core.PlacementRequest {
+	return core.PlacementRequest{JobID: in.ID, Alloc: a, WorkerRes: in.WorkerRes, PSRes: in.PSRes}
+}

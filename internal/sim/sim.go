@@ -34,17 +34,13 @@ type Policy struct {
 	Allocate func(jobs []*core.JobInfo, capacity cluster.Resources) map[int]core.Allocation
 	Place    func(reqs []core.PlacementRequest, c *cluster.Cluster) (map[int]core.Placement, []int)
 
-	// PlaceRetry, when set, is the placement entry point for the shrink-retry
-	// escape hatch: unlike Place it never consults or updates incremental
-	// session state, because retries deliberately run against the partially
-	// committed cluster mid-interval. Nil means Place is safe to reuse.
-	PlaceRetry func(reqs []core.PlacementRequest, c *cluster.Cluster) (map[int]core.Placement, []int)
-
-	// Incr, when set, is the policy's incremental scheduling session. Run uses
-	// it to hand the session the pre-placement cluster preparation step (reset
-	// plus reservations) so clean intervals can skip it, to invalidate the
-	// placement cache when reservations may have changed, and to surface the
-	// tier counters into the run's metrics.
+	// Incr, when set, is the policy's incremental scheduling session behind
+	// Allocate and Place. The round kernel (Round) hands it the pre-placement
+	// cluster preparation step (reset plus reservations) so clean intervals
+	// can skip it, retries unpackable jobs through its PlaceRetry, attaches
+	// the driver's tracer and audit log to its kernels and surfaces its tier
+	// counters into the metrics; Run invalidates its placement cache when
+	// reservations may have changed.
 	Incr *core.Incremental
 
 	// Session, when set, returns a private instance of the policy for one
@@ -54,13 +50,6 @@ type Policy struct {
 	// parallel, so sharing the closures would race on the scratch buffers.
 	// Run calls Session once at startup; stateless policies leave it nil.
 	Session func() Policy
-
-	// Instrument, when set, attaches tracing and audit sinks to the policy's
-	// internal scheduler state (the AllocState/PlaceState hidden inside the
-	// Allocate/Place closures). Run calls it once per run, after Session,
-	// with Config.Trace and Config.Audit — either may be nil, meaning that
-	// sink is off. Policies without internal state leave it nil.
-	Instrument func(tr *obs.Tracer, au *obs.AuditLog)
 }
 
 // Config parameterizes one simulation run.
@@ -226,6 +215,10 @@ func EpochsPerSecond(spec workload.JobSpec, stepsPerSec float64) float64 {
 	return stepsPerSec * batch / examples
 }
 
+// deployHook, when set, sees each interval's active jobs once their
+// deployments for the interval are applied. Tests pin schedules through it.
+var deployHook func(round int, active []*jobState)
+
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
 	cfg.fillDefaults()
@@ -242,9 +235,6 @@ func Run(cfg Config) (*Result, error) {
 		// Materialize a run-private policy instance (per-run scheduler
 		// scratch state); cfg is a copy, so the caller's Policy is untouched.
 		cfg.Policy = cfg.Policy.Session()
-	}
-	if cfg.Policy.Instrument != nil {
-		cfg.Policy.Instrument(cfg.Trace, cfg.Audit)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rec := metrics.NewRecorder()
@@ -276,35 +266,25 @@ func Run(cfg Config) (*Result, error) {
 	// Per-interval scratch, reused across intervals: the scheduling loop is
 	// the simulator's hot path and these buffers otherwise churn the
 	// allocator every 600 simulated seconds.
-	var (
-		infos []*core.JobInfo
-		reqs  []core.PlacementRequest
-	)
+	var infos []*core.JobInfo
 	pauses := make(map[int]float64)
-	infoByID := make(map[int]*core.JobInfo)
-	// Interval-local overrides of the policy's outputs (the §7 churn damper
-	// and the shrink-retry escape hatch). They used to be written into the
-	// returned maps directly; an incremental policy returns its own cached
-	// maps, which the simulator must never mutate.
-	allocOverride := make(map[int]core.Allocation)
-	placeOverride := make(map[int]core.Placement)
 	// preparePlacement is the pre-placement cluster preparation step: wipe
 	// all commitments, then re-reserve the nodes lent out (§7 shares) or down
-	// (faults). For an incremental policy it is handed to the placement
-	// session, which skips it entirely on clean intervals; otherwise Run
-	// invokes it directly before every Place.
+	// (faults). The round kernel runs it before every placement, or hands it
+	// to an incremental policy's placement session, which skips it entirely
+	// on clean intervals.
 	var prepErr error
 	availNodes := cfg.Cluster.Len()
-	preparePlacement := func() {
-		cfg.Cluster.ResetAll()
-		for _, n := range cfg.Cluster.Nodes()[availNodes:] {
+	preparePlacement := func(c *cluster.Cluster) {
+		c.ResetAll()
+		for _, n := range c.Nodes()[availNodes:] {
 			if err := n.Allocate(n.Capacity); err != nil {
 				prepErr = fmt.Errorf("sim: reserving node %s: %w", n.ID, err)
 				return
 			}
 		}
 		if faults != nil {
-			for _, n := range cfg.Cluster.Nodes()[:availNodes] {
+			for _, n := range c.Nodes()[:availNodes] {
 				if !faults.isDown(n.ID, now) {
 					continue
 				}
@@ -315,9 +295,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if cfg.Policy.Incr != nil {
-		cfg.Policy.Incr.Place.Prepare = func(*cluster.Cluster) { preparePlacement() }
-	}
+	round := NewRound(cfg.Policy, cfg.Cluster, preparePlacement, cfg.Trace, cfg.Audit, rec)
 	for now < cfg.MaxTime {
 		active := activeJobs(states, now)
 		if len(active) == 0 {
@@ -345,14 +323,14 @@ func Run(cfg Config) (*Result, error) {
 		if !cfg.UseTrueModels {
 			for _, js := range active {
 				if js.speedEst.Configurations() == 0 {
-					preRunProfile(js, cfg, rng)
+					PreRunProfile(js.speedEst, js.spec, cfg.PreRunSamples, cfg.SpeedNoise, rng)
 				}
 			}
 		}
 		infos = infos[:0]
 		for _, js := range active {
 			refitStart := time.Now()
-			infos = append(infos, schedulerView(js, cfg, rng, fitCache))
+			infos = append(infos, schedulerView(js, cfg, fitCache))
 			rec.ObserveRefitDuration(time.Since(refitStart).Seconds())
 		}
 		cfg.Trace.End(fitSpan)
@@ -374,7 +352,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Allocate and place. Nodes inside a fault outage contribute no
-		// capacity and are reserved below so placement cannot touch them.
+		// capacity and are reserved by preparePlacement so placement cannot
+		// touch them.
 		var capacity cluster.Resources
 		for _, n := range cfg.Cluster.Nodes()[:availNodes] {
 			if faults != nil && faults.isDown(n.ID, now) {
@@ -382,21 +361,11 @@ func Run(cfg Config) (*Result, error) {
 			}
 			capacity = capacity.Add(n.Capacity)
 		}
-		allocSpan := cfg.Trace.Begin("allocate")
-		allocStart := time.Now()
-		alloc := cfg.Policy.Allocate(infos, capacity)
-		rec.ObserveAllocateDuration(time.Since(allocStart).Seconds())
-		cfg.Trace.End(allocSpan)
+		alloc := round.Allocate(infos, capacity)
 
 		// §7 churn damper: keep a running job's configuration when the
 		// proposed change is not predicted to pay for its checkpoint pause.
-		clear(allocOverride)
-		clear(placeOverride)
 		if cfg.ReconfigThreshold > 0 {
-			clear(infoByID)
-			for _, in := range infos {
-				infoByID[in.ID] = in
-			}
 			for _, js := range active {
 				if !js.placed || js.alloc.Tasks() == 0 {
 					continue
@@ -405,101 +374,30 @@ func Run(cfg Config) (*Result, error) {
 				if a == js.alloc || a.Tasks() == 0 {
 					continue
 				}
-				info := infoByID[js.spec.ID]
+				info := round.Info(js.spec.ID)
 				oldRate := info.Speed(js.alloc.PS, js.alloc.Workers)
 				newRate := info.Speed(a.PS, a.Workers)
 				if newRate < oldRate*(1+cfg.ReconfigThreshold) {
-					allocOverride[js.spec.ID] = js.alloc
+					round.Keep(js.spec.ID, js.alloc)
 				}
 			}
 		}
-		effAlloc := func(id int) core.Allocation {
-			if a, ok := allocOverride[id]; ok {
-				return a
-			}
-			return alloc[id]
-		}
-		if cfg.Policy.Incr == nil {
-			preparePlacement()
-		} else if cfg.ShareSchedule != nil || faults != nil {
+		if cfg.Policy.Incr != nil && (cfg.ShareSchedule != nil || faults != nil) {
 			// Reservations can change between intervals without touching any
 			// node the session's own commits cover, so the cached placement
 			// must not survive into this interval.
 			cfg.Policy.Incr.Place.Invalidate()
 		}
+		round.Place()
 		if prepErr != nil {
 			return nil, prepErr
-		}
-		reqs = reqs[:0]
-		for _, info := range infos {
-			a := effAlloc(info.ID)
-			if a.PS > 0 && a.Workers > 0 {
-				reqs = append(reqs, core.PlacementRequest{
-					JobID: info.ID, Alloc: a,
-					WorkerRes: info.WorkerRes, PSRes: info.PSRes,
-				})
-			}
-		}
-		placeSpan := cfg.Trace.Begin("place")
-		placeStart := time.Now()
-		placements, unplacedIDs := cfg.Policy.Place(reqs, cfg.Cluster)
-		if prepErr != nil {
-			return nil, prepErr
-		}
-
-		// A job can be allocatable against aggregate capacity yet not
-		// packable onto nodes (fragmentation). Shrink its allocation and
-		// retry so the cluster never idles while a runnable job waits —
-		// this is the "rescheduled in the next scheduling interval" escape
-		// hatch of §4.2 made immediate.
-		placeRetry := cfg.Policy.PlaceRetry
-		if placeRetry == nil {
-			placeRetry = cfg.Policy.Place
-		}
-		for _, id := range unplacedIDs {
-			a := effAlloc(id)
-			var info *core.JobInfo
-			for _, in := range infos {
-				if in.ID == id {
-					info = in
-					break
-				}
-			}
-			if info == nil || a.PS < 1 || a.Workers < 1 {
-				continue
-			}
-			for a.PS+a.Workers > 2 {
-				if a.Workers >= a.PS {
-					a.Workers--
-				} else {
-					a.PS--
-				}
-				retry := []core.PlacementRequest{{
-					JobID: id, Alloc: a,
-					WorkerRes: info.WorkerRes, PSRes: info.PSRes,
-				}}
-				pls, unp := placeRetry(retry, cfg.Cluster)
-				if len(unp) == 0 {
-					placeOverride[id] = pls[id]
-					allocOverride[id] = a
-					break
-				}
-			}
-		}
-		rec.ObservePlaceDuration(time.Since(placeStart).Seconds())
-		cfg.Trace.End(placeSpan)
-		if cfg.Policy.Incr != nil {
-			rec.SetIncrStats(cfg.Policy.Incr.Stats())
 		}
 
 		// Apply deployments, charging scaling pauses for changed configs.
 		deploySpan := cfg.Trace.Begin("deploy")
 		clear(pauses)
 		for _, js := range active {
-			pl, ok := placements[js.spec.ID]
-			if o, rescued := placeOverride[js.spec.ID]; rescued {
-				pl, ok = o, true
-			}
+			pl, ok := round.Placement(js.spec.ID)
 			if !ok {
 				js.placed = false
 				js.alloc = core.Allocation{}
@@ -559,6 +457,9 @@ func Run(cfg Config) (*Result, error) {
 			if cfg.StragglerProb > 0 && rng.Float64() < cfg.StragglerProb {
 				js.straggling = true
 			}
+		}
+		if deployHook != nil {
+			deployHook(res.Intervals, active)
 		}
 
 		// Fire this interval's faults now that placement is known: crashes
@@ -687,12 +588,6 @@ func nextArrival(states []*jobState, now, interval float64) float64 {
 	return now + k*interval
 }
 
-// preRunProfile simulates the §3.2 sample runs on a small dataset: a handful
-// of (p,w) configurations measured with noise.
-func preRunProfile(js *jobState, cfg Config, rng *rand.Rand) {
-	PreRunProfile(js.speedEst, js.spec, cfg.PreRunSamples, cfg.SpeedNoise, rng)
-}
-
 // observe feeds the running job's interval measurements to its estimators.
 func observe(js *jobState, stepsPerSec float64, cfg Config, rng *rand.Rand) {
 	if stepsPerSec > 0 {
@@ -709,11 +604,6 @@ func observe(js *jobState, stepsPerSec float64, cfg Config, rng *rand.Rand) {
 	}
 }
 
-// approxPlacedSpeed is the Config-bound form of ApproxPlacedSpeed (view.go).
-func approxPlacedSpeed(cfg Config, spec workload.JobSpec, p, w int) float64 {
-	return ApproxPlacedSpeed(cfg.Cluster, spec, p, w)
-}
-
 // trueFitted builds the "perfect estimation" speed model for a job: an
 // Eqn-3/4 model fitted to noise-free placed-speed samples. The fitted form's
 // basis functions are monotone, so — exactly like the paper's learned models
@@ -728,7 +618,7 @@ func trueFitted(cfg Config, cache map[string]speedfit.Model, spec workload.JobSp
 	var samples []speedfit.Sample
 	for p := 1; p <= 16; p++ {
 		for w := 1; w <= 16; w++ {
-			s := approxPlacedSpeed(cfg, spec, p, w)
+			s := ApproxPlacedSpeed(cfg.Cluster, spec, p, w)
 			if s > 0 {
 				samples = append(samples, speedfit.Sample{P: p, W: w, Speed: s})
 			}
@@ -749,12 +639,12 @@ func truePredictor(cfg Config, cache map[string]speedfit.Model, spec workload.Jo
 	if m, ok := trueFitted(cfg, cache, spec); ok {
 		return m.Speed
 	}
-	return func(p, w int) float64 { return approxPlacedSpeed(cfg, spec, p, w) }
+	return func(p, w int) float64 { return ApproxPlacedSpeed(cfg.Cluster, spec, p, w) }
 }
 
 // schedulerView builds the core.JobInfo the policy sees for one job: a
 // remaining-work estimate Q (in epochs) and a speed function (epochs/s).
-func schedulerView(js *jobState, cfg Config, rng *rand.Rand, fitCache map[string]speedfit.Model) *core.JobInfo {
+func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model) *core.JobInfo {
 	spec := js.spec
 	info := &core.JobInfo{
 		ID:        spec.ID,
@@ -779,7 +669,7 @@ func schedulerView(js *jobState, cfg Config, rng *rand.Rand, fitCache map[string
 	case cfg.UseTrueModels:
 		totalEst = js.totalEpochs
 	default:
-		totalEst = estimateEpochs(js, cfg)
+		totalEst = estimatedEpochs(js.lossFit, spec.Threshold, cfg.PriorEpochs)
 	}
 	remaining := totalEst - js.progress
 	if remaining < 0.1 {
@@ -821,18 +711,11 @@ func schedulerView(js *jobState, cfg Config, rng *rand.Rand, fitCache map[string
 			info.Priority = cfg.PriorityFactor
 		}
 	}
-	_ = rng
 	// Every speed closure above is pure for the duration of the interval,
 	// and the allocator plus the §7 churn damper probe it with heavily
 	// repeated arguments — memoize per job per interval.
 	info.Speed = core.MemoizeSpeed(info.Speed)
 	return info
-}
-
-// estimateEpochs runs the online loss fit and converts it to a total-epoch
-// estimate, falling back to the prior when the fit is not ready.
-func estimateEpochs(js *jobState, cfg Config) float64 {
-	return estimatedEpochs(js.lossFit, js.spec.Threshold, cfg.PriorEpochs)
 }
 
 // policyHandlesStragglers reports whether the policy performs §5.2 straggler

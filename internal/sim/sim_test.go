@@ -355,8 +355,8 @@ func TestEstimateEpochsFallsBackToPrior(t *testing.T) {
 		},
 		lossFit: lossfit.NewFitter(),
 	}
-	cfg := Config{PriorEpochs: 42}
-	if got := estimateEpochs(js, cfg); got != 42 {
+	estimate := func() float64 { return estimatedEpochs(js.lossFit, js.spec.Threshold, 42) }
+	if got := estimate(); got != 42 {
 		t.Errorf("prior = %g, want 42", got)
 	}
 	// With enough clean points the fit takes over.
@@ -366,7 +366,7 @@ func TestEstimateEpochsFallsBackToPrior(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := estimateEpochs(js, cfg)
+	got := estimate()
 	if got == 42 {
 		t.Error("fit never engaged despite 12 clean points")
 	}

@@ -100,7 +100,7 @@ grep -q '^optimus_build_info{' "$workdir/metrics.txt" ||
 "$workdir/optimusd" -version | grep -q '^optimusd ' ||
     { echo "-version printed nothing"; exit 1; }
 
-"$workdir/optimusd-load" -url "http://$addr" -n 200 -c 32
+"$workdir/optimusd-load" -url "http://$addr" -duration 2s -rate 100 -mix submit=100 -max-error-rate 0
 
 # Graceful shutdown writes the snapshot.
 kill -TERM $pid
