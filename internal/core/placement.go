@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"optimus/internal/cluster"
@@ -305,6 +306,47 @@ func (st *PlaceState) materialize(sizeHint int) map[int]Placement {
 func Place(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
 	var st PlaceState
 	return st.Place(reqs, c)
+}
+
+// Headroom is a necessary condition for placing one job on a cluster's free
+// capacity, taken in one pass over the nodes: how many workers and how many
+// PS the nodes could host, each node counted alone, and the summed free
+// vector. Place is all-or-nothing and puts no more on a node than it has
+// free, so a request Admits rejects stays unplaced; one it admits may not pack.
+type Headroom struct {
+	workerRes, psRes, free cluster.Resources
+	workers, ps            float64
+}
+
+// NewHeadroom takes c's headroom for tasks of the given profiles. A node's
+// negative (over-reserved) availability counts as none, and each dimension is
+// widened by one part in a million plus 1e-6, far above Fits's tolerance and
+// the placer's rounding, so the bound never rejects what Place would place.
+func NewHeadroom(workerRes, psRes cluster.Resources, c *cluster.Cluster) Headroom {
+	h := Headroom{workerRes: workerRes, psRes: psRes}
+	for _, n := range c.Nodes() {
+		kw, kp := math.Inf(1), math.Inf(1) // +Inf for a profile that uses nothing
+		for d, v := range n.Available() {
+			v = max(v, 0)*(1+1e-6) + 1e-6
+			if workerRes[d] > 0 {
+				kw = min(kw, math.Floor(v/workerRes[d]))
+			}
+			if psRes[d] > 0 {
+				kp = min(kp, math.Floor(v/psRes[d]))
+			}
+			h.free[d] += v
+		}
+		h.workers += kw
+		h.ps += kp
+	}
+	return h
+}
+
+// Admits reports whether a passes the bound: no more workers or PS than the
+// nodes could host, and its total demand within the summed free capacity.
+func (h Headroom) Admits(a Allocation) bool {
+	req := PlacementRequest{Alloc: a, WorkerRes: h.workerRes, PSRes: h.psRes}
+	return float64(a.Workers) <= h.workers && float64(a.PS) <= h.ps && req.demand().Fits(h.free)
 }
 
 // resift restores sorted order after a commit shrank the staged nodes'

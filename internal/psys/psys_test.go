@@ -3,6 +3,7 @@ package psys
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -266,10 +267,73 @@ func TestChunkStoreValidation(t *testing.T) {
 	}
 }
 
+// TestDetectStragglersRule judges the §5.2 rule on synthetic step stats, so
+// the verdicts do not depend on how fast this host runs a step: a worker is
+// a straggler when its median step time is more than twice that of the
+// median worker.
+func TestDetectStragglersRule(t *testing.T) {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	// steps gives worker w one stat per compute time; wall is each step's
+	// Duration (0 means the same as compute).
+	steps := func(w int, wall time.Duration, compute ...time.Duration) []StepStat {
+		var out []StepStat
+		for i, c := range compute {
+			d := wall
+			if d == 0 {
+				d = c
+			}
+			out = append(out, StepStat{Worker: w, Step: i, Duration: d, Compute: c})
+		}
+		return out
+	}
+	cat := func(parts ...[]StepStat) []StepStat {
+		var out []StepStat
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		stats []StepStat
+		want  []int
+	}{
+		{"one slow worker", cat(
+			steps(0, 0, ms(2), ms(2), ms(2)), steps(1, 0, ms(2.1), ms(2), ms(2)),
+			steps(2, 0, ms(14), ms(14), ms(14)), steps(3, 0, ms(2), ms(1.9), ms(2))), []int{2}},
+		{"exactly twice the median is not slow", cat(
+			steps(0, 0, ms(2), ms(2), ms(2)), steps(1, 0, ms(2), ms(2), ms(2)),
+			steps(2, 0, ms(4), ms(4), ms(4))), nil},
+		{"a fast worker is never a straggler", cat(
+			steps(0, 0, ms(2), ms(2), ms(2)), steps(1, 0, ms(2), ms(2), ms(2)),
+			steps(2, 0, ms(0.01), ms(0.01), ms(0.01)), steps(3, 0, ms(2), ms(2), ms(2))), nil},
+		{"one hiccup does not move a median", cat(
+			steps(0, 0, ms(2), ms(200), ms(2)), steps(1, 0, ms(2), ms(2), ms(2)),
+			steps(2, 0, ms(2), ms(2), ms(2))), nil},
+		{"sync barriers equalize wall time; compute time decides", cat(
+			steps(0, ms(15), ms(0.1), ms(0.1), ms(0.1)), steps(1, ms(15), ms(15), ms(15), ms(15)),
+			steps(2, ms(15), ms(0.1), ms(0.1), ms(0.1))), []int{1}},
+		{"no compute time falls back to wall time", cat(
+			steps(0, ms(2), 0, 0, 0), steps(1, ms(9), 0, 0, 0), steps(2, ms(2), 0, 0, 0)), []int{1}},
+	} {
+		if got := DetectStragglers(tc.stats); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: stragglers = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestStragglerDetectionAndReplacement runs the §5.2 loop on a live job.
+// Every worker carries a 3 ms baseline delay and worker 2 a 15 ms one, and
+// injected delay counts as compute time. Worker 2 is found at 5× the median
+// step time, and after its delay-free replacement a healthy worker would
+// need 3 ms of extra compute on its median step to cross 2×: µs-scale
+// compute jitter cannot flag one, which an all-µs job could (it failed about
+// one run in thirty with "straggler persisted after replacement: [3]").
 func TestStragglerDetectionAndReplacement(t *testing.T) {
+	const base = 3 * time.Millisecond
 	j := regJob(t, JobConfig{
 		Mode: speedfit.Async, Workers: 4, Seed: 10,
-		WorkerDelays: map[int]time.Duration{2: 12 * time.Millisecond},
+		WorkerDelays: map[int]time.Duration{0: base, 1: base, 2: 5 * base, 3: base},
 	})
 	stats, err := j.RunSteps(12)
 	if err != nil {
@@ -281,6 +345,9 @@ func TestStragglerDetectionAndReplacement(t *testing.T) {
 	}
 	if err := j.ReplaceWorker(2); err != nil {
 		t.Fatal(err)
+	}
+	if d := j.workers[2].Delay(); d != 0 {
+		t.Fatalf("replacement worker carries a %v delay, want none", d)
 	}
 	stats2, err := j.RunSteps(12)
 	if err != nil {

@@ -28,11 +28,14 @@ import (
 func TestClusterEncodeLargeConcurrent(t *testing.T) {
 	// The paper testbed padded with empty nodes to 10k: every node is
 	// encoded, but only the testbed's 13 nodes can host tasks. Over 10k
-	// schedulable nodes the allocator grants uncapped async jobs thousands
-	// of tasks each, and a job that then fails to pack walks the engine's
-	// shrink-by-one retry for minutes — the placement cliff of ROADMAP item
-	// 1(b), whose fix owns the lone-job/10k-node regression test. This test
-	// is about racing cluster encodes against rounds, not that cliff.
+	// schedulable nodes the allocator grants uncapped async jobs tens of
+	// thousands of tasks each. The round kernel's headroom bound skips the
+	// shrink steps that ask for more than the cluster has free, but not a
+	// grant that fits the bound and still fails the greedy placer: a lone
+	// ds2 job's 25,345 PS + 20,991 workers on 10k 16-CPU nodes is packable,
+	// yet greedyBalanced fails it, and each shrink step then costs a full
+	// O(N·T) kernel call (see TestWideRoundsSkipUnpackableRetries). This
+	// test is about racing cluster encodes against rounds, not that cliff.
 	c := cluster.Testbed()
 	for i := c.Len(); i < 10000; i++ {
 		if err := c.AddNode(cluster.NewNode(fmt.Sprintf("empty-%d", i), cluster.Resources{})); err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"optimus/internal/cluster"
@@ -101,11 +102,12 @@ func (r *Round) alloc(id int) core.Allocation {
 // policy gets the cluster prepared first; an incremental one prepares it in
 // its session, only when it recomputes. A job can fit aggregate capacity yet
 // not pack onto nodes (fragmentation); rather than leave it idle until the
-// next interval (§4.2), every job that does not pack is shrunk by one task
-// at a time — a worker while workers are at least as
-// many as parameter servers, else a parameter server — and retried against
-// the partially committed cluster until it packs or is down to one of each.
-// A session policy retries through PlaceRetry, which bypasses its cache.
+// next interval (§4.2), every job that does not pack is shrunk by one task at
+// a time — a worker while workers are at least as many as parameter servers,
+// else a parameter server — and retried against the partially committed
+// cluster until it packs or is down to one of each. A session policy retries
+// through PlaceRetry, which bypasses its cache, and skips the steps beyond the
+// job's core.Headroom, which cannot pack. A traced span notes "shrink=steps".
 func (r *Round) Place() {
 	span := r.trace.Begin("place")
 	start := time.Now()
@@ -125,16 +127,29 @@ func (r *Round) Place() {
 		place = inc.Place.PlaceRetry
 	}
 	clear(r.rescued)
+	steps := 0
 	for _, id := range unplaced {
 		a, info := r.alloc(id), r.byID[id]
-		if info == nil || a.PS < 1 || a.Workers < 1 {
+		if info == nil || a.PS < 1 || a.Workers < 1 || a.PS+a.Workers <= 2 {
 			continue
 		}
+		// The session's kernel is all-or-nothing, and the cluster changes only
+		// when a step packs: steps beyond the headroom cannot. The baseline
+		// placers place partially, so a stateless policy tries every step.
+		var room core.Headroom
+		if inc != nil {
+			inc.Place.Invalidate() // what PlaceRetry would have done
+			room = core.NewHeadroom(info.WorkerRes, info.PSRes, r.cluster)
+		}
 		for a.PS+a.Workers > 2 {
+			steps++
 			if a.Workers >= a.PS {
 				a.Workers--
 			} else {
 				a.PS--
+			}
+			if inc != nil && !room.Admits(a) {
+				continue
 			}
 			r.retry[0] = request(info, a)
 			if pls, unp := place(r.retry[:], r.cluster); len(unp) == 0 {
@@ -147,6 +162,9 @@ func (r *Round) Place() {
 		r.rec.SetIncrStats(inc.Stats())
 	}
 	r.rec.ObservePlaceDuration(time.Since(start).Seconds())
+	if r.trace.Enabled() {
+		r.trace.Annotate(span, fmt.Sprintf("shrink=%d", steps))
+	}
 	r.trace.End(span)
 }
 
