@@ -16,9 +16,10 @@ test:
 	$(GO) test ./...
 
 # internal/experiments runs its parallel worker pool under the detector;
-# internal/serve includes the 1000-submission daemon load test.
+# internal/serve includes the 1000-submission daemon load test;
+# internal/lossfit and internal/serve run lossfit.FitAll's parallel refits.
 race:
-	$(GO) test -race ./internal/core/ ./internal/psys/ ./internal/kube/ ./internal/operator/ ./internal/sim/ ./internal/chaos/ ./internal/experiments/ ./internal/serve/ ./internal/obs/ ./internal/wal/ ./internal/ha/
+	$(GO) test -race ./internal/core/ ./internal/psys/ ./internal/kube/ ./internal/operator/ ./internal/sim/ ./internal/chaos/ ./internal/experiments/ ./internal/serve/ ./internal/obs/ ./internal/wal/ ./internal/ha/ ./internal/lossfit/
 
 # The repo's benchmark: end-to-end workloads plus per-layer probes, one JSON
 # line per workload (see bench/README.md and BENCHMARK.json).

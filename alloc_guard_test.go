@@ -2,6 +2,7 @@ package optimus
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"optimus/internal/cluster"
@@ -138,6 +139,42 @@ func TestAllocationBudgets(t *testing.T) {
 		// matrix + NNLS scratch ≈ 9500); a warmed refit must stay near zero.
 		if allocs > 20 {
 			t.Errorf("warmed lossfit refit: %.1f allocs/op, budget 20", allocs)
+		}
+	})
+
+	t.Run("fitall", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		m := workload.ZooByName("seq2seq")
+		fs := make([]*lossfit.Fitter, 64)
+		for i := range fs {
+			fs[i] = lossfit.NewFitter()
+			for e := 1.0; e <= 20; e++ {
+				if err := fs[i].Add(e, m.TrueLoss(e+float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		refits := 0
+		observe := func(float64) { refits++ }
+		lossfit.FitAll(fs, observe)
+		refits = 0
+		// Every fitter is fresh: FitAll must neither refit nor allocate.
+		allocs := testing.AllocsPerRun(10, func() { lossfit.FitAll(fs, observe) })
+		if allocs != 0 || refits != 0 {
+			t.Errorf("FitAll over fitted fitters: %.1f allocs/op, %d refits, want 0 and 0", allocs, refits)
+		}
+		// AllocsPerRun runs at GOMAXPROCS 1, where no worker can start.
+		// At 4, starting one allocates its closure, so 100 calls must stay
+		// under 100 allocations (stray allocations by other goroutines make
+		// an exact count flaky).
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			lossfit.FitAll(fs, observe)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n >= 100 || refits != 0 {
+			t.Errorf("FitAll over fitted fitters at GOMAXPROCS 4: %d allocs in 100 calls, %d refits; a worker started", n, refits)
 		}
 	})
 

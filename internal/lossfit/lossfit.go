@@ -15,6 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"optimus/internal/nnls"
 )
@@ -198,7 +202,7 @@ func Preprocess(points []Point, window int) ([]Point, float64) {
 // OutlierWindow change), so repeated scheduler refits without new
 // observations cost a field read instead of a grid of NNLS solves.
 func (f *Fitter) Fit() (Model, error) {
-	if f.fitted && !f.dirty && f.cachedWindow == f.OutlierWindow {
+	if f.fresh() {
 		return f.cached, f.cachedErr
 	}
 	if f.scratch == nil {
@@ -207,6 +211,50 @@ func (f *Fitter) Fit() (Model, error) {
 	f.cached, f.cachedErr = f.scratch.fitPoints(f.points, f.OutlierWindow)
 	f.fitted, f.dirty, f.cachedWindow = true, false, f.OutlierWindow
 	return f.cached, f.cachedErr
+}
+
+// fresh reports whether the cached fit is exact, i.e. Fit is a cache read.
+func (f *Fitter) fresh() bool {
+	return f.fitted && !f.dirty && f.cachedWindow == f.OutlierWindow
+}
+
+// FitAll runs Fit on every stale fitter in fs over min(GOMAXPROCS, stale)
+// goroutines, the caller's included; afterwards Fit on any of them is a
+// cache read. A refit touches only its own fitter (samples, cache, NNLS warm
+// start), so each ends bit for bit as a serial Fit would leave it. The
+// fitters must be distinct, and the caller must own all of them for the
+// whole call. observe gets each refit's wall-clock seconds, from several
+// goroutines at once.
+func FitAll(fs []*Fitter, observe func(seconds float64)) {
+	stale := 0
+	for _, f := range fs {
+		if !f.fresh() {
+			stale++
+		}
+	}
+	if stale == 0 {
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(fs)); i = next.Add(1) - 1 {
+			if f := fs[i]; !f.fresh() {
+				start := time.Now()
+				_, _ = f.Fit()
+				observe(time.Since(start).Seconds())
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), stale) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // FitPoints fits the model to an explicit sample set.

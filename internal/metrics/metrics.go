@@ -52,7 +52,7 @@ type Recorder struct {
 	// measure real elapsed time, so they answer "how expensive is a
 	// scheduling decision", not "how long did the modeled cluster run".
 	durInterval obs.Histogram
-	durRefit    obs.Histogram
+	durRefit    obs.AtomicHistogram // lossfit.FitAll observes from its workers
 	durAlloc    obs.Histogram
 	durPlace    obs.Histogram
 	durAPI      obs.Histogram
@@ -106,8 +106,8 @@ func (r *Recorder) Timeline() []IntervalStats { return r.timeline }
 // interval (estimator refits + allocate + place + deployment bookkeeping).
 func (r *Recorder) ObserveIntervalDuration(seconds float64) { r.durInterval.Observe(seconds) }
 
-// ObserveRefitDuration records the wall-clock time of one job's estimator
-// refit (loss-curve NNLS + speed-model fit).
+// ObserveRefitDuration records the wall-clock time of one job's §3.1
+// loss-curve refit. Unlike its siblings it is safe for concurrent use.
 func (r *Recorder) ObserveRefitDuration(seconds float64) { r.durRefit.Observe(seconds) }
 
 // ObserveAllocateDuration records the wall-clock time of one §4.1 allocation
@@ -125,8 +125,8 @@ func (r *Recorder) ObserveAPIDuration(seconds float64) { r.durAPI.Observe(second
 // IntervalDuration exposes the interval-latency histogram for summaries.
 func (r *Recorder) IntervalDuration() *obs.Histogram { return &r.durInterval }
 
-// RefitDuration exposes the refit-latency histogram for summaries.
-func (r *Recorder) RefitDuration() *obs.Histogram { return &r.durRefit }
+// RefitDuration returns a snapshot of the refit-latency histogram.
+func (r *Recorder) RefitDuration() *obs.Histogram { h := r.durRefit.Snapshot(); return &h }
 
 // AllocateDuration exposes the allocate-latency histogram for summaries.
 func (r *Recorder) AllocateDuration() *obs.Histogram { return &r.durAlloc }

@@ -193,7 +193,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		h          *obs.Histogram
 	}{
 		{"optimus_interval_duration_seconds", "Wall-clock time of one full scheduling interval.", &r.durInterval},
-		{"optimus_refit_duration_seconds", "Wall-clock time of one job's loss/speed estimator refit.", &r.durRefit},
+		{"optimus_refit_duration_seconds", "Wall-clock time of one job's loss-curve refit.", r.RefitDuration()},
 		{"optimus_allocate_duration_seconds", "Wall-clock time of the marginal-gain allocation kernel.", &r.durAlloc},
 		{"optimus_place_duration_seconds", "Wall-clock time of the placement pass, including retries.", &r.durPlace},
 		{"optimus_api_request_duration_seconds", "Wall-clock latency of optimusd API requests.", &r.durAPI},

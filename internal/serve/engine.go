@@ -84,10 +84,8 @@ func (d *Daemon) stepLocked() {
 	}
 	infos := make([]*core.JobInfo, len(active))
 	for i, j := range active {
-		refitStart := time.Now()
 		infos[i] = sim.EstimatedView(d.cfg.Cluster, j.spec, j.progress,
 			j.lossFit, j.speedEst, d.cfg.PriorEpochs, d.cfg.PriorityFactor)
-		d.rec.ObserveRefitDuration(time.Since(refitStart).Seconds())
 	}
 	d.tracer.End(fitSpan)
 
@@ -256,6 +254,9 @@ func (d *Daemon) stepLocked() {
 	// round for the metrics timeline in the same shard-lock pass. Jobs that
 	// went terminal mid-round already republished in Cancel / the completion
 	// branch above, but rebuilding here is harmless (terminal state wins).
+	// The round's §3.1 refits run first, in parallel; next round's fit phase
+	// reads their caches.
+	d.refitLocked(active)
 	stats := metrics.IntervalStats{Time: d.now}
 	var usedCPU float64
 	for _, j := range active {
@@ -293,6 +294,18 @@ func (d *Daemon) stepLocked() {
 	// hardens every buffered engine record above.
 	d.walRoundLocked()
 	d.publishClusterLocked()
+}
+
+// refitLocked runs, in parallel, exactly the loss refits buildStatus would
+// run for jobs (its ≥ 5-sample gate), timing each. Callers hold d.mu.
+func (d *Daemon) refitLocked(jobs []*job) {
+	d.fits = d.fits[:0]
+	for _, j := range jobs {
+		if j.lossFit.Len() >= 5 {
+			d.fits = append(d.fits, j.lossFit)
+		}
+	}
+	lossfit.FitAll(d.fits, d.rec.ObserveRefitDuration)
 }
 
 // roundTierDetail renders one round's incremental-scheduling outcome (the

@@ -286,6 +286,7 @@ type Daemon struct {
 	round *sim.Round
 	incr  *core.Incremental
 	bus   *eventBus
+	fits  []*lossfit.Fitter // refitLocked's engine-guarded buffer
 	// tracer/audit are non-nil only when cfg.Trace is set; every use is
 	// nil-receiver-safe, so the disabled daemon skips the whole layer.
 	tracer *obs.Tracer

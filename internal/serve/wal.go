@@ -258,7 +258,8 @@ type WALApplier struct {
 	records    uint64
 	duplicates uint64 // submit records for already-present IDs
 	dirty      map[int]*job
-	started    bool // a non-checkpoint record has been applied
+	batch      []*job // dirty's jobs, for refitLocked
+	started    bool   // a non-checkpoint record has been applied
 }
 
 // NewWALApplier builds an applier over d.
@@ -483,6 +484,11 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		d.advanceClockLocked(p.SimTime)
 		// Interval boundary: republish the round's touched jobs and the
 		// cluster view, so a tailing follower serves fresh reads.
+		a.batch = a.batch[:0]
+		for _, j := range a.dirty {
+			a.batch = append(a.batch, j)
+		}
+		d.refitLocked(a.batch)
 		for id, j := range a.dirty {
 			sh := d.reg.shard(id)
 			sh.mu.Lock()
@@ -507,6 +513,7 @@ func (a *WALApplier) Finish() {
 	d := a.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.refitLocked(d.reg.collect(func(*job) bool { return true }))
 	var live int64
 	d.reg.lockAll()
 	for i := range d.reg.shards {

@@ -267,6 +267,7 @@ func Run(cfg Config) (*Result, error) {
 	// the simulator's hot path and these buffers otherwise churn the
 	// allocator every 600 simulated seconds.
 	var infos []*core.JobInfo
+	var fits []*lossfit.Fitter
 	pauses := make(map[int]float64)
 	// preparePlacement is the pre-placement cluster preparation step: wipe
 	// all commitments, then re-reserve the nodes lent out (§7 shares) or down
@@ -327,11 +328,20 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
+		// The §3.1 refits run in parallel ahead of the views, on exactly the
+		// fitters estimatedEpochs would refit, so the views read caches.
+		if cfg.InjectConvError <= 0 && !cfg.UseTrueModels {
+			fits = fits[:0]
+			for _, js := range active {
+				if js.lossFit.Len() >= 5 {
+					fits = append(fits, js.lossFit)
+				}
+			}
+			lossfit.FitAll(fits, rec.ObserveRefitDuration)
+		}
 		infos = infos[:0]
 		for _, js := range active {
-			refitStart := time.Now()
 			infos = append(infos, schedulerView(js, cfg, fitCache))
-			rec.ObserveRefitDuration(time.Since(refitStart).Seconds())
 		}
 		cfg.Trace.End(fitSpan)
 
