@@ -62,7 +62,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 15s ./internal/chaos/
 	$(GO) test -fuzz FuzzDecodeSubmit -fuzztime 15s ./internal/serve/
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 15s ./internal/obs/
-	$(GO) test -fuzz FuzzIncrementalChurn -fuzztime 15s ./internal/core/
 	$(GO) test -fuzz FuzzHeadroom -fuzztime 15s ./internal/core/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/wal/
 

@@ -21,23 +21,8 @@ import (
 // with input size) without flaking on incidental small ones.
 func TestAllocationBudgets(t *testing.T) {
 	t.Run("allocate", func(t *testing.T) {
-		zoo := workload.Zoo()
-		rng := rand.New(rand.NewSource(1))
 		const nJobs = 100
-		jobs := make([]*core.JobInfo, nJobs)
-		for i := range jobs {
-			m := zoo[i%len(zoo)]
-			mode := speedfit.Mode(rng.Intn(2))
-			jobs[i] = &core.JobInfo{
-				ID:            i,
-				RemainingWork: 1000 + rng.Float64()*100000,
-				Speed:         func(p, w int) float64 { return m.TrueSpeed(mode, p, w) },
-				WorkerRes:     m.WorkerRes,
-				PSRes:         m.PSRes,
-				MaxWorkers:    16,
-				MaxPS:         16,
-			}
-		}
+		jobs := zooJobs(1, nJobs)
 		capacity := cluster.Resources{
 			cluster.CPU:    float64(nJobs) * 40,
 			cluster.Memory: float64(nJobs) * 160,
@@ -69,23 +54,8 @@ func TestAllocationBudgets(t *testing.T) {
 	})
 
 	t.Run("place", func(t *testing.T) {
-		zoo := workload.Zoo()
-		rng := rand.New(rand.NewSource(3))
 		const nJobs = 80
-		jobs := make([]*core.JobInfo, nJobs)
-		for i := range jobs {
-			m := zoo[i%len(zoo)]
-			mode := speedfit.Mode(rng.Intn(2))
-			jobs[i] = &core.JobInfo{
-				ID:            i,
-				RemainingWork: 1000 + rng.Float64()*100000,
-				Speed:         func(p, w int) float64 { return m.TrueSpeed(mode, p, w) },
-				WorkerRes:     m.WorkerRes,
-				PSRes:         m.PSRes,
-				MaxWorkers:    16,
-				MaxPS:         16,
-			}
-		}
+		jobs := zooJobs(3, nJobs)
 		cl := cluster.Uniform(20, cluster.Resources{
 			cluster.CPU: 64, cluster.Memory: 256,
 		})
@@ -115,6 +85,42 @@ func TestAllocationBudgets(t *testing.T) {
 		// room for map growth internals without tolerating per-row costs.
 		if allocs > 30 {
 			t.Errorf("warmed Place: %.1f allocs/op, budget 30", allocs)
+		}
+	})
+
+	t.Run("session", func(t *testing.T) {
+		// One Optimus interval through the kernel pair sim.Round drives:
+		// allocate, then place, which also counts the tasks that moved.
+		jobs := zooJobs(3, 80)
+		cl := cluster.Uniform(20, cluster.Resources{
+			cluster.CPU: 64, cluster.Memory: 256,
+		})
+		inc := core.NewIncremental()
+		reqs := make([]core.PlacementRequest, 0, len(jobs))
+		interval := func() {
+			alloc := inc.Alloc.Allocate(jobs, cl.Capacity())
+			reqs = reqs[:0]
+			for _, in := range jobs {
+				if a := alloc[in.ID]; a.PS > 0 && a.Workers > 0 {
+					reqs = append(reqs, core.PlacementRequest{
+						JobID: in.ID, Alloc: a,
+						WorkerRes: in.WorkerRes, PSRes: in.PSRes,
+					})
+				}
+			}
+			inc.Place.Place(reqs, cl)
+		}
+		interval() // warm the scratch buffers and the migration count's map
+		interval()
+		allocs := testing.AllocsPerRun(10, interval)
+		// The allocate and place budgets above, plus a few for the session:
+		// its request-set map is cleared and reused, not rebuilt.
+		if allocs > 25+30+5 {
+			t.Errorf("warmed session interval: %.1f allocs/op, budget %d", allocs, 25+30+5)
+		}
+		// Two warm-up intervals, AllocsPerRun's own warm-up and ten runs.
+		if st := inc.Stats(); st.AllocFull != 13 || st.PlaceFull != 13 {
+			t.Errorf("session counted %d allocations and %d placements, want 13 each", st.AllocFull, st.PlaceFull)
 		}
 	})
 
@@ -206,4 +212,26 @@ func TestAllocationBudgets(t *testing.T) {
 			t.Errorf("warmed TCP training step: %.1f allocs/op, budget 70", allocs)
 		}
 	})
+}
+
+// zooJobs is n seeded jobs drawn round-robin from the model zoo, capped at
+// 16 PS and 16 workers.
+func zooJobs(seed int64, n int) []*core.JobInfo {
+	zoo := workload.Zoo()
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]*core.JobInfo, n)
+	for i := range jobs {
+		m := zoo[i%len(zoo)]
+		mode := speedfit.Mode(rng.Intn(2))
+		jobs[i] = &core.JobInfo{
+			ID:            i,
+			RemainingWork: 1000 + rng.Float64()*100000,
+			Speed:         func(p, w int) float64 { return m.TrueSpeed(mode, p, w) },
+			WorkerRes:     m.WorkerRes,
+			PSRes:         m.PSRes,
+			MaxWorkers:    16,
+			MaxPS:         16,
+		}
+	}
+	return jobs
 }

@@ -310,130 +310,8 @@ func BenchmarkPSStep(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalInterval measures one steady-state scheduling interval
-// through the delta-driven session pair (DESIGN.md §15) at the paper's
-// scalability design point: 1000 jobs on 1000 nodes.
-//
-// The churn=N% rows model the dominant steady-state event — N% of the jobs
-// report progress and refit their speed models between intervals (SpeedGen
-// bump + perturbed surface + updated remaining work) — so the session
-// re-derives exactly those jobs' saturations and, with the converged models
-// still yielding the same allocation, reuses the cached placement untouched.
-// churn=0% is the pure clean-interval fast path and, with churn=1%, the
-// <100µs acceptance target. The membership=1% row instead replaces 1% of the
-// job set (one completion + one arrival each): changed membership reorders
-// the §4.2 smallest-share-first sequence, and byte-identity with the
-// from-scratch reference means every downstream placement must be recomputed,
-// so this row runs near full-kernel cost — the honest upper bound, not the
-// steady state. dirty/op and migrated/op report how much real work each
-// interval did: re-allocated jobs and previously-running tasks whose node
-// assignment changed.
-func BenchmarkIncrementalInterval(b *testing.B) {
-	const nJobs, nNodes = 1000, 1000
-	type params struct {
-		sa, sb, scale float64
-	}
-	run := func(b *testing.B, frac float64, membership bool) {
-		rng := rand.New(rand.NewSource(7))
-		nextID := 1
-		mkSpeed := func(p params) func(int, int) float64 {
-			return func(pp, w int) float64 {
-				return p.scale * p.sa * float64(pp*w) / (p.sb*float64(pp) + float64(w))
-			}
-		}
-		pars := make([]params, nJobs)
-		gens := make([]uint64, nJobs)
-		mkJob := func(i int) *core.JobInfo {
-			pars[i] = params{
-				sa:    0.5 + rng.Float64(),
-				sb:    0.5 + rng.Float64()*2,
-				scale: 1,
-			}
-			gens[i]++
-			wcpu := 2 + float64(rng.Intn(6))
-			pcpu := 1 + float64(rng.Intn(4))
-			j := &core.JobInfo{
-				ID:            nextID,
-				RemainingWork: 1000 + rng.Float64()*100000,
-				Speed:         mkSpeed(pars[i]),
-				SpeedGen:      gens[i],
-				WorkerRes:     cluster.Resources{cluster.CPU: wcpu, cluster.Memory: 4 * wcpu},
-				PSRes:         cluster.Resources{cluster.CPU: pcpu, cluster.Memory: 4 * pcpu},
-				MaxWorkers:    4,
-				MaxPS:         2,
-			}
-			nextID++
-			return j
-		}
-		refit := func(i int, j *core.JobInfo) {
-			// One interval of progress and a slightly shifted fitted surface:
-			// the job is dirty (its saturation is re-derived), but the
-			// converged model still saturates the same caps, so the
-			// allocation — and therefore the placement — is unchanged.
-			j.RemainingWork *= 0.999
-			pars[i].scale = 1 + 1e-4*rng.Float64()
-			j.Speed = mkSpeed(pars[i])
-			gens[i]++
-			j.SpeedGen = gens[i]
-		}
-		jobs := make([]*core.JobInfo, nJobs)
-		for i := range jobs {
-			jobs[i] = mkJob(i)
-		}
-		// Generous headroom: every job saturates its caps, so the allocation
-		// is uncontended and the session's incremental tier stays eligible
-		// (see core.AllocSession).
-		cl := cluster.Uniform(nNodes, cluster.Resources{
-			cluster.CPU: 64, cluster.Memory: 256,
-		})
-		capacity := cl.Capacity()
-		inc := core.NewIncremental()
-		reqs := make([]core.PlacementRequest, 0, nJobs)
-		interval := func() {
-			alloc := inc.Alloc.Allocate(jobs, capacity)
-			reqs = reqs[:0]
-			for _, in := range jobs {
-				a := alloc[in.ID]
-				if a.PS > 0 && a.Workers > 0 {
-					reqs = append(reqs, core.PlacementRequest{
-						JobID: in.ID, Alloc: a,
-						WorkerRes: in.WorkerRes, PSRes: in.PSRes,
-					})
-				}
-			}
-			inc.Place.Place(reqs, cl)
-		}
-		interval() // the first interval is the full from-scratch pass
-		k := int(float64(nJobs) * frac)
-		pos := 0
-		base := inc.Stats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < k; j++ {
-				if membership {
-					jobs[pos] = mkJob(pos) // one completion + one arrival
-				} else {
-					refit(pos, jobs[pos])
-				}
-				pos = (pos + 1) % nJobs
-			}
-			interval()
-		}
-		b.StopTimer()
-		st := inc.Stats()
-		b.ReportMetric(float64(st.DirtyJobs-base.DirtyJobs)/float64(b.N), "dirty/op")
-		b.ReportMetric(float64(st.TasksMigrated-base.TasksMigrated)/float64(b.N), "migrated/op")
-	}
-	for _, churn := range []float64{0, 0.01, 0.10} {
-		b.Run(fmt.Sprintf("churn=%g%%", churn*100), func(b *testing.B) {
-			run(b, churn, false)
-		})
-	}
-	b.Run("membership=1%", func(b *testing.B) { run(b, 0.01, true) })
-}
-
 // BenchmarkScaleInterval measures one cold scheduling interval (allocate +
-// place from scratch, no incremental session) with the single-engine §4
+// place from scratch) with the single-engine §4
 // kernels at the scalability design point: 10k jobs across 10k nodes.
 func BenchmarkScaleInterval(b *testing.B) {
 	const nJobs, nNodes = 10000, 10000

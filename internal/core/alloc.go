@@ -32,13 +32,6 @@ type JobInfo struct {
 	// MaxWorkers / MaxPS cap the allocation (0 = no cap). Synchronous jobs
 	// cap workers at the global batch size.
 	MaxWorkers, MaxPS int
-	// SpeedGen is the change-tracking stamp of the Speed surface, used only
-	// by the incremental AllocSession (the kernel itself ignores it). Equal
-	// non-zero stamps across intervals promise that Speed is the identical
-	// pure function both times; zero means "unknown", which the session
-	// treats as changed every interval. Callers wire it to their speed
-	// model's generation counter (see speedfit.Estimator.Generation).
-	SpeedGen uint64
 }
 
 // Allocation is the number of parameter servers and workers granted to a
@@ -242,23 +235,11 @@ type AllocState struct {
 	Trace *obs.Tracer
 	Audit *obs.AuditLog
 
-	// fitFailed reports whether the most recent Allocate call hit at least
-	// one failed capacity check (a seed that did not fit, or a grant whose
-	// task no longer fit the remaining capacity). When false, the run was
-	// uncontended: every job reached its gain-saturation point independently,
-	// which is the precondition for AllocSession's incremental fast path.
-	fitFailed bool
-
 	ordered []*JobInfo
 	runs    []allocRun
 	heap    gainHeap
 	out     map[int]Allocation
 }
-
-// FitFailed reports whether the last Allocate run hit any failed capacity
-// check. See the field comment; AllocSession uses this to decide whether
-// per-job incremental recomputation is equivalent to a from-scratch run.
-func (st *AllocState) FitFailed() bool { return st.fitFailed }
 
 // NewAllocState returns an empty allocator state.
 func NewAllocState() *AllocState { return &AllocState{} }
@@ -274,7 +255,6 @@ func NewAllocState() *AllocState { return &AllocState{} }
 func (st *AllocState) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[int]Allocation {
 	sp := st.Trace.Begin("alloc-kernel")
 	defer st.Trace.End(sp)
-	st.fitFailed = false
 	if st.out == nil {
 		st.out = make(map[int]Allocation, len(jobs))
 	} else {
@@ -295,7 +275,6 @@ func (st *AllocState) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[
 	for _, j := range ordered {
 		seed := j.WorkerRes.Add(j.PSRes)
 		if !seed.Fits(remaining) {
-			st.fitFailed = true
 			out[j.ID] = Allocation{}
 			continue
 		}
@@ -337,7 +316,6 @@ func (st *AllocState) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[
 			req = r.job.PSRes
 		}
 		if !req.Fits(remaining) {
-			st.fitFailed = true
 			// This particular task no longer fits. The job may still have a
 			// fitting alternative action; try the other kind once.
 			if alt, gain, after := otherGainFrom(r.job, r.alloc, r.remain, capacity, e.kind); gain > 0 {

@@ -1,84 +1,33 @@
-// Incremental rescheduling: delta-driven session wrappers around the §4.1
-// allocator and §4.2 placer.
-//
-// In steady state almost nothing changes between two scheduling intervals —
-// a refitted speed model here, an arrival or completion there — yet the
-// kernels recompute every job from scratch each tick. The sessions in this
-// file track exactly what changed (the dirty set) and reuse everything else,
-// with three tiers per kernel:
-//
-//   - clean:       identical inputs, identical base state → return the prior
-//     output untouched (a few O(n) field compares, no kernel work).
-//   - incremental: only a few jobs dirty → recompute just those and patch
-//     the persistent output in place.
-//   - full:        anything the cheap reasoning cannot cover → run the
-//     from-scratch kernel and re-prime the caches from its result.
-//
-// The overriding invariant, guarded by reference_test.go and the churn
-// fuzz/property oracle in incremental_session_test.go, is byte-identical
-// output: a session must return exactly what the from-scratch kernel would
-// return for the same inputs, at every interval, including float state on
-// the cluster nodes. Each fast tier is therefore taken only when a
-// conservative argument shows the from-scratch run would reproduce the
-// cached result:
-//
-// Allocation. When a from-scratch §4.1 run never fails a capacity check
-// (AllocState.FitFailed() == false), grants interact only through the shared
-// `remaining` pool and every fit succeeds, so the greedy interleaving is
-// irrelevant: each job ends at its independent saturation point — grant the
-// best-gain action while the marginal gain stays positive. The session
-// caches that saturation per job and, on a sparse-dirty interval, recomputes
-// it only for dirty jobs, then re-validates that the summed demand still
-// fits capacity with a conservative margin (1e-6 relative) that dwarfs any
-// float-summation-order difference from the sequential run. If the margin
-// check fails, the previous run was contended, or observability wants the
-// full decision stream, the session falls back to the real kernel.
-//
-// Placement. The placer's output is a pure function of the sorted request
-// sequence and the cluster's pre-placement state. If both are unchanged, the
-// committed cluster state from last interval is already the correct result —
-// the session verifies per-node usage against its post-commit snapshot and
-// returns the cached placements without resetting or re-placing anything
-// (zero migrations). When a suffix of the sorted order changed, the session
-// resets the cluster, replays the unchanged prefix commits task-by-task in
-// the original arithmetic order (byte-identical float state), and runs the
-// real search only for the suffix, reporting how many committed tasks had to
-// move (the §5 checkpoint/restart migration cost).
+// Scheduling sessions: the §4.1 allocator and §4.2 placer run from scratch
+// once per interval, counting rounds and the §5.4 task migrations between
+// intervals. They cache nothing (DESIGN.md §15 records why).
 package core
 
 import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"optimus/internal/cluster"
 )
 
-// IncrStats are the cumulative incremental-scheduling counters of one
-// session pair, exported through optimusd's /v1/cluster endpoint and the
-// Prometheus families in internal/metrics.
+// IncrStats are the cumulative counters of one session pair, exported by
+// optimusd's /v1/cluster endpoint and internal/metrics.
 type IncrStats struct {
-	// Interval counts per allocator tier.
+	// AllocFull and PlaceFull count the intervals each kernel ran. The
+	// clean, incremental and partial counts are always 0, since no interval
+	// skips or patches a kernel run; they stay for readers that sum them.
 	AllocClean       uint64 `json:"alloc_clean"`
 	AllocIncremental uint64 `json:"alloc_incremental"`
 	AllocFull        uint64 `json:"alloc_full"`
-	// DirtyJobs is the cumulative dirty-set size over incremental intervals;
-	// LastDirty is the most recent interval's dirty-set size.
-	DirtyJobs uint64 `json:"dirty_jobs_total"`
-	LastDirty int    `json:"last_dirty"`
-	// Interval counts per placer tier.
-	PlaceClean   uint64 `json:"place_clean"`
-	PlacePartial uint64 `json:"place_partial"`
-	PlaceFull    uint64 `json:"place_full"`
+	PlaceClean       uint64 `json:"place_clean"`
+	PlacePartial     uint64 `json:"place_partial"`
+	PlaceFull        uint64 `json:"place_full"`
 	// TasksMigrated is the cumulative number of previously-running tasks
 	// whose node assignment changed; LastMigrated is the last interval's.
 	TasksMigrated uint64 `json:"tasks_migrated_total"`
 	LastMigrated  int    `json:"last_migrated"`
 }
 
-// Incremental bundles an allocation session and a placement session — the
-// delta-driven replacement for a bare AllocState/PlaceState pair.
+// Incremental bundles an allocation session and a placement session.
 type Incremental struct {
 	Alloc *AllocSession
 	Place *PlaceSession
@@ -86,626 +35,75 @@ type Incremental struct {
 
 // NewIncremental returns a ready session pair.
 func NewIncremental() *Incremental {
-	return &Incremental{Alloc: NewAllocSession(), Place: NewPlaceSession()}
+	return &Incremental{Alloc: &AllocSession{St: NewAllocState()}, Place: &PlaceSession{St: NewPlaceState()}}
 }
 
 // Stats merges both sessions' counters.
 func (in *Incremental) Stats() IncrStats {
-	st := in.Alloc.stats
-	st.PlaceClean = in.Place.clean
-	st.PlacePartial = in.Place.partial
-	st.PlaceFull = in.Place.full
-	st.TasksMigrated = in.Place.migratedTotal
-	st.LastMigrated = in.Place.lastMigrated
-	return st
+	return IncrStats{
+		AllocFull:     in.Alloc.rounds,
+		PlaceFull:     in.Place.rounds,
+		TasksMigrated: in.Place.migratedTotal,
+		LastMigrated:  in.Place.lastMigrated,
+	}
 }
 
-// ---------------------------------------------------------------------------
-// Allocation session
-// ---------------------------------------------------------------------------
-
-// allocMemo is one job's cached state: the input fields the dirty scan
-// compares, the saturation allocation of the last valid run, and the
-// resources it consumes.
-type allocMemo struct {
-	remainingWork float64
-	priority      float64
-	workerRes     cluster.Resources
-	psRes         cluster.Resources
-	maxWorkers    int
-	maxPS         int
-	speedGen      uint64
-	force         bool // MarkDirty was called; cleared on recompute
-
-	alloc    Allocation
-	consumed cluster.Resources
-	seen     uint64 // round stamp, for membership diffing
-}
-
-// AllocSession wraps an AllocState with the dirty-set layer described in the
-// package comment. The map returned by Allocate is owned by the session and
-// patched in place across calls; callers must treat it as read-only and copy
-// anything they retain or modify.
+// AllocSession runs the §4.1 allocator once per interval and counts the
+// intervals. The returned map is St's and is overwritten by the next call.
 type AllocSession struct {
-	// St is the underlying from-scratch kernel, used for the full tier.
-	// Attach Trace/Audit here; note that enabled observability forces the
-	// full tier so the decision stream stays complete.
-	St *AllocState
-
-	// MinParallelDirty is the dirty-set size at which saturation recomputes
-	// fan out across a worker pool (the internal/experiments pattern). Jobs
-	// are independent, so results are deterministic; Speed closures of
-	// distinct jobs must be safe to call concurrently. Zero means the
-	// default (48); negative disables parallelism.
-	MinParallelDirty int
-
-	memos     map[int]*allocMemo
-	out       map[int]Allocation
-	lastCap   cluster.Resources
-	round     uint64
-	haveRun   bool
-	contended bool
-
-	dirty   []*JobInfo
-	removed []int
-	results []satResult
-	stats   IncrStats
+	// St is the allocator kernel; attach Trace/Audit here.
+	St     *AllocState
+	rounds uint64
 }
 
-type satResult struct {
-	alloc    Allocation
-	consumed cluster.Resources
-	ok       bool
-}
-
-// NewAllocSession returns a session over a fresh AllocState.
-func NewAllocSession() *AllocSession {
-	return &AllocSession{St: NewAllocState(), memos: make(map[int]*allocMemo)}
-}
-
-// MarkDirty forces a job to be treated as changed on the next Allocate,
-// regardless of field comparison. Useful when a caller mutated something the
-// session cannot observe (e.g. a Speed closure without a SpeedGen stamp —
-// though zero SpeedGen already means always-dirty).
-func (s *AllocSession) MarkDirty(id int) {
-	if m, ok := s.memos[id]; ok {
-		m.force = true
-	}
-}
-
-// Stats returns the allocation-side counters (zero placement fields).
-func (s *AllocSession) Stats() IncrStats { return s.stats }
-
-// Allocate is the delta-driven counterpart of AllocState.Allocate: identical
-// output for every input, at a fraction of the steady-state cost. Job IDs
-// must be unique within one call (as every caller already guarantees).
+// Allocate runs St.Allocate.
 func (s *AllocSession) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[int]Allocation {
-	if s.St == nil {
-		s.St = NewAllocState()
-	}
-	if s.memos == nil {
-		s.memos = make(map[int]*allocMemo)
-	}
-	s.round++
-
-	if !s.haveRun || capacity != s.lastCap || s.St.Trace.Enabled() || s.St.Audit.Enabled() {
-		return s.full(jobs, capacity)
-	}
-
-	// Dirty scan: compare every job against its memo.
-	dirty := s.dirty[:0]
-	matched := 0
-	for _, j := range jobs {
-		m := s.memos[j.ID]
-		if m == nil {
-			dirty = append(dirty, j)
-			continue
-		}
-		matched++
-		m.seen = s.round
-		if m.force ||
-			m.remainingWork != j.RemainingWork ||
-			m.priority != j.Priority ||
-			m.workerRes != j.WorkerRes ||
-			m.psRes != j.PSRes ||
-			m.maxWorkers != j.MaxWorkers ||
-			m.maxPS != j.MaxPS ||
-			j.SpeedGen == 0 || m.speedGen != j.SpeedGen {
-			dirty = append(dirty, j)
-		}
-	}
-	s.dirty = dirty
-
-	// Membership diff: memos not seen this round belong to departed jobs.
-	removed := s.removed[:0]
-	if matched != len(s.memos) {
-		for id, m := range s.memos {
-			if m.seen != s.round {
-				removed = append(removed, id)
-			}
-		}
-	}
-	s.removed = removed
-
-	if len(dirty) == 0 && len(removed) == 0 {
-		s.stats.AllocClean++
-		s.stats.LastDirty = 0
-		return s.out
-	}
-	if s.contended {
-		return s.full(jobs, capacity)
-	}
-
-	// Incremental tier: recompute only the dirty jobs' saturation points.
-	if cap(s.results) < len(dirty) {
-		s.results = make([]satResult, len(dirty))
-	}
-	results := s.results[:len(dirty)]
-	capEff := effectiveCapacity(capacity)
-	sat := func(i int) {
-		a, consumed, ok := saturateJob(dirty[i], capacity, capEff)
-		results[i] = satResult{alloc: a, consumed: consumed, ok: ok}
-	}
-	if minPar := s.minParallelDirty(); minPar > 0 && len(dirty) >= minPar {
-		parallelFor(runtime.GOMAXPROCS(0), len(dirty), sat)
-	} else {
-		for i := range dirty {
-			sat(i)
-		}
-	}
-	for i := range results {
-		if !results[i].ok {
-			// A dirty job's independent path hit the capacity envelope: the
-			// uncontended-separability argument no longer applies.
-			return s.full(jobs, capacity)
-		}
-	}
-
-	for _, id := range removed {
-		delete(s.memos, id)
-		delete(s.out, id)
-	}
-	for i, j := range dirty {
-		m := s.memos[j.ID]
-		if m == nil {
-			m = &allocMemo{}
-			s.memos[j.ID] = m
-		}
-		m.snapshot(j)
-		m.seen = s.round
-		m.alloc = results[i].alloc
-		m.consumed = results[i].consumed
-		s.out[j.ID] = m.alloc
-	}
-
-	// Re-validate the whole-cluster envelope. Summation order differs from
-	// the sequential kernel's running subtraction, so the margin inside
-	// effectiveCapacity absorbs any float-ordering discrepancy; on failure
-	// fall back to the real kernel (which full() re-primes from).
-	var total cluster.Resources
-	for _, m := range s.memos {
-		total = total.Add(m.consumed)
-	}
-	if !total.Fits(capEff) {
-		return s.full(jobs, capacity)
-	}
-
-	s.stats.AllocIncremental++
-	s.stats.LastDirty = len(dirty)
-	s.stats.DirtyJobs += uint64(len(dirty))
-	return s.out
+	s.rounds++
+	return s.St.Allocate(jobs, capacity)
 }
 
-// full runs the from-scratch kernel and re-primes every cache from its
-// result.
-func (s *AllocSession) full(jobs []*JobInfo, capacity cluster.Resources) map[int]Allocation {
-	res := s.St.Allocate(jobs, capacity)
-	if s.out == nil {
-		s.out = make(map[int]Allocation, len(jobs))
-	} else {
-		clear(s.out)
-	}
-	for id, a := range res {
-		s.out[id] = a
-	}
-	// Rebuild memos in place, dropping departed jobs.
-	for _, j := range jobs {
-		m := s.memos[j.ID]
-		if m == nil {
-			m = &allocMemo{}
-			s.memos[j.ID] = m
-		}
-		m.snapshot(j)
-		m.seen = s.round
-		m.alloc = res[j.ID]
-		m.consumed = j.PSRes.Scale(float64(m.alloc.PS)).
-			Add(j.WorkerRes.Scale(float64(m.alloc.Workers)))
-	}
-	if len(s.memos) != len(jobs) {
-		for id, m := range s.memos {
-			if m.seen != s.round {
-				delete(s.memos, id)
-			}
-		}
-	}
-	s.lastCap = capacity
-	s.haveRun = true
-	s.contended = s.St.FitFailed()
-	s.stats.AllocFull++
-	s.stats.LastDirty = len(jobs)
-	return s.out
-}
-
-func (m *allocMemo) snapshot(j *JobInfo) {
-	m.remainingWork = j.RemainingWork
-	m.priority = j.Priority
-	m.workerRes = j.WorkerRes
-	m.psRes = j.PSRes
-	m.maxWorkers = j.MaxWorkers
-	m.maxPS = j.MaxPS
-	m.speedGen = j.SpeedGen
-	m.force = false
-}
-
-func (s *AllocSession) minParallelDirty() int {
-	switch {
-	case s.MinParallelDirty < 0:
-		return 0
-	case s.MinParallelDirty == 0:
-		return 48
-	}
-	return s.MinParallelDirty
-}
-
-// saturateJob replays the §4.1 grant sequence for one job in isolation:
-// starting from the (1,1) seed, grant the better action while its normalized
-// gain is positive. In an uncontended run this is exactly the allocation the
-// interleaved greedy loop produces (see the package comment). The job's
-// growing demand is checked against the conservative capacity envelope; a
-// violation reports ok=false and the caller falls back to the full kernel —
-// this also bounds uncapped jobs whose gain never turns non-positive.
-func saturateJob(j *JobInfo, capacity, capEff cluster.Resources) (Allocation, cluster.Resources, bool) {
-	a := Allocation{PS: 1, Workers: 1}
-	consumed := j.WorkerRes.Add(j.PSRes)
-	if !consumed.Fits(capEff) {
-		return Allocation{}, cluster.Resources{}, false
-	}
-	remain := remainingTime(j, 1, 1)
-	for {
-		kind, gain, after := bestGainFrom(j, a, remain, capacity)
-		if !(gain > 0) {
-			return a, consumed, true
-		}
-		var req cluster.Resources
-		if kind == addWorker {
-			req = j.WorkerRes
-		} else {
-			req = j.PSRes
-		}
-		next := consumed.Add(req)
-		if !next.Fits(capEff) {
-			return a, consumed, false
-		}
-		consumed = next
-		if kind == addWorker {
-			a.Workers++
-		} else {
-			a.PS++
-		}
-		remain = after
-	}
-}
-
-// effectiveCapacity shrinks every resource by a conservative margin (1e-6
-// relative + 1e-9 absolute). The incremental tier's feasibility checks run
-// against this envelope so that float-summation-order differences from the
-// sequential kernel (≈1e-13 relative) can never let the fast path commit an
-// allocation the from-scratch run would have clipped.
-func effectiveCapacity(capacity cluster.Resources) cluster.Resources {
-	eff := capacity
-	for r := range eff {
-		eff[r] -= 1e-9 + 1e-6*math.Abs(eff[r])
-	}
-	return eff
-}
-
-// parallelFor runs fn(i) for every i in [0, n) across a worker pool, handing
-// out work through an atomic cursor — the internal/experiments fan-out
-// pattern, inlined here because core sits below that package.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ---------------------------------------------------------------------------
-// Placement session
-// ---------------------------------------------------------------------------
-
-// sessionRec is one entry of the sorted request order from the session's
-// last computed round, with its outcome.
-type sessionRec struct {
-	req    PlacementRequest
-	share  float64
-	placed bool
-	pl     Placement
-}
-
-// PlaceSession wraps a PlaceState with placement diffing. Unlike the bare
-// kernel, the session owns the cluster-reset step: callers must NOT call
-// ResetAll before Place — the session invokes Prepare (default: ResetAll)
-// only when it actually recomputes, which is what makes the clean tier free.
-// The returned map and unplaced slice are session-owned and patched across
-// calls; callers must treat them as read-only.
-//
-// The session is keyed to one cluster. Per-node usage is verified against
-// the post-commit snapshot on every call, so external mutation of the
-// cluster between rounds safely degrades to a full recompute rather than
-// corrupting results. Changes to the *pre-place* state that Prepare would
-// produce (e.g. new down-node reservations) are invisible until Prepare
-// runs; callers owning such state must call Invalidate when it changes.
+// PlaceSession runs the §4.2 placer once per interval and counts the tasks
+// each interval moves. Unlike the bare kernel, the session owns the
+// cluster-reset step: callers must not call ResetAll before Place.
 type PlaceSession struct {
-	// St is the underlying kernel. Attach Trace/Audit here; enabled
-	// observability forces the full tier.
+	// St is the placer kernel; attach Trace/Audit here.
 	St *PlaceState
 	// Prepare resets the cluster to its pre-placement state. Nil means
 	// plain ResetAll.
 	Prepare func(c *cluster.Cluster)
 
-	cl        *cluster.Cluster
-	nodes     []*cluster.Node
-	postUsed  []cluster.Resources
-	lastCap   cluster.Resources
-	lastInput []PlacementRequest
-	recs      []sessionRec
-	nextRecs  []sessionRec
-	out       map[int]Placement
-	unplaced  []int
-	requested map[int]struct{}
-	haveRun   bool
-	forceFull bool
-
-	clean, partial, full uint64
-	migratedTotal        uint64
-	lastMigrated         int
+	cl            *cluster.Cluster // last interval's cluster and placement
+	last          map[int]Placement
+	requested     map[int]struct{}
+	rounds        uint64
+	migratedTotal uint64
+	lastMigrated  int
 }
 
-// NewPlaceSession returns a session over a fresh PlaceState.
-func NewPlaceSession() *PlaceSession {
-	return &PlaceSession{St: NewPlaceState()}
-}
-
-// Invalidate forces the next Place to recompute from scratch. Call it when
-// the pre-placement state Prepare produces has changed (node reservations,
-// share schedules, fault injection).
-func (s *PlaceSession) Invalidate() { s.forceFull = true }
-
-// LastMigrated reports how many previously-running tasks the most recent
-// Place moved to a different node.
-func (s *PlaceSession) LastMigrated() int { return s.lastMigrated }
-
-// Place is the delta-driven counterpart of PlaceState.Place. Do not reset
-// the cluster first — see the type comment. Job IDs must be unique within
-// one call.
+// Place prepares the cluster and runs St.Place. The returned map is
+// caller-owned; the session keeps it to count the next interval's moves.
 func (s *PlaceSession) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
-	if s.St == nil {
-		s.St = NewPlaceState()
-	}
-	observed := s.St.Trace.Enabled() || s.St.Audit.Enabled()
-	base := s.haveRun && !s.forceFull && !observed && c == s.cl && s.sameBase(c)
-	if base && s.sameInput(reqs) {
-		s.clean++
-		s.lastMigrated = 0
-		return s.out, s.unplaced
-	}
-	if base {
-		return s.placePartial(reqs, c)
-	}
-	return s.placeFull(reqs, c)
-}
-
-// PlaceRetry places extra requests onto the cluster's current committed
-// state — the engine's fragmentation shrink-retry path. It runs the bare
-// kernel (exactly what non-session callers do) and schedules a full
-// recompute for the next round, since the retried jobs' effective requests
-// no longer match what the allocator will ask for next time.
-func (s *PlaceSession) PlaceRetry(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
-	out, unplaced := s.St.Place(reqs, c)
-	s.forceFull = true
-	return out, unplaced
-}
-
-// sameBase verifies the cluster is byte-identical to the session's
-// post-commit snapshot: same node objects, same per-node usage, same
-// capacity.
-func (s *PlaceSession) sameBase(c *cluster.Cluster) bool {
-	nodes := c.Nodes()
-	if len(nodes) != len(s.nodes) {
-		return false
-	}
-	for i, n := range nodes {
-		if n != s.nodes[i] || n.Used() != s.postUsed[i] {
-			return false
-		}
-	}
-	return c.Capacity() == s.lastCap
-}
-
-// sameInput reports whether the request slice matches last round's,
-// element-wise in the given order.
-func (s *PlaceSession) sameInput(reqs []PlacementRequest) bool {
-	if len(reqs) != len(s.lastInput) {
-		return false
-	}
-	for i := range reqs {
-		if reqs[i] != s.lastInput[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// placeFull resets the cluster, runs the kernel, and re-primes the caches.
-func (s *PlaceSession) placeFull(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
-	s.prepare(c)
-	out, unplaced := s.St.Place(reqs, c)
-	migrated := 0
-	if s.haveRun && c == s.cl {
-		migrated = s.migrations(s.recs, out, reqs)
-	}
-	s.recs = s.recs[:0]
-	for i := range s.St.ordered {
-		or := &s.St.ordered[i]
-		rec := sessionRec{req: or.req, share: or.share}
-		if pl, ok := out[or.req.JobID]; ok {
-			rec.placed = true
-			rec.pl = pl
-		}
-		s.recs = append(s.recs, rec)
-	}
-	s.out = out
-	s.unplaced = unplaced
-	s.adopt(reqs, c)
-	s.full++
-	s.finishMigrated(migrated)
-	return out, unplaced
-}
-
-// placePartial reuses the unchanged prefix of the sorted request order:
-// reset, replay the prefix commits in the original per-task arithmetic
-// order, and run the real search only for the changed suffix.
-func (s *PlaceSession) placePartial(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
-	st := s.St
-	ordered := st.orderReqs(reqs, s.lastCap)
-	prefix := 0
-	for prefix < len(ordered) && prefix < len(s.recs) && ordered[prefix].req == s.recs[prefix].req {
-		prefix++
-	}
-	if prefix == len(ordered) && prefix == len(s.recs) {
-		// Same sorted work — the input order was merely permuted, and the
-		// kernel's output depends only on the sorted order.
-		s.lastInput = append(s.lastInput[:0], reqs...)
-		s.clean++
-		s.lastMigrated = 0
-		return s.out, s.unplaced
-	}
-
-	s.prepare(c)
-	for i := 0; i < prefix; i++ {
-		if s.recs[i].placed {
-			commitPlacement(s.recs[i].req, s.recs[i].pl, c)
-		}
-	}
-	st.beginIndex(c)
-	st.resetRecs()
-	var sufUnplaced []int
-	for i := prefix; i < len(ordered); i++ {
-		req := ordered[i].req
-		if req.Alloc.PS <= 0 || req.Alloc.Workers <= 0 {
-			sufUnplaced = append(sufUnplaced, req.JobID)
-			continue
-		}
-		if _, ok := st.placeStep(req, c); !ok {
-			sufUnplaced = append(sufUnplaced, req.JobID)
-		}
-	}
-	sufOut := st.materialize(len(ordered) - prefix)
-
-	// Patch the persistent output map: drop the old suffix, insert the new.
-	for i := prefix; i < len(s.recs); i++ {
-		if s.recs[i].placed {
-			delete(s.out, s.recs[i].req.JobID)
-		}
-	}
-	for id, pl := range sufOut {
-		s.out[id] = pl
-	}
-
-	migrated := s.migrations(s.recs, s.out, reqs)
-
-	newRecs := append(s.nextRecs[:0], s.recs[:prefix]...)
-	var unplaced []int
-	for i := 0; i < prefix; i++ {
-		if !newRecs[i].placed {
-			unplaced = append(unplaced, newRecs[i].req.JobID)
-		}
-	}
-	unplaced = append(unplaced, sufUnplaced...)
-	for i := prefix; i < len(ordered); i++ {
-		rec := sessionRec{req: ordered[i].req, share: ordered[i].share}
-		if pl, ok := sufOut[rec.req.JobID]; ok {
-			rec.placed = true
-			rec.pl = pl
-		}
-		newRecs = append(newRecs, rec)
-	}
-	s.nextRecs = s.recs[:0]
-	s.recs = newRecs
-	s.unplaced = unplaced
-	s.adopt(reqs, c)
-	s.partial++
-	s.finishMigrated(migrated)
-	return s.out, s.unplaced
-}
-
-// adopt records the round's inputs and the cluster's post-commit state.
-func (s *PlaceSession) adopt(reqs []PlacementRequest, c *cluster.Cluster) {
-	s.lastInput = append(s.lastInput[:0], reqs...)
-	s.nodes = append(s.nodes[:0], c.Nodes()...)
-	if cap(s.postUsed) < len(s.nodes) {
-		s.postUsed = make([]cluster.Resources, len(s.nodes))
-	}
-	s.postUsed = s.postUsed[:len(s.nodes)]
-	for i, n := range s.nodes {
-		s.postUsed[i] = n.Used()
-	}
-	s.lastCap = c.Capacity()
-	s.cl = c
-	s.haveRun = true
-	s.forceFull = false
-}
-
-func (s *PlaceSession) finishMigrated(migrated int) {
-	s.lastMigrated = migrated
-	s.migratedTotal += uint64(migrated)
-}
-
-func (s *PlaceSession) prepare(c *cluster.Cluster) {
 	if s.Prepare != nil {
 		s.Prepare(c)
 	} else {
 		c.ResetAll()
 	}
+	out, unplaced := s.St.Place(reqs, c)
+	s.lastMigrated = s.migrations(out, reqs, c)
+	s.migratedTotal += uint64(s.lastMigrated)
+	s.cl, s.last = c, out
+	s.rounds++
+	return out, unplaced
 }
 
-// migrations counts tasks that were committed somewhere last round and must
-// now stop or move: for every previously-placed job that is still requested
-// this round, tasks on a node beyond what the new placement keeps there.
-// Jobs absent from the new request list completed — their tasks stopping is
-// not a migration.
-func (s *PlaceSession) migrations(oldRecs []sessionRec, newOut map[int]Placement, reqs []PlacementRequest) int {
+// migrations counts tasks placed last interval on the same cluster that must
+// now stop or move: for every previously-placed job still requested, tasks on
+// a node beyond what the new placement keeps there. Jobs absent from the new
+// request list completed — their tasks stopping is not a migration.
+func (s *PlaceSession) migrations(out map[int]Placement, reqs []PlacementRequest, c *cluster.Cluster) int {
+	if c != s.cl {
+		return 0
+	}
 	if s.requested == nil {
 		s.requested = make(map[int]struct{}, len(reqs))
 	} else {
@@ -715,29 +113,17 @@ func (s *PlaceSession) migrations(oldRecs []sessionRec, newOut map[int]Placement
 		s.requested[r.JobID] = struct{}{}
 	}
 	moved := 0
-	for i := range oldRecs {
-		old := &oldRecs[i]
-		if !old.placed {
+	for id, old := range s.last {
+		if _, ok := s.requested[id]; !ok {
 			continue
 		}
-		if _, ok := s.requested[old.req.JobID]; !ok {
-			continue
-		}
-		newPl, havePl := newOut[old.req.JobID]
-		for k, nodeID := range old.pl.NodeIDs {
-			oldCount := old.pl.PSOnNode[k] + old.pl.WorkersOnNode[k]
-			newCount := 0
-			if havePl {
-				for m, id := range newPl.NodeIDs {
-					if id == nodeID {
-						newCount = newPl.PSOnNode[m] + newPl.WorkersOnNode[m]
-						break
-					}
-				}
+		now := out[id] // zero, with no nodes, if the job is unplaced now
+		for k, nodeID := range old.NodeIDs {
+			kept := 0
+			if m := slices.Index(now.NodeIDs, nodeID); m >= 0 {
+				kept = now.PSOnNode[m] + now.WorkersOnNode[m]
 			}
-			if oldCount > newCount {
-				moved += oldCount - newCount
-			}
+			moved += max(old.PSOnNode[k]+old.WorkersOnNode[k]-kept, 0)
 		}
 	}
 	return moved

@@ -45,8 +45,8 @@ func (r PlacementRequest) demand() cluster.Resources {
 }
 
 // orderedReq is one entry of the placer's smallest-dominant-share-first
-// ordering, carrying the precomputed share so the sort comparator (and the
-// incremental session's prefix diffing) never re-derive it.
+// ordering, carrying the precomputed share so the sort comparator never
+// re-derives it.
 type orderedReq struct {
 	req   PlacementRequest
 	share float64
@@ -143,35 +143,14 @@ func nodeCmp(a, b *cluster.Node) int {
 func (st *PlaceState) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
 	sp := st.Trace.Begin("place-kernel")
 	defer st.Trace.End(sp)
-	ordered := st.orderReqs(reqs, c.Capacity())
-	st.beginIndex(c)
-	st.resetRecs()
-
-	var unplaced []int
-	for i := range ordered {
-		req := ordered[i].req
-		if req.Alloc.PS <= 0 || req.Alloc.Workers <= 0 {
-			unplaced = append(unplaced, req.JobID)
-			continue
-		}
-		if _, ok := st.placeStep(req, c); !ok {
-			unplaced = append(unplaced, req.JobID)
-		}
-	}
-	return st.materialize(len(reqs)), unplaced
-}
-
-// orderReqs copies the requests into the state's ordering scratch with their
-// dominant shares precomputed and applies the §4.2 smallest-demand-first
-// stable sort (share ascending, job ID tiebreak).
-func (st *PlaceState) orderReqs(reqs []PlacementRequest, capacity cluster.Resources) []orderedReq {
+	// Smallest demand first: a stable sort on dominant share, job ID tiebreak.
+	capacity := c.Capacity()
 	st.ordered = st.ordered[:0]
 	for _, r := range reqs {
 		share, _ := r.demand().DominantShare(capacity)
 		st.ordered = append(st.ordered, orderedReq{req: r, share: share})
 	}
-	ordered := st.ordered
-	slices.SortStableFunc(ordered, func(a, b orderedReq) int {
+	slices.SortStableFunc(st.ordered, func(a, b orderedReq) int {
 		if a.share != b.share {
 			if a.share < b.share {
 				return -1
@@ -180,31 +159,27 @@ func (st *PlaceState) orderReqs(reqs []PlacementRequest, capacity cluster.Resour
 		}
 		return a.req.JobID - b.req.JobID
 	})
-	return ordered
-}
-
-// beginIndex (re)builds the sorted node index from the cluster's current
-// availability. One full sort per Place call; incrementally re-sifted after
-// commits.
-func (st *PlaceState) beginIndex(c *cluster.Cluster) {
+	// One full sort of the node index per call; commits re-sift it.
 	st.index = append(st.index[:0], c.Nodes()...)
 	slices.SortFunc(st.index, nodeCmp)
-}
+	st.recNodes, st.recPS, st.recW, st.recs = st.recNodes[:0], st.recPS[:0], st.recW[:0], st.recs[:0]
 
-// resetRecs clears the staged-placement record arrays for a fresh run.
-func (st *PlaceState) resetRecs() {
-	st.recNodes = st.recNodes[:0]
-	st.recPS = st.recPS[:0]
-	st.recW = st.recW[:0]
-	st.recs = st.recs[:0]
+	var unplaced []int
+	for i := range st.ordered {
+		req := st.ordered[i].req
+		if req.Alloc.PS <= 0 || req.Alloc.Workers <= 0 || !st.placeStep(req, c) {
+			unplaced = append(unplaced, req.JobID)
+		}
+	}
+	return st.materialize(len(reqs)), unplaced
 }
 
 // placeStep searches, stages, and commits one request against the current
 // index state: the placeOne search appends the chosen rows to the record
 // arrays, the commit reserves them on the cluster, and the touched nodes are
-// re-sifted back into sorted order. Returns the record and whether the job
-// was placed; on failure the staged rows are rolled back.
-func (st *PlaceState) placeStep(req PlacementRequest, c *cluster.Cluster) (placeRec, bool) {
+// re-sifted back into sorted order. Returns whether the job was placed; on
+// failure the staged rows are rolled back.
+func (st *PlaceState) placeStep(req PlacementRequest, c *cluster.Cluster) bool {
 	off := len(st.recNodes)
 	st.touched = st.touched[:0]
 	even, ok := st.placeOne(req)
@@ -212,7 +187,7 @@ func (st *PlaceState) placeStep(req PlacementRequest, c *cluster.Cluster) (place
 		st.recNodes = st.recNodes[:off]
 		st.recPS = st.recPS[:off]
 		st.recW = st.recW[:off]
-		return placeRec{}, false
+		return false
 	}
 	rec := placeRec{job: req.JobID, off: off, n: len(st.recNodes) - off, even: even}
 	st.commitRec(req, rec, c)
@@ -232,7 +207,7 @@ func (st *PlaceState) placeStep(req PlacementRequest, c *cluster.Cluster) (place
 		})
 	}
 	st.resift()
-	return rec, true
+	return true
 }
 
 // commitRec reserves a staged placement's tasks on its nodes, PS tasks
@@ -560,27 +535,4 @@ func evenSplitFits(req PlacementRequest, nodes []*cluster.Node, p, w int) bool {
 		}
 	}
 	return true
-}
-
-// commitPlacement reserves the placed tasks on the cluster nodes. Place's
-// hot path commits from staged records (commitRec); this Placement-based
-// form is kept for the reference-spec tests and the incremental session's
-// prefix replay, which re-applies cached placements with the same per-task
-// arithmetic order.
-func commitPlacement(req PlacementRequest, pl Placement, c *cluster.Cluster) {
-	for i, id := range pl.NodeIDs {
-		n := c.Node(id)
-		for t := 0; t < pl.PSOnNode[i]; t++ {
-			if err := n.Allocate(req.PSRes); err != nil {
-				// tryEvenSplit verified the fit; failure here means the
-				// cluster changed concurrently, which Place does not support.
-				panic("core: placement commit failed: " + err.Error())
-			}
-		}
-		for t := 0; t < pl.WorkersOnNode[i]; t++ {
-			if err := n.Allocate(req.WorkerRes); err != nil {
-				panic("core: placement commit failed: " + err.Error())
-			}
-		}
-	}
 }

@@ -2,7 +2,7 @@ package core
 
 // This file preserves the pre-incremental Allocate and Place implementations
 // verbatim (modulo ref* renames) as an executable specification. The
-// property tests in incremental_test.go drive both versions over seeded
+// property tests in kernel_ref_test.go drive both versions over seeded
 // random workloads and require identical outputs, so any behavioural drift
 // in the optimized kernels fails loudly rather than silently skewing
 // exhibit tables.
@@ -317,4 +317,24 @@ func refTryEvenSplit(req PlacementRequest, nodes []*cluster.Node, p, w int) (Pla
 		}
 	}
 	return pl, true
+}
+
+// commitPlacement reserves the placed tasks on the cluster nodes, PS tasks
+// first — the per-task arithmetic order Place's commitRec reproduces.
+func commitPlacement(req PlacementRequest, pl Placement, c *cluster.Cluster) {
+	for i, id := range pl.NodeIDs {
+		n := c.Node(id)
+		for t := 0; t < pl.PSOnNode[i]; t++ {
+			if err := n.Allocate(req.PSRes); err != nil {
+				// tryEvenSplit verified the fit; failure here means the
+				// cluster changed concurrently, which Place does not support.
+				panic("core: placement commit failed: " + err.Error())
+			}
+		}
+		for t := 0; t < pl.WorkersOnNode[i]; t++ {
+			if err := n.Allocate(req.WorkerRes); err != nil {
+				panic("core: placement commit failed: " + err.Error())
+			}
+		}
+	}
 }

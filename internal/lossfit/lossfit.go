@@ -166,10 +166,10 @@ func (f *Fitter) Add(k, loss float64) error {
 	return nil
 }
 
-// Generation is a change-tracking stamp for incremental schedulers: it is
-// always non-zero and advances exactly when an accepted Add changes the
-// sample set (and therefore possibly the fitted model). Equal generations
-// guarantee Fit returns the same model, given unchanged settings.
+// Generation is a change-tracking stamp: it is always non-zero and advances
+// exactly when an accepted Add changes the sample set (and therefore possibly
+// the fitted model). Equal generations guarantee Fit returns the same model,
+// given unchanged settings.
 func (f *Fitter) Generation() uint64 { return f.gen + 1 }
 
 // Len reports the number of retained samples.

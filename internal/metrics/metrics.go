@@ -41,9 +41,9 @@ type Recorder struct {
 	wastedWork   float64
 	recoveryTime float64
 
-	// incremental-scheduler bookkeeping (internal/core dirty-set sessions):
-	// the cumulative tier counters of the run's session pair, overwritten
-	// each interval because the session already accumulates.
+	// incr holds the cumulative round and migration counters of the run's
+	// scheduling session pair, overwritten each interval because the session
+	// already accumulates.
 	incr    core.IncrStats
 	incrSet bool
 
@@ -91,12 +91,12 @@ func (r *Recorder) AddWastedWork(d float64) { r.wastedWork += d }
 // AddRecoveryTime accounts job-seconds paused in checkpoint-restore recovery.
 func (r *Recorder) AddRecoveryTime(d float64) { r.recoveryTime += d }
 
-// SetIncrStats overwrites the incremental-session tier counters with the
+// SetIncrStats overwrites the scheduling-session counters with the
 // session's cumulative snapshot (called once per scheduling interval).
 func (r *Recorder) SetIncrStats(s core.IncrStats) { r.incr, r.incrSet = s, true }
 
-// IncrStats returns the last recorded incremental-session counters; ok is
-// false when no incremental policy ever reported.
+// IncrStats returns the last recorded scheduling-session counters; ok is
+// false when no session policy ever reported.
 func (r *Recorder) IncrStats() (s core.IncrStats, ok bool) { return r.incr, r.incrSet }
 
 // Timeline returns the recorded snapshots.

@@ -156,19 +156,11 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		{"optimus_wasted_work_seconds_total", "Job-seconds of progress lost to failures and recomputed.", "counter", r.wastedWork},
 		{"optimus_recovery_time_seconds_total", "Job-seconds paused in checkpoint-restore recovery.", "counter", r.recoveryTime},
 	}
-	// Incremental-scheduler families appear only once a delta-driven session
-	// has reported, so existing expositions are byte-for-byte unchanged.
+	// The session migration families appear only once a scheduling session
+	// has reported, so stateless policies' expositions omit them.
 	if r.incrSet {
 		ms = append(ms,
-			metric{"optimus_incr_alloc_clean_total", "Scheduling intervals where the allocator returned its cached output untouched.", "counter", float64(r.incr.AllocClean)},
-			metric{"optimus_incr_alloc_incremental_total", "Scheduling intervals where only the dirty jobs were re-allocated.", "counter", float64(r.incr.AllocIncremental)},
-			metric{"optimus_incr_alloc_full_total", "Scheduling intervals that ran the full from-scratch allocation kernel.", "counter", float64(r.incr.AllocFull)},
-			metric{"optimus_incr_dirty_jobs_total", "Jobs re-allocated across all incremental intervals.", "counter", float64(r.incr.DirtyJobs)},
-			metric{"optimus_incr_place_clean_total", "Scheduling intervals where the cached placement was reused untouched.", "counter", float64(r.incr.PlaceClean)},
-			metric{"optimus_incr_place_partial_total", "Scheduling intervals where only a suffix of the placement order was re-placed.", "counter", float64(r.incr.PlacePartial)},
-			metric{"optimus_incr_place_full_total", "Scheduling intervals that ran the full from-scratch placement kernel.", "counter", float64(r.incr.PlaceFull)},
 			metric{"optimus_incr_tasks_migrated_total", "Previously-running tasks whose node assignment changed.", "counter", float64(r.incr.TasksMigrated)},
-			metric{"optimus_incr_last_dirty_jobs", "Dirty-set size of the last scheduling interval.", "gauge", float64(r.incr.LastDirty)},
 			metric{"optimus_incr_last_tasks_migrated", "Tasks migrated in the last scheduling interval.", "gauge", float64(r.incr.LastMigrated)},
 		)
 	}

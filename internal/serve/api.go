@@ -268,9 +268,8 @@ type ClusterStatus struct {
 	// tick period — the daemon's SLO signal under open-loop load.
 	IntervalOverruns int64   `json:"intervalOverruns,omitempty"`
 	ClusterShare     float64 `json:"clusterShare"`
-	// Scheduler carries the incremental-session tier counters (clean /
-	// incremental / full intervals, dirty-set sizes, tasks migrated); present
-	// only when the daemon runs a delta-driven policy.
+	// Scheduler carries the scheduling session's counters (rounds run,
+	// tasks migrated).
 	Scheduler *core.IncrStats `json:"scheduler,omitempty"`
 	// HA is the control-plane role block, present only under internal/ha
 	// leadership (-wal-dir with -follow or a held lease).

@@ -45,11 +45,8 @@ func (d *Daemon) stepLocked() {
 	active := d.active()
 	if len(active) == 0 {
 		// Still release whatever the previous round deployed: the last
-		// live job may have been cancelled since. The incremental placement
-		// session cannot see this out-of-band reset, so its cache must not
-		// survive it.
+		// live job may have been cancelled since.
 		d.cfg.Cluster.ResetAll()
-		d.incr.Place.Invalidate()
 		d.advanceClockLocked(d.now + d.cfg.Interval)
 		d.rounds++
 		d.roundsN.Store(int64(d.rounds))
@@ -91,19 +88,14 @@ func (d *Daemon) stepLocked() {
 
 	// Allocate against the cluster's aggregate capacity and place, through
 	// the round kernel shared with sim.Run. The placement session rebuilds
-	// the cluster from scratch whenever it recomputes — so cancelled jobs'
-	// resources are released — and skips both on rounds where nothing
-	// changed.
+	// the cluster from scratch every round, so cancelled jobs' resources are
+	// released.
 	d.round.Allocate(infos, d.cfg.Cluster.Capacity())
 	d.round.Place()
 
-	// Publish the round's incremental-session tier outcome on the event
-	// stream: the delta of the cumulative counters the kernel surfaced into
-	// the recorder (for /metrics).
-	st := d.incr.Stats()
+	// Publish the round's §5.4 migration cost on the event stream.
 	d.publish(Event{Type: EventRescheduled,
-		Detail: roundTierDetail(d.lastIncr, st)})
-	d.lastIncr = st
+		Detail: fmt.Sprintf("migrated=%d", d.incr.Stats().LastMigrated)})
 
 	// Apply the round's deployments through the shard seams, emitting
 	// decision events and charging §5.4 scaling pauses for changed
@@ -306,33 +298,6 @@ func (d *Daemon) refitLocked(jobs []*job) {
 		}
 	}
 	lossfit.FitAll(d.fits, d.rec.ObserveRefitDuration)
-}
-
-// roundTierDetail renders one round's incremental-scheduling outcome (the
-// delta between the previous and current cumulative counters) for the SSE
-// decision stream, e.g. "alloc=incremental dirty=2 place=partial migrated=6".
-func roundTierDetail(prev, cur core.IncrStats) string {
-	tier := func(clean, incr, full uint64) string {
-		switch {
-		case full > 0:
-			return "full"
-		case incr > 0:
-			return "incremental"
-		case clean > 0:
-			return "clean"
-		default:
-			return "none"
-		}
-	}
-	allocTier := tier(cur.AllocClean-prev.AllocClean,
-		cur.AllocIncremental-prev.AllocIncremental, cur.AllocFull-prev.AllocFull)
-	placeTier := tier(cur.PlaceClean-prev.PlaceClean,
-		cur.PlacePartial-prev.PlacePartial, cur.PlaceFull-prev.PlaceFull)
-	if placeTier == "incremental" {
-		placeTier = "partial"
-	}
-	return fmt.Sprintf("alloc=%s dirty=%d place=%s migrated=%d",
-		allocTier, cur.LastDirty, placeTier, cur.LastMigrated)
 }
 
 // observe feeds the running job's interval measurements to its estimators,

@@ -25,10 +25,9 @@ const (
 	EventCancelled EventType = "cancelled" // owner cancelled the job
 	EventFault     EventType = "fault"     // injected degradation (straggler)
 	EventRecovered EventType = "recovered" // fault repaired (§5.2 replacement)
-	// EventRescheduled fires once per round under an incremental policy,
-	// reporting which tier each kernel took (clean / incremental / full), the
-	// dirty-set size and the number of tasks migrated, e.g.
-	// "alloc=clean dirty=0 place=clean migrated=0".
+	// EventRescheduled fires once per scheduled round, reporting how many
+	// previously-running tasks the round moved to another node (§5.4
+	// checkpoint-restarts), e.g. "migrated=6".
 	EventRescheduled EventType = "rescheduled"
 )
 

@@ -90,8 +90,8 @@ func drivePinnedDaemon(t *testing.T, seed int64, trace bool) (uint64, *Daemon) {
 }
 
 // placeRetries counts a traced daemon's placement kernels beyond one per
-// "place" span: tracing forces the placement session's full tier, one
-// kernel call per Place, so the rest are shrink-by-one retries.
+// "place" span: the placement session makes one kernel call per Place, so
+// the rest are shrink-by-one retries.
 func placeRetries(t *testing.T, tr *obs.Tracer) int {
 	t.Helper()
 	spans := tr.Spans()
@@ -145,4 +145,26 @@ var pinnedDaemonTable = []pinnedDaemonRun{
 	{1, 0xe40284efa05a1f6a, 59},
 	{2, 0xba7be3a8df1a6272, 65},
 	{3, 0xf5746d2e2ca15a21, 60},
+}
+
+// pinnedDaemonMigrations is each pinned seed's §5.4 migration cost,
+// recorded at aa3be53, where the placement session still had clean and
+// partial tiers: the tasks the untraced daemon's session moved to another
+// node over the forty Steps (each one a checkpoint-restart) and the rounds it
+// placed, of every tier.
+var pinnedDaemonMigrations = map[int64][2]uint64{1: {127, 40}, 2: {154, 40}, 3: {98, 40}}
+
+// TestDaemonMigrationsPinned requires every pinned scenario to reproduce its
+// recorded migration count and placement rounds.
+func TestDaemonMigrationsPinned(t *testing.T) {
+	if len(pinnedDaemonMigrations) != len(pinnedDaemonTable) {
+		t.Fatalf("pinned migrations cover %d seeds, want %d", len(pinnedDaemonMigrations), len(pinnedDaemonTable))
+	}
+	for seed, want := range pinnedDaemonMigrations {
+		_, d := drivePinnedDaemon(t, seed, false)
+		st := d.Cluster().Scheduler
+		if got := [2]uint64{st.TasksMigrated, st.PlaceFull + st.PlaceClean + st.PlacePartial}; got != want {
+			t.Errorf("seed %d: %d tasks migrated over %d placement rounds, want %d over %d", seed, got[0], got[1], want[0], want[1])
+		}
+	}
 }

@@ -282,7 +282,7 @@ type arrival struct {
 type Daemon struct {
 	cfg Config
 	// round is the scheduling-round kernel shared with sim.Run, running
-	// OptimusPolicy over the incremental session incr.
+	// OptimusPolicy over the kernel pair incr.
 	round *sim.Round
 	incr  *core.Incremental
 	bus   *eventBus
@@ -332,12 +332,11 @@ type Daemon struct {
 	// restore, and guards the fields below plus every job's engine-guarded
 	// fields. No HTTP read path takes it; /metrics takes it only around the
 	// unsynchronized recorder.
-	mu       sync.Mutex
-	now      float64 // canonical simulated clock, mirrored into simNow
-	rounds   int     // mirrored into roundsN
-	rec      *metrics.Recorder
-	rng      *rand.Rand
-	lastIncr core.IncrStats
+	mu     sync.Mutex
+	now    float64 // canonical simulated clock, mirrored into simNow
+	rounds int     // mirrored into roundsN
+	rec    *metrics.Recorder
+	rng    *rand.Rand
 
 	startWall time.Time
 }

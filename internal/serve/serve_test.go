@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -215,6 +219,62 @@ drain:
 	for i, ev := range replay {
 		if ev.Seq != int64(i+1) {
 			t.Fatalf("replay[%d].Seq = %d", i, ev.Seq)
+		}
+	}
+}
+
+// TestRescheduledEventReportsMigrations drives the pinned scenario, whose
+// rounds move tasks, and requires each Step's one "rescheduled" event to
+// carry the session's last-round migration count, which /metrics exports
+// beside the cumulative one and without the removed tier families.
+func TestRescheduledEventReportsMigrations(t *testing.T) {
+	d, err := New(Config{Cluster: cluster.Uniform(12, cluster.Resources{cluster.CPU: 16, cluster.Memory: 64}), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ch, _ := d.bus.subscribe(0)
+	moved := 0
+	for r := 0; r < 20; r++ {
+		if r < len(pinnedSubmits) {
+			submit(t, d, pinnedSubmits[r])
+		}
+		d.Step()
+		var details []string
+		for len(ch) > 0 {
+			if ev := <-ch; ev.Type == EventRescheduled {
+				details = append(details, ev.Detail)
+			}
+		}
+		last := d.Cluster().Scheduler.LastMigrated
+		if want := fmt.Sprintf("migrated=%d", last); len(details) != 1 || details[0] != want {
+			t.Fatalf("round %d: rescheduled events %q, want one %q", r+1, details, want)
+		}
+		moved += min(last, 1)
+	}
+	if moved == 0 {
+		t.Fatal("no round migrated a task, so the test does not guard the count")
+	}
+
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	st := d.Cluster().Scheduler
+	for _, want := range []string{
+		fmt.Sprintf("\noptimus_incr_tasks_migrated_total %d\n", st.TasksMigrated),
+		fmt.Sprintf("\noptimus_incr_last_tasks_migrated %d\n", st.LastMigrated),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
+	}
+	for _, family := range []string{"optimus_incr_alloc_", "optimus_incr_place_", "optimus_incr_dirty_", "optimus_incr_last_dirty"} {
+		if strings.Contains(string(body), family) {
+			t.Errorf("/metrics still exposes a %s* family", family)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // steps; nearly every one asks for more than the whole cluster has free, and
 // the round kernel skips it without calling the placer. The verdict counts
 // work, not wall time: the shrink steps walked (the "place" spans'
-// annotations) and the placement-kernel calls (tracing forces the session's
-// full tier, one kernel call per round plus one per retry). Before the
+// annotations) and the placement-kernel calls (one per round plus one per
+// retry). Before the
 // headroom bound the same five rounds made 4,656 kernel calls, one per
 // shrink step, and took ~9 s on a 2-core host; they now take ~0.2 s.
 //

@@ -140,8 +140,8 @@ func digestRun(t *testing.T, cfg Config) (uint64, *Result) {
 // stateless policy retries through Place, called once per interval plus
 // once per attempt. A session policy retries through its session, so the
 // rerun is traced and counts the placement kernels beyond one per "place"
-// span (tracing forces the session's full tier: one kernel call per Place);
-// the traced schedule must equal the untraced one.
+// span (the session makes one kernel call per Place); the traced schedule
+// must equal the untraced one.
 func countRetries(t *testing.T, cfg Config, untraced uint64) int {
 	t.Helper()
 	if cfg.Policy.Session == nil {
@@ -233,4 +233,46 @@ var pinnedTable = []pinnedRun{
 	{"tetris/2", 0x6bb60de5f425ce34, 0},
 	{"drf-alloc+place/1", 0x2d732cd5c6409027, 22},
 	{"optimus-alloc+place/6", 0xb880e786557c726b, 12},
+}
+
+// pinnedMigrations is each pinned run's §5.4 migration cost, recorded at
+// aa3be53, where the placement session still had clean and partial tiers:
+// the tasks its untraced session moved to another node over the run (each
+// one a checkpoint-restart) and the rounds it placed, of every tier.
+// Stateless policies have no session and pin zeros.
+var pinnedMigrations = map[string][2]uint64{
+	"optimus/1":             {26, 7},
+	"optimus/2":             {145, 15},
+	"optimus/estimated":     {12, 9},
+	"optimus/damped":        {3, 6},
+	"optimus/share":         {48, 10},
+	"optimus/chaos":         {83, 7},
+	"drf/1":                 {0, 0},
+	"drf/2":                 {0, 0},
+	"tetris/1":              {0, 0},
+	"tetris/2":              {0, 0},
+	"drf-alloc+place/1":     {0, 0},
+	"optimus-alloc+place/6": {0, 0},
+}
+
+// TestRunMigrationsPinned requires every pinned run to reproduce its
+// recorded migration count and placement rounds.
+func TestRunMigrationsPinned(t *testing.T) {
+	if len(pinnedMigrations) != len(pinnedConfigs) {
+		t.Fatalf("pinned migrations cover %d runs, want one per config (%d)", len(pinnedMigrations), len(pinnedConfigs))
+	}
+	for name, want := range pinnedMigrations {
+		mk, ok := pinnedConfigs[name]
+		if !ok {
+			t.Fatalf("no config for pinned run %q", name)
+		}
+		_, res := digestRun(t, mk())
+		st, ok := res.Metrics.IncrStats()
+		if session := mk().Policy.Session != nil; ok != session {
+			t.Errorf("%s: session counters reported %v, want %v", name, ok, session)
+		}
+		if got := [2]uint64{st.TasksMigrated, st.PlaceFull + st.PlaceClean + st.PlacePartial}; got != want {
+			t.Errorf("%s: %d tasks migrated over %d placement rounds, want %d over %d", name, got[0], got[1], want[0], want[1])
+		}
+	}
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // OptimusPolicy is the full §4 scheduler: marginal-gain allocation plus
-// Theorem-1 placement, run through the delta-driven incremental sessions of
-// internal/core. Each simulation run gets its own session (via the Session
-// hook), so steady-state intervals reuse the previous interval's outputs —
-// byte-identical to a from-scratch recompute — without sharing mutable state
-// across the parallel runs of an experiment sweep.
+// Theorem-1 placement, run through a core.Incremental kernel pair, which
+// also counts the §5.4 task migrations. Each simulation run gets its own
+// pair (via the Session hook), so the parallel runs of an experiment sweep
+// share no kernel scratch.
 func OptimusPolicy() Policy {
 	session := func() Policy {
 		inc := core.NewIncremental()

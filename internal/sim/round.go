@@ -44,10 +44,10 @@ type Round struct {
 
 // NewRound returns the round kernel for one driver run of policy p on
 // cluster c. prepare resets c to its pre-placement state before a placement
-// (nil means ResetAll); an incremental policy's placement session gets it as
-// its Prepare, so that clean rounds skip it. The tracer and audit log, either
-// of which may be nil, are attached to the session's kernels; rec receives
-// the allocate and place latencies and the session's tier counters.
+// (nil means ResetAll); a policy's kernel pair (Policy.Incr) gets it as its
+// placement session's Prepare. The tracer and audit log, either of which may
+// be nil, are attached to the pair's kernels; rec receives the allocate and
+// place latencies and the pair's round and migration counters.
 func NewRound(p Policy, c *cluster.Cluster, prepare func(*cluster.Cluster),
 	tr *obs.Tracer, au *obs.AuditLog, rec *metrics.Recorder) *Round {
 	if prepare == nil {
@@ -67,8 +67,8 @@ func NewRound(p Policy, c *cluster.Cluster, prepare func(*cluster.Cluster),
 }
 
 // Allocate starts a round: it runs the policy's allocation of infos against
-// capacity in an "allocate" span. The returned map is the policy's own — an
-// incremental session's cache — and must not be written.
+// capacity in an "allocate" span. The returned map is the policy's own — a
+// kernel's scratch, overwritten next round — and must not be written.
 func (r *Round) Allocate(infos []*core.JobInfo, capacity cluster.Resources) map[int]core.Allocation {
 	span := r.trace.Begin("allocate")
 	start := time.Now()
@@ -99,15 +99,16 @@ func (r *Round) alloc(id int) core.Allocation {
 }
 
 // Place places every job at its allocation in a "place" span. A stateless
-// policy gets the cluster prepared first; an incremental one prepares it in
-// its session, only when it recomputes. A job can fit aggregate capacity yet
-// not pack onto nodes (fragmentation); rather than leave it idle until the
-// next interval (§4.2), every job that does not pack is shrunk by one task at
-// a time — a worker while workers are at least as many as parameter servers,
-// else a parameter server — and retried against the partially committed
-// cluster until it packs or is down to one of each. A session policy retries
-// through PlaceRetry, which bypasses its cache, and skips the steps beyond the
-// job's core.Headroom, which cannot pack. A traced span notes "shrink=steps".
+// policy gets the cluster prepared first; a kernel pair's placement session
+// prepares it itself. A job can fit aggregate capacity yet not pack onto
+// nodes (fragmentation); rather than leave it idle until the next interval
+// (§4.2), every job that does not pack is shrunk by one task at a time — a
+// worker while workers are at least as many as parameter servers, else a
+// parameter server — and retried against the partially committed cluster
+// until it packs or is down to one of each. A kernel pair retries through
+// its §4.2 kernel, which does not reset the cluster, and skips the steps
+// beyond the job's core.Headroom, which cannot pack. A traced span notes
+// "shrink=steps".
 func (r *Round) Place() {
 	span := r.trace.Begin("place")
 	start := time.Now()
@@ -124,7 +125,7 @@ func (r *Round) Place() {
 	var unplaced []int
 	r.placed, unplaced = place(r.reqs, r.cluster)
 	if inc != nil {
-		place = inc.Place.PlaceRetry
+		place = inc.Place.St.Place
 	}
 	clear(r.rescued)
 	steps := 0
@@ -133,12 +134,11 @@ func (r *Round) Place() {
 		if info == nil || a.PS < 1 || a.Workers < 1 || a.PS+a.Workers <= 2 {
 			continue
 		}
-		// The session's kernel is all-or-nothing, and the cluster changes only
-		// when a step packs: steps beyond the headroom cannot. The baseline
-		// placers place partially, so a stateless policy tries every step.
+		// The all-or-nothing §4.2 kernel changes the cluster only when a step
+		// packs: steps beyond the headroom cannot. The baseline placers place
+		// partially, so a stateless policy tries every step.
 		var room core.Headroom
 		if inc != nil {
-			inc.Place.Invalidate() // what PlaceRetry would have done
 			room = core.NewHeadroom(info.WorkerRes, info.PSRes, r.cluster)
 		}
 		for a.PS+a.Workers > 2 {

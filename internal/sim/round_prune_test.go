@@ -15,8 +15,9 @@ import (
 )
 
 // refPlace is Round.Place as it was before the shrink loop skipped the
-// steps beyond a job's core.Headroom, kept verbatim (modulo the name) as an
-// executable specification: every shrink step calls the placer.
+// steps beyond a job's core.Headroom, kept verbatim (modulo the name, and a
+// session policy retrying through its bare §4.2 kernel, as Round.Place does)
+// as an executable specification: every shrink step calls the placer.
 func (r *Round) refPlace() {
 	span := r.trace.Begin("place")
 	start := time.Now()
@@ -33,7 +34,7 @@ func (r *Round) refPlace() {
 	var unplaced []int
 	r.placed, unplaced = place(r.reqs, r.cluster)
 	if inc != nil {
-		place = inc.Place.PlaceRetry
+		place = inc.Place.St.Place
 	}
 	clear(r.rescued)
 	for _, id := range unplaced {
@@ -61,8 +62,7 @@ func (r *Round) refPlace() {
 	r.trace.End(span)
 }
 
-// pruneJobs is a seeded pool of uncapped jobs with smooth speed surfaces and
-// stable speed stamps, so the allocation session can take its clean tier.
+// pruneJobs is a seeded pool of uncapped jobs with smooth speed surfaces.
 func pruneJobs(rng *rand.Rand, n int) []core.JobInfo {
 	jobs := make([]core.JobInfo, n)
 	for i := range jobs {
@@ -79,7 +79,6 @@ func pruneJobs(rng *rand.Rand, n int) []core.JobInfo {
 			},
 			WorkerRes: cluster.Resources{cluster.CPU: 2 + 2*rng.Float64(), cluster.Memory: 4 + 8*rng.Float64()},
 			PSRes:     cluster.Resources{cluster.CPU: 1 + rng.Float64(), cluster.Memory: 2 + 8*rng.Float64()},
-			SpeedGen:  uint64(i + 1),
 		}
 	}
 	return jobs
@@ -109,9 +108,9 @@ func pruneCluster(rng *rand.Rand) func() *cluster.Cluster {
 
 // TestRoundPlaceMatchesReference drives Round.Place and refPlace side by
 // side over seeded random rounds — jobs arriving, leaving and progressing,
-// and rounds that repeat the last one's input so the sessions can take
-// their clean tiers — and requires the same placements, the same cluster
-// state and the same incremental-session counters every round. It covers a
+// and rounds that repeat the last one's input — and requires the same
+// placements, the same cluster state and the same session counters every
+// round. It covers a
 // session policy and two stateless ones (the §4.2 kernel and the partial
 // SpreadPlace), traced and not, and requires the session to have skipped
 // placer calls while the stateless policies made exactly the reference's.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRoundContract pins what both drivers rely on from the round kernel:
-// one Allocate per round, the maps the policy returned left untouched (an
-// incremental session returns its own cached maps), and the retries of a
+// one Allocate per round, the maps the policy returned left untouched (the
+// §4.1 kernel returns its own scratch map), and the retries of a
 // kept (churn-damped) job shrinking from the kept allocation, not the grant.
 func TestRoundContract(t *testing.T) {
 	grant := map[int]core.Allocation{1: {PS: 4, Workers: 4}, 2: {PS: 2, Workers: 3}}

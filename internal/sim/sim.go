@@ -34,13 +34,12 @@ type Policy struct {
 	Allocate func(jobs []*core.JobInfo, capacity cluster.Resources) map[int]core.Allocation
 	Place    func(reqs []core.PlacementRequest, c *cluster.Cluster) (map[int]core.Placement, []int)
 
-	// Incr, when set, is the policy's incremental scheduling session behind
-	// Allocate and Place. The round kernel (Round) hands it the pre-placement
-	// cluster preparation step (reset plus reservations) so clean intervals
-	// can skip it, retries unpackable jobs through its PlaceRetry, attaches
-	// the driver's tracer and audit log to its kernels and surfaces its tier
-	// counters into the metrics; Run invalidates its placement cache when
-	// reservations may have changed.
+	// Incr, when set, is the §4.1/§4.2 kernel pair behind Allocate and
+	// Place. The round kernel (Round) hands its placement session the
+	// pre-placement cluster preparation step (reset plus reservations),
+	// retries unpackable jobs through its bare §4.2 kernel, attaches the
+	// driver's tracer and audit log to both kernels and surfaces its round
+	// and migration counters into the metrics.
 	Incr *core.Incremental
 
 	// Session, when set, returns a private instance of the policy for one
@@ -272,8 +271,7 @@ func Run(cfg Config) (*Result, error) {
 	// preparePlacement is the pre-placement cluster preparation step: wipe
 	// all commitments, then re-reserve the nodes lent out (§7 shares) or down
 	// (faults). The round kernel runs it before every placement, or hands it
-	// to an incremental policy's placement session, which skips it entirely
-	// on clean intervals.
+	// to the placement session of a policy's kernel pair, which runs it.
 	var prepErr error
 	availNodes := cfg.Cluster.Len()
 	preparePlacement := func(c *cluster.Cluster) {
@@ -391,12 +389,6 @@ func Run(cfg Config) (*Result, error) {
 					round.Keep(js.spec.ID, js.alloc)
 				}
 			}
-		}
-		if cfg.Policy.Incr != nil && (cfg.ShareSchedule != nil || faults != nil) {
-			// Reservations can change between intervals without touching any
-			// node the session's own commits cover, so the cached placement
-			// must not survive into this interval.
-			cfg.Policy.Incr.Place.Invalidate()
 		}
 		round.Place()
 		if prepErr != nil {
@@ -690,9 +682,6 @@ func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model)
 	// --- speed function (epochs/s) ---
 	switch {
 	case cfg.InjectSpeedError > 0:
-		// The injected surface depends on progress, which moves every
-		// interval; leave SpeedGen zero so incremental sessions never trust
-		// it across intervals.
 		e := cfg.InjectSpeedError * (1 - progressFrac)
 		factor := 1 + js.errSign*e
 		if factor <= 0.01 {
@@ -703,19 +692,12 @@ func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model)
 			return EpochsPerSecond(spec, base(p, w)) * factor
 		}
 	case cfg.UseTrueModels:
-		// Ground truth is a pure function of the immutable spec: one constant
-		// non-zero stamp for the whole run.
 		base := truePredictor(cfg, fitCache, spec)
 		info.Speed = func(p, w int) float64 {
 			return EpochsPerSecond(spec, base(p, w))
 		}
-		info.SpeedGen = 1
 	default:
-		// The estimated surface is a pure function of the accumulated speed
-		// observations (plus run-constant spec and cluster capacity), so the
-		// estimator's generation stamp is exactly the right change signal.
 		info.Speed = estimatedSpeed(cfg.Cluster, spec, js.speedEst)
-		info.SpeedGen = js.speedEst.Generation()
 		// Beginning-state priority damping (§4.1).
 		if progressFrac < 0.1 {
 			info.Priority = cfg.PriorityFactor

@@ -124,11 +124,6 @@ func EstimatedView(c *cluster.Cluster, spec workload.JobSpec, progress float64,
 	}
 	info.RemainingWork = remaining
 	info.Speed = estimatedSpeed(c, spec, est)
-	// The estimated surface is a pure function of the accumulated speed
-	// observations (plus the immutable spec and cluster capacity), so the
-	// estimator's generation stamp is exactly the right change signal for
-	// incremental sessions.
-	info.SpeedGen = est.Generation()
 	// Beginning-state priority damping (§4.1).
 	if totalEst > 0 && progress/totalEst < 0.1 {
 		info.Priority = priorityFactor

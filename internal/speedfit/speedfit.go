@@ -181,7 +181,6 @@ type Estimator struct {
 	fitted    bool
 	cached    Model
 	cachedErr error
-	gen       uint64 // bumped by Observe; see Generation
 
 	// scratch holds the sorted-sample buffer and NNLS workspace reused
 	// across refits; allocated on first Fit.
@@ -226,15 +225,8 @@ func (e *Estimator) Observe(p, w int, speed float64) error {
 		a.n++
 	}
 	e.dirty = true
-	e.gen++
 	return nil
 }
-
-// Generation is a change-tracking stamp for incremental schedulers: it is
-// always non-zero and advances exactly when an accepted Observe changes the
-// accumulated averages (and therefore possibly the fitted model). Equal
-// generations guarantee identical Fit results, given unchanged settings.
-func (e *Estimator) Generation() uint64 { return e.gen + 1 }
 
 // Configurations reports how many distinct (p, w) points have been observed.
 func (e *Estimator) Configurations() int { return len(e.acc) }
@@ -279,7 +271,6 @@ func (e *Estimator) SetAccum(rows [][4]float64) {
 	}
 	e.dirty = true
 	e.fitted = false
-	e.gen++
 }
 
 // samplesInto appends the averaged observations to dst (reusing its backing
