@@ -76,13 +76,8 @@ func (r SubmitRequest) spec() (workload.JobSpec, error) {
 	if model == nil {
 		return workload.JobSpec{}, fmt.Errorf("serve: unknown model %q", r.Model)
 	}
-	var mode speedfit.Mode
-	switch r.Mode {
-	case "async":
-		mode = speedfit.Async
-	case "sync":
-		mode = speedfit.Sync
-	default:
+	mode, err := speedfit.ParseMode(r.Mode)
+	if err != nil {
 		return workload.JobSpec{}, fmt.Errorf("serve: mode must be \"async\" or \"sync\", got %q", r.Mode)
 	}
 	th := r.Threshold
@@ -174,48 +169,48 @@ func (s *statusSnap) bytes() []byte {
 // republish).
 func (d *Daemon) buildStatus(j *job) JobStatus {
 	st := JobStatus{
-		ID:             j.spec.ID,
+		ID:             j.Spec.ID,
 		State:          j.state,
-		Model:          j.spec.Model.Name,
-		Mode:           j.spec.Mode.String(),
-		Threshold:      j.spec.Threshold,
-		Downscale:      j.spec.Downscale,
+		Model:          j.Spec.Model.Name,
+		Mode:           j.Spec.Mode.String(),
+		Threshold:      j.Spec.Threshold,
+		Downscale:      j.Spec.Downscale,
 		Submitted:      j.submittedWall,
-		ArrivalSim:     j.spec.Arrival,
-		ProgressEpochs: j.progress,
-		SpeedConfigs:   j.speedEst.Configurations(),
-		Alloc:          j.alloc,
-		Straggling:     j.straggling,
+		ArrivalSim:     j.Spec.Arrival,
+		ProgressEpochs: j.Progress,
+		SpeedConfigs:   j.SpeedEst.Configurations(),
+		Alloc:          j.Alloc,
+		Straggling:     j.Straggling,
 	}
-	if len(j.nodes) > 0 {
-		// Copy: j.nodes may alias the placer's reusable arena, but the
+	if len(j.Nodes) > 0 {
+		// Copy: j.Nodes may alias the placer's reusable arena, but the
 		// snapshot must stay immutable forever.
-		st.Nodes = append([]string(nil), j.nodes...)
+		st.Nodes = append([]string(nil), j.Nodes...)
 	}
-	if j.spec.Downscale == 1 {
+	if j.Spec.Downscale == 1 {
 		st.Downscale = 0 // omitempty: default downscale is noise
 	}
 	if j.state == StateDone {
-		st.DoneAtSim = j.doneAt
-		st.JCT = j.doneAt - j.spec.Arrival
+		st.DoneAtSim = j.DoneAt
+		st.JCT = j.DoneAt - j.Spec.Arrival
 	}
 	// The scheduler's remaining-work estimate, exactly as the allocator
 	// sees it (§3.1 fit with the beginning-state prior as fallback).
 	est := d.cfg.PriorEpochs
-	if j.lossFit.Len() >= 5 {
-		if m, err := j.lossFit.Fit(); err == nil {
+	if j.LossFit.Len() >= 5 {
+		if m, err := j.LossFit.Fit(); err == nil {
 			st.LossFit = &LossFitStatus{
 				B0: m.B0, B1: m.B1, B2: m.B2,
 				MaxLoss: m.MaxLoss, Residual: m.Residual,
-				Samples: j.lossFit.Len(),
+				Samples: j.LossFit.Len(),
 			}
-			if steps, err := m.StepsToConverge(j.spec.Threshold, 1, 3); err == nil {
+			if steps, err := m.StepsToConverge(j.Spec.Threshold, 1, 3); err == nil {
 				est = steps
 			}
 		}
 	}
 	st.EstTotalEpochs = est
-	if rem := est - j.progress; rem > 0 {
+	if rem := est - j.Progress; rem > 0 {
 		st.EstRemainingEpochs = rem
 	}
 	return st

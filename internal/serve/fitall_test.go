@@ -67,7 +67,7 @@ func driveRefitDaemon(t *testing.T, dir string) (digest, refits uint64) {
 		d.Step()
 		var k uint64
 		for _, id := range ids {
-			f := d.reg.get(id).lossFit
+			f := d.reg.get(id).LossFit
 			if g := f.Generation(); g != gens[id] {
 				gens[id] = g
 				if f.Len() >= 5 {

@@ -88,7 +88,7 @@ func (r *registry) collect(keep func(j *job) bool) []*job {
 			out = append(out, j)
 		}
 	})
-	sort.Slice(out, func(a, b int) bool { return out[a].spec.ID < out[b].spec.ID })
+	sort.Slice(out, func(a, b int) bool { return out[a].Spec.ID < out[b].Spec.ID })
 	return out
 }
 

@@ -52,9 +52,7 @@ import (
 	"optimus/internal/metrics"
 	"optimus/internal/obs"
 	"optimus/internal/sim"
-	"optimus/internal/speedfit"
 	"optimus/internal/wal"
-	"optimus/internal/workload"
 )
 
 // Config parameterizes the daemon. The zero value of every field has a
@@ -226,48 +224,45 @@ const (
 // terminal reports whether the state can never change again.
 func (s JobState) terminal() bool { return s == StateDone || s == StateCancelled }
 
-// job is the daemon's full view of one submitted job. Field ownership is
-// split between two locks so cancels and status reads never wait on a
-// scheduling round:
+// job is the daemon's full view of one submitted job: the sim.Job the
+// simulator keeps too, plus the daemon's lifecycle and serving state. Field
+// ownership is split between two locks so cancels and status reads never
+// wait on a scheduling round:
 //
-//   - spec, submittedWall, totalEpochs are immutable after admission.
-//   - state, placed, alloc, spread, nodes are the deployment fields, guarded
-//     by the job's registry shard lock; both the engine and Cancel mutate
-//     them under it.
-//   - progress, doneAt, profiled, lossFit, speedEst, lossObs, straggling are
-//     estimation/physics state owned by the engine, guarded by the engine
-//     mutex (Daemon.mu); the serving path never reads them directly.
+//   - Spec, TotalEpochs and submittedWall are immutable after admission.
+//   - state and the deployment fields Placed, Alloc, Spread and Nodes are
+//     guarded by the job's registry shard lock; both the engine and Cancel
+//     mutate them under it.
+//   - Progress, DoneAt, Straggling, Pause, LossFit, SpeedEst, profiled and
+//     lossObs are estimation/physics state owned by the engine, guarded by
+//     the engine mutex (Daemon.mu); the serving path never reads them
+//     directly.
 //   - status is the job's read-mostly snapshot: an immutable JobStatus (plus
 //     a lazily cached JSON encoding) republished on every state change. All
 //     reads go through it, lock-free.
 type job struct {
-	spec          workload.JobSpec
+	sim.Job
 	submittedWall time.Time
-
-	// shard-guarded deployment fields
-	state  JobState
-	alloc  core.Allocation
-	spread workload.TaskSpread
-	nodes  []string
-	placed bool
-
-	// engine-guarded physics/estimation fields
-	totalEpochs float64 // ground-truth epochs to convergence (physics)
-	progress    float64 // epochs completed
-	doneAt      float64 // simulated completion time
-	profiled    bool
-	lossFit     *lossfit.Fitter
-	speedEst    *speedfit.Estimator
-	// lossObs retains the observations fed to lossFit so snapshots can
+	state         JobState // shard-guarded
+	profiled      bool
+	// lossObs retains the observations fed to LossFit so snapshots can
 	// rebuild the fitter exactly; capped at maxLossObs.
-	lossObs    []lossfit.Point
-	straggling bool
+	lossObs []lossfit.Point
 
 	// status is the atomically swapped read-mostly view (api.go).
 	status atomic.Pointer[statusSnap]
 }
 
 const maxLossObs = 512
+
+// keepLossObs retains one observation accepted by LossFit, dropping the
+// oldest beyond maxLossObs.
+func (j *job) keepLossObs(k, loss float64) {
+	j.lossObs = append(j.lossObs, lossfit.Point{K: k, Loss: loss})
+	if len(j.lossObs) > maxLossObs {
+		j.lossObs = j.lossObs[len(j.lossObs)-maxLossObs:]
+	}
+}
 
 // arrival is one queued Submit→engine handoff: the metrics recorder is not
 // synchronized, so submissions enqueue here and the engine (or a /metrics
@@ -418,15 +413,7 @@ func (d *Daemon) Submit(req SubmitRequest) (int, error) {
 	now := d.Now()
 	spec.ID = id
 	spec.Arrival = now
-	j := &job{
-		spec:          spec,
-		submittedWall: time.Now(),
-		state:         StatePending,
-		totalEpochs:   spec.TotalEpochs(),
-		lossFit:       lossfit.NewFitter(),
-		speedEst: speedfit.NewEstimator(spec.Mode,
-			float64(spec.Model.GlobalBatch)),
-	}
+	j := &job{Job: sim.NewJob(spec), submittedWall: time.Now(), state: StatePending}
 	j.status.Store(newStatusSnap(d.buildStatus(j)))
 	// Write-ahead: the admission is durable before the job is findable, so
 	// every acked submission survives a crash and no engine record for the
@@ -488,9 +475,7 @@ func (d *Daemon) Cancel(id int) error {
 		return ErrTerminal
 	}
 	j.state = StateCancelled
-	j.placed = false
-	j.alloc = core.Allocation{}
-	j.nodes = nil
+	j.Undeploy()
 	// Derive the new status from the previous snapshot rather than
 	// recomputing: the estimation fields belong to the engine and may be
 	// mid-mutation. The snapshot is immutable, so a copy-and-patch is safe.

@@ -9,6 +9,7 @@ import (
 
 	"optimus/internal/core"
 	"optimus/internal/lossfit"
+	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/workload"
 )
@@ -89,24 +90,24 @@ func (d *Daemon) snapshotLocked() Snapshot {
 		for id, j := range d.reg.shards[i].jobs {
 			js := JobSnapshot{
 				ID:            id,
-				Model:         j.spec.Model.Name,
-				Mode:          j.spec.Mode.String(),
-				Threshold:     j.spec.Threshold,
-				Downscale:     j.spec.Downscale,
-				ArrivalSim:    j.spec.Arrival,
+				Model:         j.Spec.Model.Name,
+				Mode:          j.Spec.Mode.String(),
+				Threshold:     j.Spec.Threshold,
+				Downscale:     j.Spec.Downscale,
+				ArrivalSim:    j.Spec.Arrival,
 				SubmittedWall: j.submittedWall,
 				State:         j.state,
-				Progress:      j.progress,
-				DoneAtSim:     j.doneAt,
-				Alloc:         j.alloc,
+				Progress:      j.Progress,
+				DoneAtSim:     j.DoneAt,
+				Alloc:         j.Alloc,
 				Profiled:      j.profiled,
-				Straggling:    j.straggling,
+				Straggling:    j.Straggling,
 			}
 			for _, p := range j.lossObs {
 				js.LossObs = append(js.LossObs, [2]float64{p.K, p.Loss})
 			}
 			if j.profiled {
-				js.SpeedAcc = j.speedEst.Accum()
+				js.SpeedAcc = j.SpeedEst.Accum()
 			}
 			snap.Jobs = append(snap.Jobs, js)
 		}
@@ -178,13 +179,8 @@ func restoreJob(js JobSnapshot) (*job, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: snapshot job %d: unknown model %q", js.ID, js.Model)
 	}
-	var mode speedfit.Mode
-	switch js.Mode {
-	case "async":
-		mode = speedfit.Async
-	case "sync":
-		mode = speedfit.Sync
-	default:
+	mode, err := speedfit.ParseMode(js.Mode)
+	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot job %d: bad mode %q", js.ID, js.Mode)
 	}
 	switch js.State {
@@ -192,41 +188,33 @@ func restoreJob(js JobSnapshot) (*job, error) {
 	default:
 		return nil, fmt.Errorf("serve: snapshot job %d: bad state %q", js.ID, js.State)
 	}
-	spec := workload.JobSpec{
-		ID: js.ID, Model: model, Mode: mode,
-		Threshold: js.Threshold, Arrival: js.ArrivalSim, Downscale: js.Downscale,
-	}
 	j := &job{
-		spec:          spec,
+		Job: sim.NewJob(workload.JobSpec{
+			ID: js.ID, Model: model, Mode: mode,
+			Threshold: js.Threshold, Arrival: js.ArrivalSim, Downscale: js.Downscale,
+		}),
 		submittedWall: js.SubmittedWall,
 		state:         js.State,
-		totalEpochs:   spec.TotalEpochs(),
-		progress:      js.Progress,
-		doneAt:        js.DoneAtSim,
-		alloc:         js.Alloc,
 		profiled:      js.Profiled,
-		straggling:    js.Straggling,
-		lossFit:       lossfit.NewFitter(),
-		speedEst: speedfit.NewEstimator(mode,
-			float64(model.GlobalBatch)),
 	}
+	j.Progress, j.DoneAt, j.Alloc, j.Straggling = js.Progress, js.DoneAtSim, js.Alloc, js.Straggling
 	// A restored running job has no deployment yet: the first round after
 	// restore re-places it (a fresh "placed" event), mirroring a §5.4
 	// checkpoint restore of the whole cluster.
 	if j.state == StateRunning {
 		j.state = StateWaiting
-		j.alloc = core.Allocation{}
+		j.Undeploy()
 	}
 	for _, p := range js.LossObs {
-		if err := j.lossFit.Add(p[0], p[1]); err == nil {
+		if err := j.LossFit.Add(p[0], p[1]); err == nil {
 			j.lossObs = append(j.lossObs, lossfit.Point{K: p[0], Loss: p[1]})
 		}
 	}
 	if len(js.SpeedAcc) > 0 {
-		j.speedEst.SetAccum(js.SpeedAcc)
+		j.SpeedEst.SetAccum(js.SpeedAcc)
 	} else {
 		for _, s := range js.SpeedObs {
-			_ = j.speedEst.Observe(s.P, s.W, s.Speed)
+			_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
 		}
 	}
 	return j, nil

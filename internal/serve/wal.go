@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"optimus/internal/core"
-	"optimus/internal/lossfit"
 	"optimus/internal/obs"
+	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/wal"
 	"optimus/internal/workload"
@@ -322,13 +322,8 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		if model == nil {
 			return fmt.Errorf("unknown model %q", p.Model)
 		}
-		var mode speedfit.Mode
-		switch p.Mode {
-		case "async":
-			mode = speedfit.Async
-		case "sync":
-			mode = speedfit.Sync
-		default:
+		mode, err := speedfit.ParseMode(p.Mode)
+		if err != nil {
 			return fmt.Errorf("bad mode %q", p.Mode)
 		}
 		spec := workload.JobSpec{
@@ -338,15 +333,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		if spec.Downscale == 0 {
 			spec.Downscale = 1
 		}
-		j := &job{
-			spec:          spec,
-			submittedWall: p.Wall,
-			state:         StatePending,
-			totalEpochs:   spec.TotalEpochs(),
-			lossFit:       lossfit.NewFitter(),
-			speedEst: speedfit.NewEstimator(mode,
-				float64(model.GlobalBatch)),
-		}
+		j := &job{Job: sim.NewJob(spec), submittedWall: p.Wall, state: StatePending}
 		j.status.Store(newStatusSnap(d.buildStatus(j)))
 		d.reg.put(p.ID, j)
 		if int64(p.ID) > d.nextID.Load() {
@@ -369,10 +356,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			d.live.Add(-1)
 		}
 		j.state = StateCancelled
-		j.placed = false
-		j.alloc = core.Allocation{}
-		j.spread = workload.TaskSpread{}
-		j.nodes = nil
+		j.Undeploy()
 		d.cancelledN.Add(1)
 		a.dirty[p.ID] = j
 	case wal.TypeProfile:
@@ -386,7 +370,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			return fmt.Errorf("profile of unknown job %d", p.ID)
 		}
 		for _, s := range p.Samples {
-			_ = j.speedEst.Observe(s.P, s.W, s.Speed)
+			_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
 		}
 		j.profiled = true
 		a.dirty[p.ID] = j
@@ -403,15 +387,12 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		// Observations may legitimately land on a job cancelled in the same
 		// round (the physics pass raced the cancel, exactly as live): apply
 		// the estimator updates, leave the state alone.
-		j.progress = p.Progress
+		j.Progress = p.Progress
 		if p.Speed > 0 {
-			_ = j.speedEst.Observe(p.PS, p.W, p.Speed)
+			_ = j.SpeedEst.Observe(p.PS, p.W, p.Speed)
 		}
-		if p.Loss > 0 && j.lossFit.Add(p.K, p.Loss) == nil {
-			j.lossObs = append(j.lossObs, lossfit.Point{K: p.K, Loss: p.Loss})
-			if len(j.lossObs) > maxLossObs {
-				j.lossObs = j.lossObs[len(j.lossObs)-maxLossObs:]
-			}
+		if p.Loss > 0 && j.LossFit.Add(p.K, p.Loss) == nil {
+			j.keepLossObs(p.K, p.Loss)
 		}
 		a.dirty[p.ID] = j
 	case wal.TypeDeploy:
@@ -429,14 +410,11 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		}
 		j.state = p.State
 		if p.PS > 0 && p.W > 0 {
-			j.alloc = core.Allocation{PS: p.PS, Workers: p.W}
-			j.nodes = p.Nodes
-			j.placed = true
+			j.Alloc = core.Allocation{PS: p.PS, Workers: p.W}
+			j.Nodes = p.Nodes
+			j.Placed = true
 		} else {
-			j.alloc = core.Allocation{}
-			j.spread = workload.TaskSpread{}
-			j.nodes = nil
-			j.placed = false
+			j.Undeploy()
 		}
 		a.dirty[p.ID] = j
 	case wal.TypeComplete:
@@ -453,12 +431,9 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			d.live.Add(-1)
 		}
 		j.state = StateDone
-		j.progress = j.totalEpochs
-		j.doneAt = p.DoneAt
-		j.placed = false
-		j.alloc = core.Allocation{}
-		j.spread = workload.TaskSpread{}
-		j.nodes = nil
+		j.Progress = j.TotalEpochs
+		j.DoneAt = p.DoneAt
+		j.Undeploy()
 		d.rec.Complete(p.ID, p.DoneAt)
 		a.dirty[p.ID] = j
 	case wal.TypeFault:
@@ -471,7 +446,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		if j == nil {
 			return fmt.Errorf("fault on unknown job %d", p.ID)
 		}
-		j.straggling = p.Straggling
+		j.Straggling = p.Straggling
 		a.dirty[p.ID] = j
 	case wal.TypeRound:
 		var p walRound
@@ -520,10 +495,7 @@ func (a *WALApplier) Finish() {
 		for _, j := range d.reg.shards[i].jobs {
 			if j.state == StateRunning {
 				j.state = StateWaiting
-				j.alloc = core.Allocation{}
-				j.spread = workload.TaskSpread{}
-				j.nodes = nil
-				j.placed = false
+				j.Undeploy()
 			}
 			if !j.state.terminal() {
 				live++

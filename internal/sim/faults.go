@@ -2,9 +2,7 @@ package sim
 
 import (
 	"optimus/internal/chaos"
-	"optimus/internal/core"
 	"optimus/internal/metrics"
-	"optimus/internal/workload"
 )
 
 // Fault semantics in the discrete-time simulator (§5 resilience):
@@ -73,7 +71,7 @@ func (fr *faultRuntime) netFactor(t0 float64) float64 {
 func (fr *faultRuntime) collect(t0, t1 float64, active []*jobState) map[int]float64 {
 	byID := make(map[int]*jobState, len(active))
 	for _, js := range active {
-		byID[js.spec.ID] = js
+		byID[js.Spec.ID] = js
 	}
 	var crashAt map[int]float64
 	markCrash := func(id int, t float64) {
@@ -96,17 +94,17 @@ func (fr *faultRuntime) collect(t0, t1 float64, active []*jobState) map[int]floa
 				fr.nodeDownUntil[f.Node] = until
 			}
 			for id, js := range byID {
-				if js.placed && containsNode(js.nodes, f.Node) {
+				if js.Placed && containsNode(js.Nodes, f.Node) {
 					markCrash(id, at)
 				}
 			}
 		case chaos.TaskKill:
-			if js := byID[f.Job]; js != nil && js.placed {
+			if js := byID[f.Job]; js != nil && js.Placed {
 				markCrash(f.Job, at)
 			}
 		case chaos.Straggler:
 			if js := byID[f.Job]; js != nil {
-				js.straggling = true
+				js.Straggling = true
 				js.stragglerSev = f.Severity
 				js.stragglerUntil = at + f.Duration
 			}
@@ -132,16 +130,13 @@ func (fr *faultRuntime) collect(t0, t1 float64, active []*jobState) map[int]floa
 // checkpoint becomes wasted work, the deployment is torn down (its tasks and
 // data chunks requeue at the next placement) and the restore pause is owed.
 func (fr *faultRuntime) crash(js *jobState, rate float64) {
-	if wasted := js.progress - js.ckptProgress; wasted > 0 && rate > 0 {
+	if wasted := js.Progress - js.ckptProgress; wasted > 0 && rate > 0 {
 		fr.rec.AddWastedWork(wasted / rate)
 	}
-	js.progress = js.ckptProgress
-	fr.rec.AddRestarts(js.alloc.Tasks())
-	js.placed = false
+	js.Progress = js.ckptProgress
+	fr.rec.AddRestarts(js.Alloc.Tasks())
+	js.Undeploy()
 	js.needRestore = true
-	js.alloc = core.Allocation{}
-	js.spread = workload.TaskSpread{}
-	js.nodes = nil
 }
 
 func containsNode(nodes []string, id string) bool {

@@ -41,9 +41,9 @@ func TestRunRefitParallelInvisible(t *testing.T) {
 	want := uint64(0)
 	deployHook = func(_ int, active []*jobState) {
 		for _, js := range active {
-			if g := js.lossFit.Generation(); g != gens[js.spec.ID] {
-				gens[js.spec.ID] = g
-				if js.lossFit.Len() >= 5 {
+			if g := js.LossFit.Generation(); g != gens[js.Spec.ID] {
+				gens[js.Spec.ID] = g
+				if js.LossFit.Len() >= 5 {
 					want++
 				}
 			}

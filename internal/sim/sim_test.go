@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"optimus/internal/cluster"
-	"optimus/internal/lossfit"
 	"optimus/internal/speedfit"
 	"optimus/internal/workload"
 )
@@ -348,21 +347,18 @@ func TestReconfigDamperReducesChanges(t *testing.T) {
 }
 
 func TestEstimateEpochsFallsBackToPrior(t *testing.T) {
-	js := &jobState{
-		spec: workload.JobSpec{
-			Model: workload.ZooByName("cnn-rand"), Mode: speedfit.Sync,
-			Threshold: 0.02,
-		},
-		lossFit: lossfit.NewFitter(),
-	}
-	estimate := func() float64 { return estimatedEpochs(js.lossFit, js.spec.Threshold, 42) }
+	js := NewJob(workload.JobSpec{
+		Model: workload.ZooByName("cnn-rand"), Mode: speedfit.Sync,
+		Threshold: 0.02,
+	})
+	estimate := func() float64 { return estimatedEpochs(js.LossFit, js.Spec.Threshold, 42) }
 	if got := estimate(); got != 42 {
 		t.Errorf("prior = %g, want 42", got)
 	}
 	// With enough clean points the fit takes over.
-	m := js.spec.Model
+	m := js.Spec.Model
 	for e := 1.0; e <= 12; e++ {
-		if err := js.lossFit.Add(e, m.TrueLoss(e)); err != nil {
+		if err := js.LossFit.Add(e, m.TrueLoss(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +366,7 @@ func TestEstimateEpochsFallsBackToPrior(t *testing.T) {
 	if got == 42 {
 		t.Error("fit never engaged despite 12 clean points")
 	}
-	truth := m.EpochsToConverge(js.spec.Threshold, 3)
+	truth := m.EpochsToConverge(js.Spec.Threshold, 3)
 	if math.Abs(got-truth)/truth > 0.5 {
 		t.Errorf("estimate %g far from truth %g", got, truth)
 	}

@@ -45,6 +45,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it accepts exactly "async" and
+// "sync".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "async":
+		return Async, nil
+	case "sync":
+		return Sync, nil
+	}
+	return 0, fmt.Errorf("speedfit: unknown mode %q", s)
+}
+
 // Sample is one observed training speed under a (p, w) configuration.
 type Sample struct {
 	P     int     // number of parameter servers, ≥ 1

@@ -418,3 +418,25 @@ func TestSamplesDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"async", Async, true},
+		{"sync", Sync, true},
+		{"", 0, false},
+		{"ASYNC", 0, false},
+		{"sync ", 0, false},
+	} {
+		got, err := ParseMode(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.in {
+			t.Errorf("ParseMode(%q).String() = %q", tc.in, got.String())
+		}
+	}
+}

@@ -71,13 +71,8 @@ func ReadJobs(r io.Reader) ([]workload.JobSpec, error) {
 		if model == nil {
 			return nil, fmt.Errorf("trace: line %d: unknown model %q", line, rec[1])
 		}
-		var mode speedfit.Mode
-		switch rec[2] {
-		case "async":
-			mode = speedfit.Async
-		case "sync":
-			mode = speedfit.Sync
-		default:
+		mode, err := speedfit.ParseMode(rec[2])
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: unknown mode %q", line, rec[2])
 		}
 		threshold, err := strconv.ParseFloat(rec[3], 64)
