@@ -220,15 +220,17 @@ func TestSchedulerWaitsForCompleteGroups(t *testing.T) {
 func TestKubeletRunsAndStopsPods(t *testing.T) {
 	api := newTestCluster(t, 1)
 	var mu sync.Mutex
-	started, stopped := 0, 0
+	started := 0
+	stopped := make(chan struct{}, 1)
 	runner := func(p Pod) func() {
 		mu.Lock()
 		started++
 		mu.Unlock()
 		return func() {
-			mu.Lock()
-			stopped++
-			mu.Unlock()
+			select {
+			case stopped <- struct{}{}:
+			default:
+			}
 		}
 	}
 	k := StartKubelet(api, "n0", runner)
@@ -252,18 +254,10 @@ func TestKubeletRunsAndStopsPods(t *testing.T) {
 	if err := api.DeletePod("t"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		s := stopped
-		mu.Unlock()
-		if s == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pod stop callback never fired")
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("pod stop callback never fired")
 	}
 }
 
@@ -284,6 +278,8 @@ func TestKubeletIgnoresOtherNodes(t *testing.T) {
 	if err := api.Bind("x", "n1"); err != nil {
 		t.Fatal(err)
 	}
+	// A negative check: no event marks "the kubelet for n0 ignored the pod".
+	// sleep: give the kubelet for n0 time to (wrongly) start it.
 	time.Sleep(20 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()

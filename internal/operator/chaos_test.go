@@ -13,6 +13,8 @@ func cycleUntil(t *testing.T, op *Operator, d time.Duration, pred func() bool) b
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
+		// The live PS drivers train in wall-clock time.
+		// sleep: let them produce fresh telemetry for the next cycle.
 		time.Sleep(40 * time.Millisecond)
 		if _, err := op.Cycle(); err != nil {
 			t.Fatal(err)
@@ -48,7 +50,7 @@ func TestTaskKillRecovers(t *testing.T) {
 	if err := op.Submit(request(1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // accumulate some steps
+	time.Sleep(100 * time.Millisecond) // sleep: let the live drivers train some steps before the kill
 	if err := op.InjectFault(chaos.Fault{Kind: chaos.TaskKill, Time: 0, Job: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +123,7 @@ func TestCheckpointFailureWastesWork(t *testing.T) {
 	if err := op.Submit(request(1)); err != nil {
 		t.Fatal(err)
 	}
+	// sleep: let the live drivers train some steps, so the kill has work to waste.
 	time.Sleep(120 * time.Millisecond)
 	if err := op.InjectFault(chaos.Fault{Kind: chaos.CheckpointFail, Time: 0, Job: 1}); err != nil {
 		t.Fatal(err)

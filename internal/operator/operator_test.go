@@ -97,7 +97,7 @@ func TestOperatorEndToEnd(t *testing.T) {
 	sawResize := false
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond) // let the drivers accumulate telemetry
+		time.Sleep(50 * time.Millisecond) // sleep: let the live drivers accumulate telemetry
 		rep, err := op.Cycle()
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestOperatorAsyncJob(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		time.Sleep(40 * time.Millisecond)
+		time.Sleep(40 * time.Millisecond) // sleep: let the live driver accumulate telemetry
 		rep, err := op.Cycle()
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +198,7 @@ func TestOperatorReplacesStragglers(t *testing.T) {
 	// let the driver observe a few batches.
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // sleep: let the live driver observe a few batches
 		rep, err := op.Cycle()
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestOperatorCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make some progress, then "crash" after a state save.
-	time.Sleep(150 * time.Millisecond)
+	time.Sleep(150 * time.Millisecond) // sleep: let the live drivers train some steps to save
 	if _, err := op1.Cycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestOperatorCrashRecovery(t *testing.T) {
 	// The recovered operator finishes the workload.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // sleep: let the live drivers train between cycles
 		rep, err := op2.Cycle()
 		if err != nil {
 			t.Fatal(err)

@@ -201,6 +201,9 @@ func TestCoordinatorCloseUnblocksWaiters(t *testing.T) {
 		_, err := RunDistWorker(coord.Addr())
 		done <- err
 	}()
+	// A worker that has not reached the coordinator when it closes fails
+	// all the same.
+	// sleep: let the worker start dialing first.
 	time.Sleep(20 * time.Millisecond)
 	coord.Close()
 	select {

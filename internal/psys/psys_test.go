@@ -546,6 +546,9 @@ func TestPullUnblocksOnClose(t *testing.T) {
 		_, _, err := s.Pull(0, 99) // version never reaches 99
 		done <- err
 	}()
+	// A Pull that has not blocked yet returns ErrClosed at once: the test
+	// passes either way.
+	// sleep: let Pull block first, so the wake-up path is what runs.
 	time.Sleep(10 * time.Millisecond)
 	s.Close()
 	select {

@@ -41,7 +41,7 @@ func TestSSPBoundsStaleness(t *testing.T) {
 		defer wg.Done()
 		for s := 0; s < steps; s++ {
 			if delay > 0 {
-				time.Sleep(delay)
+				time.Sleep(delay) // sleep: the simulated slow worker's step time
 			}
 			if err := c.Advance(id); err != nil {
 				return
@@ -101,6 +101,9 @@ func TestSSPRemoveUnblocks(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() { done <- c.Advance(0) }()
+	// An Advance that has not blocked yet returns at once after Remove:
+	// the test passes either way.
+	// sleep: let Advance block first, so the wake-up path is what runs.
 	time.Sleep(10 * time.Millisecond)
 	c.Remove(1) // the laggard leaves (replaced); waiter must wake
 	select {
@@ -120,6 +123,9 @@ func TestSSPCloseUnblocks(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- c.Advance(0) }()
+	// An Advance that has not blocked yet returns ErrClosed at once: the
+	// test passes either way.
+	// sleep: let Advance block first, so the wake-up path is what runs.
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
 	select {

@@ -68,6 +68,8 @@ func TestReadyzEngineStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Step()
+	// Staleness is measured on the wall clock.
+	// sleep: outlast the 1 ns bound by more than any clock granularity.
 	time.Sleep(2 * time.Millisecond)
 	w := get(t, d, "/readyz")
 	st := decodeReady(t, w)

@@ -136,7 +136,7 @@ func benchServingMix(b *testing.B, s servingOps) {
 				return
 			default:
 				s.Step()
-				time.Sleep(5 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond) // sleep: tick pacing of the background rounds
 			}
 		}
 	}()
@@ -206,7 +206,7 @@ func benchClusterRead(b *testing.B, s servingOps) {
 				return
 			default:
 				s.Step()
-				time.Sleep(5 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond) // sleep: tick pacing of the background rounds
 			}
 		}
 	}()

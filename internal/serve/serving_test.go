@@ -418,7 +418,7 @@ func TestOpenLoop1000Clients(t *testing.T) {
 				// the previous response came back.
 				intended := start.Add(time.Duration(rng.Int63n(int64(500 * time.Millisecond))))
 				if s := time.Until(intended); s > 0 {
-					time.Sleep(s)
+					time.Sleep(s) // sleep: open-loop pacing to the intended send time
 				}
 				switch r := rng.Float64(); {
 				case r < 0.10: // submit
