@@ -18,13 +18,16 @@ import (
 // owns scratch reused from round to round and is not safe for concurrent
 // use.
 //
-// What stays with each driver, and why:
+// The other half of the round — apply the placement, advance the physics,
+// observe — is Job's Deploy, Undeploy, Advance and Observe, which both
+// drivers call from their own loops. What stays with each driver, and why:
 //   - The views. sim's schedulerView damps beginning-state priority on the
 //     ground-truth progress fraction, EstimatedView (the daemon's) on the
 //     estimated one; merging them would move the pinned sim schedules.
-//   - Applying the decision. sim has faults, reservations and restore
-//     pauses; the daemon has WAL records, SSE events and shard locks.
-//   - The training physics.
+//   - Around the Job calls: sim's faults, checkpoints, restore delays,
+//     chaos straggler shapes and share reservations; the daemon's shard
+//     locks, lifecycle states, WAL records and SSE events. Each driver
+//     keeps its own loop order, which fixes its RNG draw order.
 type Round struct {
 	policy  Policy
 	cluster *cluster.Cluster
