@@ -10,6 +10,7 @@
 //	optimus-trace spans   trace.csv -o spans.json
 //	optimus-trace explain trace.csv -job 3
 //	optimus-trace wal     ./wal-dir -o records.jsonl
+//	optimus-trace jsonok  <response.json
 //
 // `spans` replays a trace with scheduler tracing on and emits the span tree
 // as Chrome trace-event JSON (load in Perfetto); `explain` renders one job's
@@ -61,6 +62,8 @@ func main() {
 		cmdWAL(os.Args[2:])
 	case "bundle":
 		cmdBundle(os.Args[2:])
+	case "jsonok":
+		cmdJSONOK()
 	case "version", "-version", "--version":
 		fmt.Println("optimus-trace", obs.Build())
 	default:
@@ -78,6 +81,7 @@ func usage() {
   optimus-trace explain [FILE] -job N [-policy optimus|drf|tetris] [-seed N]
   optimus-trace wal     DIR [-o FILE] [-raw]
   optimus-trace bundle  URL|FILE [-n N] [-diff URL|FILE] [-o FILE]
+  optimus-trace jsonok  <FILE
   optimus-trace version`)
 	os.Exit(2)
 }

@@ -341,8 +341,8 @@ func runOpenLoop(cfg loadConfig) error {
 	}
 
 	var (
-		hists   [numOps]obs.AtomicHistogram
-		overall obs.AtomicHistogram
+		hists   [numOps]obs.Histogram
+		overall obs.Histogram
 		cnt     counters
 	)
 	// The queue holds every operation: the dispatcher never blocks on slow
@@ -428,7 +428,7 @@ func doSubmit(client *http.Client, url string, rng *rand.Rand) (int64, outcome, 
 
 func runOp(o op, cfg loadConfig, client, sseClient *http.Client,
 	rng *rand.Rand, kd workload.KeyDist, store *idStore,
-	h, overall *obs.AtomicHistogram, cnt *counters) {
+	h, overall *obs.Histogram, cnt *counters) {
 	res := outcomeErr
 	url := cfg.tg.url()
 	srvDown := false
@@ -512,7 +512,7 @@ func runOp(o op, cfg loadConfig, client, sseClient *http.Client,
 }
 
 func report(cfg loadConfig, weights [numOps]float64, elapsed time.Duration,
-	total int, hists *[numOps]obs.AtomicHistogram, overall *obs.AtomicHistogram,
+	total int, hists *[numOps]obs.Histogram, overall *obs.Histogram,
 	cnt *counters, before, after clusterProbe) error {
 
 	var okTotal, errTotal int64
@@ -527,24 +527,17 @@ func report(cfg loadConfig, weights [numOps]float64, elapsed time.Duration,
 		elapsed.Round(time.Millisecond), float64(okTotal+errTotal)/elapsed.Seconds())
 
 	fmt.Println("latency from intended start (coordinated-omission safe):")
-	for k := opKind(0); k < numOps; k++ {
-		if weights[k] == 0 {
-			continue
-		}
-		s := hists[k].Snapshot()
-		if s.Count() == 0 {
-			continue
-		}
+	row := func(name string, h *obs.Histogram) {
 		fmt.Printf("  %-6s n=%-7d p50=%-9s p99=%-9s p999=%-9s max=%s\n",
-			opNames[k], s.Count(),
-			fmtSec(s.Quantile(0.50)), fmtSec(s.Quantile(0.99)),
-			fmtSec(s.Quantile(0.999)), fmtSec(s.Max()))
+			name, h.Count(), fmtSec(h.Quantile(0.50)), fmtSec(h.Quantile(0.99)),
+			fmtSec(h.Quantile(0.999)), fmtSec(h.Max()))
 	}
-	all := overall.Snapshot()
-	fmt.Printf("  %-6s n=%-7d p50=%-9s p99=%-9s p999=%-9s max=%s\n",
-		"all", all.Count(),
-		fmtSec(all.Quantile(0.50)), fmtSec(all.Quantile(0.99)),
-		fmtSec(all.Quantile(0.999)), fmtSec(all.Max()))
+	for k := opKind(0); k < numOps; k++ {
+		if weights[k] != 0 && hists[k].Count() != 0 {
+			row(opNames[k], &hists[k])
+		}
+	}
+	row("all", overall)
 
 	dRounds := after.Rounds - before.Rounds
 	dOver := after.IntervalOverruns - before.IntervalOverruns
@@ -564,9 +557,8 @@ func report(cfg loadConfig, weights [numOps]float64, elapsed time.Duration,
 		fmt.Printf("FAIL: error rate %.4f exceeds -max-error-rate %.4f\n", r, cfg.maxErrRate)
 		os.Exit(1)
 	}
-	if cfg.maxP99 > 0 && time.Duration(all.Quantile(0.99)*float64(time.Second)) > cfg.maxP99 {
-		fmt.Printf("FAIL: overall p99 %s exceeds -max-p99 %s\n",
-			fmtSec(all.Quantile(0.99)), cfg.maxP99)
+	if p99 := overall.Quantile(0.99); cfg.maxP99 > 0 && time.Duration(p99*float64(time.Second)) > cfg.maxP99 {
+		fmt.Printf("FAIL: overall p99 %s exceeds -max-p99 %s\n", fmtSec(p99), cfg.maxP99)
 		os.Exit(1)
 	}
 	return nil

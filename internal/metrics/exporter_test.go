@@ -2,13 +2,16 @@ package metrics
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"optimus/internal/obs"
 )
 
 // TestExporterIdempotentPreamble is the regression test for repeated export:
-// a scrape handler that calls WritePrometheus (or any Write* helper) more
+// a scrape handler that calls WritePrometheus (or any Exporter method) more
 // than once per response must emit each family's # HELP/# TYPE exactly once.
 func TestExporterIdempotentPreamble(t *testing.T) {
 	r := NewRecorder()
@@ -17,13 +20,10 @@ func TestExporterIdempotentPreamble(t *testing.T) {
 
 	var buf bytes.Buffer
 	e := NewExporter(&buf)
-	if err := r.WritePrometheus(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGauge(e, "optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", 1); err != nil {
+	r.WritePrometheus(e)
+	r.WritePrometheus(e)
+	e.Gauge("optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", 1)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -44,25 +44,19 @@ func TestExporterIdempotentPreamble(t *testing.T) {
 	}
 }
 
-func TestNewExporterIsIdempotent(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewExporter(&buf)
-	if NewExporter(e) != e {
-		t.Error("NewExporter(Exporter) did not return the same exporter")
-	}
-}
-
 // TestWritePrometheusHistograms checks the histogram family shape: all
-// buckets cumulative, terminal +Inf equal to _count, and plain-writer export
-// (no Exporter) still emits exactly one preamble per call.
+// buckets cumulative, terminal +Inf equal to _count, and empty families
+// skipped.
 func TestWritePrometheusHistograms(t *testing.T) {
 	r := NewRecorder()
 	r.ObserveIntervalDuration(0.002)
 	r.ObserveIntervalDuration(0.5)
-	r.ObserveAPIDuration(1e-4)
+	r.ObserveRefitDuration(1e-4)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	e := NewExporter(&buf)
+	r.WritePrometheus(e)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -79,8 +73,8 @@ func TestWritePrometheusHistograms(t *testing.T) {
 	if !strings.Contains(out, "optimus_interval_duration_seconds_sum 0.502") {
 		t.Errorf("missing _sum:\n%s", out)
 	}
-	if !strings.Contains(out, `optimus_api_request_duration_seconds_bucket{le="+Inf"} 1`) {
-		t.Errorf("missing API histogram:\n%s", out)
+	if !strings.Contains(out, `optimus_refit_duration_seconds_bucket{le="+Inf"} 1`) {
+		t.Errorf("missing refit histogram:\n%s", out)
 	}
 	// Empty histograms stay silent.
 	if strings.Contains(out, "optimus_place_duration_seconds") {
@@ -104,5 +98,38 @@ func TestWritePrometheusHistograms(t *testing.T) {
 	}
 	if prev != 2 {
 		t.Errorf("final bucket count %d, want 2", prev)
+	}
+}
+
+// failWriter accepts n writes, then fails every one after.
+type failWriter struct{ n, calls int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > f.n {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// TestExporterStickyErr checks that the first write error stops the
+// exposition: Err reports it and no later method writes again.
+func TestExporterStickyErr(t *testing.T) {
+	w := &failWriter{n: 2}
+	e := NewExporter(w)
+	e.Counter("a_total", "A.", 1) // preamble + sample: 2 writes
+	if e.Err() != nil {
+		t.Fatalf("error after %d good writes: %v", w.calls, e.Err())
+	}
+	e.Gauge("b", "B.", 2) // preamble write fails
+	e.Info("c", "C.", [][2]string{{"k", "v"}})
+	var h obs.Histogram
+	h.Observe(1)
+	e.Histogram("d", "D.", &h)
+	if e.Err() == nil || e.Err().Error() != "disk full" {
+		t.Fatalf("Err = %v, want the first write error", e.Err())
+	}
+	if w.calls != 3 {
+		t.Fatalf("%d writes, want 3: nothing after the failure", w.calls)
 	}
 }

@@ -52,10 +52,9 @@ type Recorder struct {
 	// measure real elapsed time, so they answer "how expensive is a
 	// scheduling decision", not "how long did the modeled cluster run".
 	durInterval obs.Histogram
-	durRefit    obs.AtomicHistogram // lossfit.FitAll observes from its workers
+	durRefit    obs.Histogram // lossfit.FitAll observes from its workers
 	durAlloc    obs.Histogram
 	durPlace    obs.Histogram
-	durAPI      obs.Histogram
 }
 
 // NewRecorder returns an empty recorder.
@@ -107,7 +106,7 @@ func (r *Recorder) Timeline() []IntervalStats { return r.timeline }
 func (r *Recorder) ObserveIntervalDuration(seconds float64) { r.durInterval.Observe(seconds) }
 
 // ObserveRefitDuration records the wall-clock time of one job's §3.1
-// loss-curve refit. Unlike its siblings it is safe for concurrent use.
+// loss-curve refit. lossfit.FitAll calls it from its workers concurrently.
 func (r *Recorder) ObserveRefitDuration(seconds float64) { r.durRefit.Observe(seconds) }
 
 // ObserveAllocateDuration records the wall-clock time of one §4.1 allocation
@@ -118,24 +117,17 @@ func (r *Recorder) ObserveAllocateDuration(seconds float64) { r.durAlloc.Observe
 // pass, including fragmentation retries.
 func (r *Recorder) ObservePlaceDuration(seconds float64) { r.durPlace.Observe(seconds) }
 
-// ObserveAPIDuration records the wall-clock latency of one optimusd API
-// request.
-func (r *Recorder) ObserveAPIDuration(seconds float64) { r.durAPI.Observe(seconds) }
-
 // IntervalDuration exposes the interval-latency histogram for summaries.
 func (r *Recorder) IntervalDuration() *obs.Histogram { return &r.durInterval }
 
-// RefitDuration returns a snapshot of the refit-latency histogram.
-func (r *Recorder) RefitDuration() *obs.Histogram { h := r.durRefit.Snapshot(); return &h }
+// RefitDuration exposes the refit-latency histogram for summaries.
+func (r *Recorder) RefitDuration() *obs.Histogram { return &r.durRefit }
 
 // AllocateDuration exposes the allocate-latency histogram for summaries.
 func (r *Recorder) AllocateDuration() *obs.Histogram { return &r.durAlloc }
 
 // PlaceDuration exposes the place-latency histogram for summaries.
 func (r *Recorder) PlaceDuration() *obs.Histogram { return &r.durPlace }
-
-// APIDuration exposes the API-latency histogram for summaries.
-func (r *Recorder) APIDuration() *obs.Histogram { return &r.durAPI }
 
 // Summary is the digest of one experiment run.
 type Summary struct {

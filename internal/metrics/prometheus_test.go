@@ -27,7 +27,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	})
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	e := NewExporter(&buf)
+	r.WritePrometheus(e)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -76,7 +78,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestWritePrometheusEmptyRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewRecorder().WritePrometheus(&buf); err != nil {
+	e := NewExporter(&buf)
+	NewRecorder().WritePrometheus(e)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -91,10 +95,10 @@ func TestWritePrometheusEmptyRecorder(t *testing.T) {
 
 func TestWriteCounterGauge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCounter(&buf, "x_total", "Help text.", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGauge(&buf, "y", "More help.", 0.5); err != nil {
+	e := NewExporter(&buf)
+	e.Counter("x_total", "Help text.", 3)
+	e.Gauge("y", "More help.", 0.5)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	want := "# HELP x_total Help text.\n# TYPE x_total counter\nx_total 3\n" +

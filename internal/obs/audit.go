@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -55,21 +56,21 @@ type PlaceEvent struct {
 	Nodes   []string `json:"nodes,omitempty"`
 }
 
-// AuditLog retains the scheduler's recent decisions in two fixed rings, one
-// for allocation grants and one for placements. It is safe for concurrent
-// use: the scheduling loop appends while HTTP handlers query per-job
-// history. A nil *AuditLog is a valid, permanently-disabled log.
+// AuditLog retains the scheduler's recent decisions in two Rings, one for
+// allocation grants and one for placements; an event's Seq is its ring
+// sequence. It is safe for concurrent use: the scheduling loop appends while
+// HTTP handlers query per-job history. A nil *AuditLog is a valid,
+// permanently-disabled log.
 type AuditLog struct {
 	// enabled gates the hot-path hooks; checked without taking mu.
 	enabled atomic.Bool
 
-	mu        sync.Mutex
-	grants    []GrantEvent
-	places    []PlaceEvent
-	nextGrant int64
-	nextPlace int64
-	round     int
-	simTime   float64
+	grants *Ring[GrantEvent]
+	places *Ring[PlaceEvent]
+
+	mu      sync.Mutex // guards the stamp
+	round   int
+	simTime float64
 }
 
 // DefaultAuditBuffer is the per-ring capacity NewAuditLog uses for size <= 0.
@@ -82,8 +83,8 @@ func NewAuditLog(size int) *AuditLog {
 		size = DefaultAuditBuffer
 	}
 	a := &AuditLog{
-		grants: make([]GrantEvent, size),
-		places: make([]PlaceEvent, size),
+		grants: NewRing[GrantEvent](size),
+		places: NewRing[PlaceEvent](size),
 	}
 	a.enabled.Store(true)
 	return a
@@ -115,28 +116,28 @@ func (a *AuditLog) Stamp(round int, simTime float64) {
 	a.mu.Unlock()
 }
 
-// Grant appends one allocation grant, filling Seq/Round/Time.
+func (a *AuditLog) stamp() (int, float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.round, a.simTime
+}
+
+// Grant appends one allocation grant, filling Round/Time.
 func (a *AuditLog) Grant(ev GrantEvent) {
 	if !a.Enabled() {
 		return
 	}
-	a.mu.Lock()
-	a.nextGrant++
-	ev.Seq, ev.Round, ev.Time = a.nextGrant, a.round, a.simTime
-	a.grants[int((a.nextGrant-1)%int64(len(a.grants)))] = ev
-	a.mu.Unlock()
+	ev.Round, ev.Time = a.stamp()
+	a.grants.Put(ev)
 }
 
-// Place appends one placement record, filling Seq/Round/Time.
+// Place appends one placement record, filling Round/Time.
 func (a *AuditLog) Place(ev PlaceEvent) {
 	if !a.Enabled() {
 		return
 	}
-	a.mu.Lock()
-	a.nextPlace++
-	ev.Seq, ev.Round, ev.Time = a.nextPlace, a.round, a.simTime
-	a.places[int((a.nextPlace-1)%int64(len(a.places)))] = ev
-	a.mu.Unlock()
+	ev.Round, ev.Time = a.stamp()
+	a.places.Put(ev)
 }
 
 // Reset drops all recorded events and the current stamp. Nil-safe.
@@ -144,16 +145,9 @@ func (a *AuditLog) Reset() {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range a.grants {
-		a.grants[i] = GrantEvent{}
-	}
-	for i := range a.places {
-		a.places[i] = PlaceEvent{}
-	}
-	a.nextGrant, a.nextPlace = 0, 0
-	a.round, a.simTime = 0, 0
+	a.grants.Reset()
+	a.places.Reset()
+	a.Stamp(0, 0)
 }
 
 // Grants returns the retained grant events oldest-first, filtered to one job
@@ -162,19 +156,10 @@ func (a *AuditLog) Grants(job int) []GrantEvent {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	lo := a.nextGrant - int64(len(a.grants)) + 1
-	if lo < 1 {
-		lo = 1
-	}
-	var out []GrantEvent
-	for seq := lo; seq <= a.nextGrant; seq++ {
-		ev := a.grants[int((seq-1)%int64(len(a.grants)))]
-		if ev.Seq == seq && (job < 0 || ev.Job == job) {
-			out = append(out, ev)
-		}
-	}
+	out, _ := a.grants.Range(1, math.MaxInt64, func(seq int64, ev *GrantEvent) bool {
+		ev.Seq = seq
+		return job < 0 || ev.Job == job
+	})
 	return out
 }
 
@@ -184,18 +169,9 @@ func (a *AuditLog) Places(job int) []PlaceEvent {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	lo := a.nextPlace - int64(len(a.places)) + 1
-	if lo < 1 {
-		lo = 1
-	}
-	var out []PlaceEvent
-	for seq := lo; seq <= a.nextPlace; seq++ {
-		ev := a.places[int((seq-1)%int64(len(a.places)))]
-		if ev.Seq == seq && (job < 0 || ev.Job == job) {
-			out = append(out, ev)
-		}
-	}
+	out, _ := a.places.Range(1, math.MaxInt64, func(seq int64, ev *PlaceEvent) bool {
+		ev.Seq = seq
+		return job < 0 || ev.Job == job
+	})
 	return out
 }

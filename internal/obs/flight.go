@@ -3,20 +3,19 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// FlightRecorder is the daemon's always-on black box: a fixed ring of
-// seq-stamped structured events fed from every control-plane hot spot (engine
-// rounds, WAL appends and fsyncs, HA lease transitions, SSE drops). Unlike
-// the Tracer it is meant to run in production builds at all times, so the
-// record path is built like AtomicHistogram's: a single atomic sequence claim
-// plus one per-slot mutex held for a struct copy — no global lock, no
-// allocation (CI-guarded by alloc_guard_test.go). When the process
+// FlightRecorder is the daemon's always-on black box: a Ring of structured
+// events fed from every control-plane hot spot (engine rounds, WAL appends
+// and fsyncs, HA lease transitions, SSE drops); an event's Seq is its ring
+// sequence. Unlike the Tracer it is meant to run in production builds at all
+// times, so the record path is one uncontended lock and one struct copy, with
+// no allocation (CI-guarded by alloc_guard_test.go). When the process
 // fail-stops, the ring is what the debug bundle dumps: the last few thousand
 // things the scheduler believed and did.
 //
@@ -24,18 +23,8 @@ import (
 // non-nil one can be gated with SetEnabled; both disabled paths are a branch
 // and a return.
 type FlightRecorder struct {
-	on    atomic.Bool
-	next  atomic.Uint64 // last sequence issued (1-based)
-	slots []flightSlot
-	mask  uint64 // len(slots) - 1; capacity is a power of two
-}
-
-// flightSlot guards one ring entry. The per-slot mutex (rather than a global
-// one) keeps concurrent writers on different slots contention-free; it is
-// held only for a struct copy, a few nanoseconds.
-type flightSlot struct {
-	mu sync.Mutex
-	ev FlightEvent
+	on   atomic.Bool
+	ring *Ring[FlightEvent]
 }
 
 // DefaultFlightBuffer is the ring capacity NewFlightRecorder uses for
@@ -43,16 +32,12 @@ type flightSlot struct {
 const DefaultFlightBuffer = 4096
 
 // NewFlightRecorder returns an enabled recorder retaining the last `size`
-// events (rounded up to a power of two).
+// events.
 func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightBuffer
 	}
-	cap := 1
-	for cap < size {
-		cap <<= 1
-	}
-	f := &FlightRecorder{slots: make([]flightSlot, cap), mask: uint64(cap - 1)}
+	f := &FlightRecorder{ring: NewRing[FlightEvent](size)}
 	f.on.Store(true)
 	return f
 }
@@ -292,35 +277,16 @@ func (e *FlightEvent) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Record stamps and stores one event. The path is one atomic add, one
-// uncontended mutex, one struct copy: no allocation, no global serialization.
-// At most maxFlightKV attributes are retained. Nil-safe; a disabled recorder
-// returns after a single atomic load.
+// Record stamps and stores one event: no allocation. At most maxFlightKV
+// attributes are retained. Nil-safe; a disabled recorder returns after a
+// single atomic load.
 func (f *FlightRecorder) Record(component string, sev Severity, msg string, kvs ...KV) {
 	if f == nil || !f.on.Load() {
 		return
 	}
-	seq := f.next.Add(1)
-	wall := time.Now().UnixNano()
-	n := len(kvs)
-	if n > maxFlightKV {
-		n = maxFlightKV
-	}
-	slot := &f.slots[(seq-1)&f.mask]
-	slot.mu.Lock()
-	slot.ev.Seq = seq
-	slot.ev.Wall = wall
-	slot.ev.Component = component
-	slot.ev.Sev = sev
-	slot.ev.Msg = msg
-	for i := 0; i < n; i++ {
-		slot.ev.KVs[i] = kvs[i]
-	}
-	for i := n; i < maxFlightKV; i++ {
-		slot.ev.KVs[i] = KV{}
-	}
-	slot.ev.NKV = uint8(n)
-	slot.mu.Unlock()
+	ev := FlightEvent{Wall: time.Now().UnixNano(), Component: component, Sev: sev, Msg: msg}
+	ev.NKV = uint8(copy(ev.KVs[:], kvs))
+	f.ring.Put(ev)
 }
 
 // Len returns the number of events ever recorded. Nil-safe.
@@ -328,42 +294,29 @@ func (f *FlightRecorder) Len() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.next.Load()
+	return uint64(f.ring.Head())
 }
 
-// Snapshot copies the resident events out of the ring, oldest first. An event
-// being overwritten concurrently is skipped (its slot holds a different
-// sequence by the time it is read). Nil-safe.
-func (f *FlightRecorder) Snapshot() []FlightEvent {
+// Snapshot copies the resident events out of the ring, oldest first.
+// Nil-safe.
+func (f *FlightRecorder) Snapshot() []FlightEvent { return f.Tail(0) }
+
+// Tail returns the newest n resident events (all of them for n <= 0), oldest
+// first. Nil-safe.
+func (f *FlightRecorder) Tail(n int) []FlightEvent {
 	if f == nil {
 		return nil
 	}
-	hi := f.next.Load()
-	lo := uint64(1)
-	if n := uint64(len(f.slots)); hi > n {
-		lo = hi - n + 1
+	lo := int64(1)
+	if n > 0 {
+		lo = f.ring.Head() - int64(n) + 1
 	}
-	if hi == 0 {
-		return nil
-	}
-	out := make([]FlightEvent, 0, hi-lo+1)
-	for seq := lo; seq <= hi; seq++ {
-		slot := &f.slots[(seq-1)&f.mask]
-		slot.mu.Lock()
-		ev := slot.ev
-		slot.mu.Unlock()
-		if ev.Seq == seq {
-			out = append(out, ev)
-		}
+	out, _ := f.ring.Range(lo, math.MaxInt64, func(seq int64, ev *FlightEvent) bool {
+		ev.Seq = uint64(seq)
+		return true
+	})
+	if n > 0 && len(out) > n { // events landed between Head and Range
+		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// Tail returns the newest n resident events, oldest first.
-func (f *FlightRecorder) Tail(n int) []FlightEvent {
-	all := f.Snapshot()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
 }

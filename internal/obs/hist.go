@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // HistBuckets is the number of finite log-spaced buckets: upper bounds
@@ -22,14 +23,16 @@ func BucketBound(i int) float64 {
 }
 
 // Histogram is a log-bucketed latency histogram over seconds. The zero value
-// is ready to use. Like metrics.Recorder, it is not synchronized: the
-// scheduling loop owns writes, and concurrent readers must hold the same
-// lock the writer does (the optimusd event loop uses the daemon mutex).
+// is ready to use, and it is safe for concurrent use: Observe is a handful of
+// atomic operations, so many goroutines (the optimusd API middleware,
+// lossfit.FitAll's workers, the load harness's pool) record into one
+// histogram with no lock. Every reader takes one load of the buckets and
+// derives the count from it, so a reader's buckets and count always agree;
+// sum and max may trail them by in-flight observations.
 type Histogram struct {
-	counts [HistBuckets + 1]uint64 // +1 = overflow (+Inf) bucket
-	count  uint64
-	sum    float64
-	max    float64
+	counts [HistBuckets + 1]atomic.Uint64 // +1 = overflow (+Inf) bucket
+	sum    atomic.Uint64                  // Float64bits, accumulated by CAS
+	max    atomic.Uint64                  // Float64bits, CAS-max
 }
 
 // Observe records one duration in seconds. Negative and NaN observations are
@@ -42,70 +45,79 @@ func (h *Histogram) Observe(seconds float64) {
 	for i < HistBuckets && seconds > BucketBound(i) {
 		i++
 	}
-	h.counts[i]++
-	h.count++
-	h.sum += seconds
-	if seconds > h.max {
-		h.max = seconds
+	h.counts[i].Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+seconds)) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if seconds <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(seconds)) {
+			break
+		}
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
+func (h *Histogram) Count() uint64 {
+	le, _ := h.Cumulative()
+	return le[HistBuckets]
+}
 
 // Sum returns the sum of all observations in seconds.
-func (h *Histogram) Sum() float64 { return h.sum }
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Max returns the largest observation in seconds.
-func (h *Histogram) Max() float64 { return h.max }
+func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
-// CumulativeCount returns the number of observations <= BucketBound(i)
-// (Prometheus `le` semantics); i = HistBuckets is the +Inf bucket and equals
-// Count().
-func (h *Histogram) CumulativeCount(i int) uint64 {
-	if i > HistBuckets {
-		i = HistBuckets
-	}
+// Cumulative takes one load of the buckets: le[i] is the number of
+// observations <= BucketBound(i) (Prometheus `le` semantics), so
+// le[HistBuckets], the +Inf bucket, is the count. sum is read alongside.
+func (h *Histogram) Cumulative() (le [HistBuckets + 1]uint64, sum float64) {
 	var c uint64
-	for b := 0; b <= i; b++ {
-		c += h.counts[b]
+	for i := range h.counts {
+		c += h.counts[i].Load()
+		le[i] = c
 	}
-	return c
+	return le, h.Sum()
 }
 
 // Quantile estimates the p-quantile (0 <= p <= 1) as the upper bound of the
 // bucket containing it, clamped to Max so the tail never over-reports. NaN
 // when empty.
 func (h *Histogram) Quantile(p float64) float64 {
-	if h.count == 0 {
+	le, _ := h.Cumulative()
+	return quantile(&le, h.Max(), p)
+}
+
+// quantile reads the p-quantile off one Cumulative load whose maximum
+// observation is hi.
+func quantile(le *[HistBuckets + 1]uint64, hi, p float64) float64 {
+	n := le[HistBuckets]
+	if n == 0 {
 		return math.NaN()
 	}
-	target := uint64(math.Ceil(p * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i := 0; i <= HistBuckets; i++ {
-		cum += h.counts[i]
-		if cum >= target {
-			b := BucketBound(i)
-			if b > h.max {
-				b = h.max
-			}
-			return b
+	target := max(1, uint64(math.Ceil(p*float64(n))))
+	for i, c := range le {
+		if c >= target {
+			return math.Min(BucketBound(i), hi)
 		}
 	}
-	return h.max
+	return hi
 }
 
 // Summary renders the standard latency digest.
 func (h *Histogram) Summary() string {
-	if h.count == 0 {
+	le, _ := h.Cumulative()
+	hi := h.Max()
+	if le[HistBuckets] == 0 {
 		return "n=0"
 	}
 	return fmt.Sprintf("n=%d p50=%s p95=%s p99=%s max=%s",
-		h.count, fmtDur(h.Quantile(0.5)), fmtDur(h.Quantile(0.95)),
-		fmtDur(h.Quantile(0.99)), fmtDur(h.max))
+		le[HistBuckets], fmtDur(quantile(&le, hi, 0.5)), fmtDur(quantile(&le, hi, 0.95)),
+		fmtDur(quantile(&le, hi, 0.99)), fmtDur(hi))
 }
 
 // fmtDur renders seconds with a unit matched to magnitude.

@@ -9,6 +9,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +35,16 @@ type SpanRef int64
 // NoSpan is the ref returned when tracing is off; safe to End.
 const NoSpan SpanRef = -1
 
-// Tracer records spans into a fixed ring buffer. Begin/End are intended for
-// one goroutine at a time (the scheduling loop); the internal mutex exists so
-// Spans/Reset can run concurrently from an HTTP handler without tearing a
-// slot. A nil *Tracer is a valid, permanently-disabled tracer.
+// Tracer records spans into a Ring. Begin/End are intended for one
+// goroutine at a time (the scheduling loop); mu guards the nesting stack so
+// Spans/Reset can run concurrently from an HTTP handler. A nil *Tracer is a
+// valid, permanently-disabled tracer.
 type Tracer struct {
 	on    atomic.Bool
-	mu    sync.Mutex
 	epoch time.Time
-	ring  []Span
-	next  int64   // last span ID issued (IDs are 1-based)
+	ring  *Ring[Span] // span IDs are ring sequences
+
+	mu    sync.Mutex
 	stack []int64 // open span IDs, innermost last
 }
 
@@ -57,7 +58,7 @@ func NewTracer(size int) *Tracer {
 	}
 	t := &Tracer{
 		epoch: time.Now(),
-		ring:  make([]Span, size),
+		ring:  NewRing[Span](size),
 		stack: make([]int64, 0, 16),
 	}
 	t.on.Store(true)
@@ -85,16 +86,12 @@ func (t *Tracer) BeginJob(name string, job int) SpanRef {
 	}
 	now := int64(time.Since(t.epoch))
 	t.mu.Lock()
-	t.next++
-	id := t.next
 	var parent int64
 	if n := len(t.stack); n > 0 {
 		parent = t.stack[n-1]
 	}
+	id := t.ring.Put(Span{Parent: parent, Name: name, Job: job, Start: now, Dur: -1})
 	t.stack = append(t.stack, id)
-	t.ring[t.slot(id)] = Span{
-		ID: id, Parent: parent, Name: name, Job: job, Start: now, Dur: -1,
-	}
 	t.mu.Unlock()
 	return SpanRef(id)
 }
@@ -116,10 +113,8 @@ func (t *Tracer) End(ref SpanRef) {
 			break
 		}
 	}
-	if s := &t.ring[t.slot(int64(ref))]; s.ID == int64(ref) {
-		s.Dur = now - s.Start
-	}
 	t.mu.Unlock()
+	t.ring.Update(int64(ref), func(s *Span) { s.Dur = now - s.Start })
 }
 
 // Annotate attaches a free-form detail string to an open or closed span
@@ -128,14 +123,8 @@ func (t *Tracer) Annotate(ref SpanRef, detail string) {
 	if t == nil || ref <= 0 || !t.on.Load() {
 		return
 	}
-	t.mu.Lock()
-	if s := &t.ring[t.slot(int64(ref))]; s.ID == int64(ref) {
-		s.Detail = detail
-	}
-	t.mu.Unlock()
+	t.ring.Update(int64(ref), func(s *Span) { s.Detail = detail })
 }
-
-func (t *Tracer) slot(id int64) int { return int((id - 1) % int64(len(t.ring))) }
 
 // Spans returns a snapshot of the completed spans still in the ring, oldest
 // first. Open spans are excluded. Nil-safe.
@@ -143,19 +132,10 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lo := t.next - int64(len(t.ring)) + 1
-	if lo < 1 {
-		lo = 1
-	}
-	out := make([]Span, 0, t.next-lo+1)
-	for id := lo; id <= t.next; id++ {
-		s := t.ring[t.slot(id)]
-		if s.ID == id && s.Dur >= 0 {
-			out = append(out, s)
-		}
-	}
+	out, _ := t.ring.Range(1, math.MaxInt64, func(id int64, s *Span) bool {
+		s.ID = id
+		return s.Dur >= 0
+	})
 	return out
 }
 
@@ -164,9 +144,7 @@ func (t *Tracer) Len() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
+	return t.ring.Head()
 }
 
 // Reset drops all recorded spans and open-span state, keeping the clock
@@ -177,9 +155,6 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.ring {
-		t.ring[i] = Span{}
-	}
-	t.next = 0
+	t.ring.Reset()
 	t.stack = t.stack[:0]
 }

@@ -1,9 +1,9 @@
 package operator
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"optimus/internal/metrics"
 )
@@ -13,27 +13,16 @@ import (
 // aggregate job gauges from Status(). It takes the same snapshots the
 // public accessors do, so it is safe to call while jobs are running.
 func (o *Operator) WritePrometheus(w io.Writer) error {
+	e := metrics.NewExporter(w)
 	fs := o.FaultStats()
-	if err := metrics.WriteCounter(w, "optimus_operator_faults_injected_total",
-		"Chaos faults injected into the running system.",
-		float64(fs.Injected)); err != nil {
-		return err
-	}
-	if err := metrics.WriteCounter(w, "optimus_operator_task_restarts_total",
-		"Tasks restarted by kill/crash recovery.",
-		float64(fs.Restarts)); err != nil {
-		return err
-	}
-	if err := metrics.WriteCounter(w, "optimus_operator_checkpoint_failures_total",
-		"Armed checkpoint-write failures that fired.",
-		float64(fs.CheckpointFailures)); err != nil {
-		return err
-	}
-	if err := metrics.WriteCounter(w, "optimus_operator_wasted_steps_total",
-		"Training steps lost to cold restarts.",
-		float64(fs.WastedSteps)); err != nil {
-		return err
-	}
+	e.Counter("optimus_operator_faults_injected_total",
+		"Chaos faults injected into the running system.", float64(fs.Injected))
+	e.Counter("optimus_operator_task_restarts_total",
+		"Tasks restarted by kill/crash recovery.", float64(fs.Restarts))
+	e.Counter("optimus_operator_checkpoint_failures_total",
+		"Armed checkpoint-write failures that fired.", float64(fs.CheckpointFailures))
+	e.Counter("optimus_operator_wasted_steps_total",
+		"Training steps lost to cold restarts.", float64(fs.WastedSteps))
 
 	jobs := o.Status()
 	var completed, running, ps, workers, steps, replaced int
@@ -48,42 +37,20 @@ func (o *Operator) WritePrometheus(w io.Writer) error {
 		steps += j.Steps
 		replaced += j.Replaced
 	}
-	if err := metrics.WriteCounter(w, "optimus_operator_training_steps_total",
-		"Training steps executed across all jobs.", float64(steps)); err != nil {
-		return err
-	}
-	if err := metrics.WriteCounter(w, "optimus_operator_stragglers_replaced_total",
-		"Straggling workers replaced per the paper's section 5.2 policy.",
-		float64(replaced)); err != nil {
-		return err
-	}
-	for _, g := range []struct {
-		name, help string
-		v          float64
-	}{
-		{"optimus_operator_jobs_running", "Jobs currently training.", float64(running)},
-		{"optimus_operator_jobs_completed", "Jobs that reached convergence.", float64(completed)},
-		{"optimus_operator_ps_tasks", "Parameter-server tasks deployed.", float64(ps)},
-		{"optimus_operator_worker_tasks", "Worker tasks deployed.", float64(workers)},
-	} {
-		if err := metrics.WriteGauge(w, g.name, g.help, g.v); err != nil {
-			return err
-		}
-	}
+	e.Counter("optimus_operator_training_steps_total",
+		"Training steps executed across all jobs.", float64(steps))
+	e.Counter("optimus_operator_stragglers_replaced_total",
+		"Straggling workers replaced per the paper's section 5.2 policy.", float64(replaced))
+	e.Gauge("optimus_operator_jobs_running", "Jobs currently training.", float64(running))
+	e.Gauge("optimus_operator_jobs_completed", "Jobs that reached convergence.", float64(completed))
+	e.Gauge("optimus_operator_ps_tasks", "Parameter-server tasks deployed.", float64(ps))
+	e.Gauge("optimus_operator_worker_tasks", "Worker tasks deployed.", float64(workers))
 
 	// Per-job last loss, labelled by job ID in stable order.
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
-	if len(jobs) > 0 {
-		if _, err := fmt.Fprintf(w,
-			"# HELP optimus_operator_job_last_loss Most recent training loss per job.\n# TYPE optimus_operator_job_last_loss gauge\n"); err != nil {
-			return err
-		}
-		for _, j := range jobs {
-			if _, err := fmt.Fprintf(w, "optimus_operator_job_last_loss{job=\"%d\"} %g\n",
-				j.ID, j.LastLoss); err != nil {
-				return err
-			}
-		}
+	for _, j := range jobs {
+		e.Labeled("optimus_operator_job_last_loss", "Most recent training loss per job.",
+			"job", strconv.Itoa(j.ID), j.LastLoss)
 	}
-	return nil
+	return e.Err()
 }

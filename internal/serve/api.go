@@ -453,64 +453,61 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // recorder needs the engine mutex; everything else reads atomics and
 // snapshots.
 func (d *Daemon) writeMetrics(w io.Writer) {
+	e := metrics.NewExporter(w)
 	d.mu.Lock()
 	d.drainArrivalsLocked()
-	err := d.rec.WritePrometheus(w)
+	d.rec.WritePrometheus(e)
 	d.mu.Unlock()
-	if err != nil {
-		return
-	}
 	// API latency is recorded lock-free by the middleware into the daemon's
-	// own atomic histogram (the recorder's family stays empty and is skipped
-	// above, so the family appears exactly once).
-	if h := d.apiHist.Snapshot(); h.Count() > 0 {
-		_ = metrics.WriteHistogram(w, "optimus_api_request_duration_seconds",
-			"Wall-clock latency of optimusd API requests.", &h)
+	// own histogram.
+	if d.apiHist.Count() > 0 {
+		e.Histogram("optimus_api_request_duration_seconds",
+			"Wall-clock latency of optimusd API requests.", &d.apiHist)
 	}
 	byState := map[JobState]int{}
 	d.reg.forEach(func(_ int, j *job) {
 		byState[j.status.Load().st.State]++
 	})
-	_ = metrics.WriteCounter(w, "optimusd_rounds_total",
+	e.Counter("optimusd_rounds_total",
 		"Scheduling rounds executed by the event loop.", float64(d.roundsN.Load()))
-	_ = metrics.WriteCounter(w, "optimusd_jobs_rejected_total",
+	e.Counter("optimusd_jobs_rejected_total",
 		"Submissions rejected by admission control.", float64(d.rejected.Load()))
-	_ = metrics.WriteCounter(w, "optimusd_jobs_cancelled_total",
+	e.Counter("optimusd_jobs_cancelled_total",
 		"Jobs cancelled by their owners.", float64(d.cancelledN.Load()))
-	_ = metrics.WriteCounter(w, "optimusd_interval_overruns_total",
+	e.Counter("optimusd_interval_overruns_total",
 		"Scheduling rounds that outlasted the wall-clock tick.", float64(d.overruns.Load()))
-	_ = metrics.WriteCounter(w, "optimusd_sse_dropped_total",
+	e.Counter("optimusd_sse_dropped_total",
 		"Events dropped from slow SSE subscriber queues.", float64(d.bus.droppedTotal()))
-	_ = metrics.WriteGauge(w, "optimusd_sse_subscribers",
+	e.Gauge("optimusd_sse_subscribers",
 		"Currently connected SSE subscribers.", float64(d.bus.numSubscribers()))
-	_ = metrics.WriteGauge(w, "optimusd_sim_time_seconds",
+	e.Gauge("optimusd_sim_time_seconds",
 		"Simulated clock of the event loop.", d.Now())
-	_ = metrics.WriteGauge(w, "optimusd_uptime_seconds",
+	e.Gauge("optimusd_uptime_seconds",
 		"Wall-clock seconds since daemon start.", time.Since(d.startWall).Seconds())
 	for _, s := range []JobState{StatePending, StateWaiting, StateRunning, StateDone, StateCancelled} {
-		_ = metrics.WriteGauge(w, "optimusd_jobs_"+string(s),
+		e.Gauge("optimusd_jobs_"+string(s),
 			"Jobs currently in state "+string(s)+".", float64(byState[s]))
 	}
 	if l := d.wlog.Load(); l != nil {
 		ws := l.Stats()
-		_ = metrics.WriteCounter(w, "optimus_wal_appends_total",
+		e.Counter("optimus_wal_appends_total",
 			"Records appended to the write-ahead log this process.", float64(ws.Appends))
-		_ = metrics.WriteCounter(w, "optimus_wal_fsyncs_total",
+		e.Counter("optimus_wal_fsyncs_total",
 			"Fsync syscalls issued by the write-ahead log.", float64(ws.Fsyncs))
-		_ = metrics.WriteCounter(w, "optimus_wal_bytes_total",
+		e.Counter("optimus_wal_bytes_total",
 			"Bytes appended to the write-ahead log this process.", float64(ws.Bytes))
-		_ = metrics.WriteCounter(w, "optimus_wal_checkpoints_total",
+		e.Counter("optimus_wal_checkpoints_total",
 			"Snapshot checkpoint/compaction cycles this process.", float64(ws.Checkpoints))
-		_ = metrics.WriteCounter(w, "optimus_wal_append_errors_total",
+		e.Counter("optimus_wal_append_errors_total",
 			"Failed write-ahead log appends.", float64(d.walErrs.Load()))
-		_ = metrics.WriteCounter(w, "optimus_wal_replayed_records_total",
+		e.Counter("optimus_wal_replayed_records_total",
 			"Records applied from the log at startup or while following.",
 			float64(d.walReplayed.Load()))
-		_ = metrics.WriteGauge(w, "optimus_wal_segments",
+		e.Gauge("optimus_wal_segments",
 			"Live segment files in the write-ahead log directory.", float64(ws.Segments))
-		_ = metrics.WriteGauge(w, "optimus_wal_last_seq",
+		e.Gauge("optimus_wal_last_seq",
 			"Last assigned write-ahead log sequence number.", float64(ws.LastSeq))
-		_ = metrics.WriteGauge(w, "optimus_wal_durable_seq",
+		e.Gauge("optimus_wal_durable_seq",
 			"Last write-ahead log sequence known to be on stable storage.",
 			float64(ws.DurableSeq))
 	}
@@ -519,56 +516,55 @@ func (d *Daemon) writeMetrics(w io.Writer) {
 		if ha.Role == "leader" {
 			leader = 1
 		}
-		_ = metrics.WriteGauge(w, "optimus_ha_leader",
+		e.Gauge("optimus_ha_leader",
 			"1 when this daemon holds the leader lease, 0 when following.", leader)
-		_ = metrics.WriteGauge(w, "optimus_ha_term",
+		e.Gauge("optimus_ha_term",
 			"Current lease term observed by this daemon.", float64(ha.Term))
-		_ = metrics.WriteGauge(w, "optimus_ha_follower_lag_records",
+		e.Gauge("optimus_ha_follower_lag_records",
 			"Records the follower is behind the leader's log (0 on the leader).",
 			float64(ha.LagRecords))
 	}
 	// Readiness plane (health.go): the aggregate verdict plus one labeled
 	// sample per component check.
 	ready := d.Readiness()
-	up := 0.0
-	if ready.Ready {
-		up = 1
-	}
-	_ = metrics.WriteGauge(w, "optimus_ready",
-		"1 when every readiness check passes, 0 otherwise.", up)
-	ex := metrics.NewExporter(w)
+	e.Gauge("optimus_ready",
+		"1 when every readiness check passes, 0 otherwise.", b2f(ready.Ready))
 	for name, c := range ready.Components {
-		v := 0.0
-		if c.OK {
-			v = 1
-		}
-		_ = metrics.WriteLabeledGauge(ex, "optimus_component_up",
-			"Per-component readiness check results.", "component", name, v)
+		e.Labeled("optimus_component_up",
+			"Per-component readiness check results.", "component", name, b2f(c.OK))
 	}
 
 	// SLO burn rates (slo.go).
 	slo := d.SLO()
-	_ = metrics.WriteGauge(w, "optimus_slo_overrun_rate",
+	e.Gauge("optimus_slo_overrun_rate",
 		"Fraction of scheduling rounds that outlasted the tick.", slo.OverrunRate)
-	_ = metrics.WriteGauge(w, "optimus_slo_overrun_burn",
+	e.Gauge("optimus_slo_overrun_burn",
 		"Interval-overrun budget burn rate (1 = burning exactly at target).", slo.OverrunBurn)
-	_ = metrics.WriteGauge(w, "optimus_slo_api_p99_seconds",
+	e.Gauge("optimus_slo_api_p99_seconds",
 		"API request latency p99.", slo.APIP99Seconds)
-	_ = metrics.WriteGauge(w, "optimus_slo_api_slow_rate",
+	e.Gauge("optimus_slo_api_slow_rate",
 		"Fraction of API requests over the latency target.", slo.APISlowRate)
-	_ = metrics.WriteGauge(w, "optimus_slo_api_slow_burn",
+	e.Gauge("optimus_slo_api_slow_burn",
 		"API latency budget burn rate.", slo.APISlowBurn)
-	_ = metrics.WriteGauge(w, "optimus_slo_api_error_rate",
+	e.Gauge("optimus_slo_api_error_rate",
 		"Fraction of API requests answered with a 5xx status.", slo.APIErrorRate)
-	_ = metrics.WriteGauge(w, "optimus_slo_api_error_burn",
+	e.Gauge("optimus_slo_api_error_burn",
 		"API error budget burn rate.", slo.APIErrorBurn)
 
 	bi := obs.Build()
-	_ = metrics.WriteInfoGauge(w, "optimus_build_info",
+	e.Info("optimus_build_info",
 		"Build identity of the running binary.", [][2]string{
 			{"version", bi.Version}, {"goversion", bi.GoVersion},
 			{"revision", bi.Revision}, {"modified", fmt.Sprint(bi.Modified)},
 		})
+}
+
+// b2f is 1 for true, 0 for false: a gauge's boolean.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // jsonBufPool recycles encode buffers so responses are marshaled outside

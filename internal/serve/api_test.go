@@ -253,3 +253,57 @@ func TestHTTPEventsSSE(t *testing.T) {
 		t.Fatal("replay produced no events")
 	}
 }
+
+// TestHTTPEventsCursor checks the SSE resume cursor: a ?since or
+// Last-Event-ID that is not a non-negative integer is answered 400 instead
+// of silently replaying the whole ring, and an empty header means no cursor.
+func TestHTTPEventsCursor(t *testing.T) {
+	_, srv := testServer(t)
+	postJob(t, srv.URL, `{"model":"resnet-50","mode":"async","threshold":0.01}`)
+	for _, tc := range []struct {
+		name, query string
+		header      []string // Last-Event-ID values; nil = header absent
+		want        int
+	}{
+		{"since=abc", "?since=abc", nil, http.StatusBadRequest},
+		{"since=-1", "?since=-1", nil, http.StatusBadRequest},
+		{"Last-Event-ID abc", "", []string{"abc"}, http.StatusBadRequest},
+		{"Last-Event-ID -1", "", []string{"-1"}, http.StatusBadRequest},
+		{"empty Last-Event-ID", "", []string{""}, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/events"+tc.query, nil)
+			if tc.header != nil {
+				req.Header["Last-Event-Id"] = tc.header
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.want != http.StatusOK {
+				var e struct{ Error string }
+				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "cursor") {
+					t.Fatalf("error body %+v (%v), want a cursor error", e, err)
+				}
+				return
+			}
+			// No cursor: the stream replays from the first event.
+			scanner := bufio.NewScanner(resp.Body)
+			for scanner.Scan() {
+				if id, ok := strings.CutPrefix(scanner.Text(), "id: "); ok {
+					if id != "1" {
+						t.Fatalf("replay starts at id %s, want 1", id)
+					}
+					return
+				}
+			}
+			t.Fatalf("stream ended before any event: %v", scanner.Err())
+		})
+	}
+}

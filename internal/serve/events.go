@@ -93,17 +93,15 @@ func (s *subscriber) push(ev Event, b *eventBus) {
 	}
 }
 
-// eventBus fans scheduler events out to SSE subscribers. The hot path is
-// wait-free for readers and near-lock-free for writers: a small publish
-// mutex serializes only sequence assignment and the ring store; fanout
-// happens outside it into per-subscriber bounded queues that drop-oldest
-// rather than backpressure. A fixed ring of atomic pointers lets late or
-// lossy subscribers replay recent history.
+// eventBus fans scheduler events out to SSE subscribers. A small publish
+// mutex serializes the ring store (which issues the sequence) and subscribe
+// cuts; fanout happens outside it into per-subscriber bounded queues that
+// drop-oldest rather than backpressure. The ring lets late or lossy
+// subscribers replay recent history.
 type eventBus struct {
-	ring []atomic.Pointer[Event] // ring[seq % len(ring)] when seq > 0
-	head atomic.Int64            // highest sequence published
+	ring *obs.Ring[Event] // an event's Seq is its ring sequence
 
-	pubMu sync.Mutex // serializes seq assignment + ring writes + subscribe cuts
+	pubMu sync.Mutex // serializes ring writes + subscribe cuts
 
 	subsMu  sync.RWMutex
 	subs    map[int]*subscriber
@@ -116,22 +114,18 @@ type eventBus struct {
 
 func newEventBus(size int, flight *obs.FlightRecorder) *eventBus {
 	return &eventBus{
-		ring:   make([]atomic.Pointer[Event], size),
+		ring:   obs.NewRing[Event](size),
 		subs:   make(map[int]*subscriber),
 		flight: flight,
 	}
 }
 
-// publish assigns the next sequence number, records the event in the ring
-// and delivers it to every subscriber's queue. It never blocks on a slow
+// publish records the event in the ring, which assigns its sequence, and
+// delivers it to every subscriber's queue. It never blocks on a slow
 // subscriber: queue overflow evicts that subscriber's oldest event instead.
 func (b *eventBus) publish(ev Event) {
 	b.pubMu.Lock()
-	seq := b.head.Load() + 1
-	ev.Seq = seq
-	stored := ev
-	b.ring[int(seq)%len(b.ring)].Store(&stored)
-	b.head.Store(seq)
+	ev.Seq = b.ring.Put(ev)
 	b.pubMu.Unlock()
 
 	b.subsMu.RLock()
@@ -148,21 +142,8 @@ func (b *eventBus) publish(ev Event) {
 func (b *eventBus) subscribe(after int64) (int, chan Event, []Event) {
 	s := &subscriber{ch: make(chan Event, subQueueLen)}
 	b.pubMu.Lock()
-	head := b.head.Load()
-	var replay []Event
-	lo := head - int64(len(b.ring)) + 1
-	if lo < 1 {
-		lo = 1
-	}
-	if after+1 > lo {
-		lo = after + 1
-	}
-	for seq := lo; seq <= head; seq++ {
-		if p := b.ring[int(seq)%len(b.ring)].Load(); p != nil && p.Seq == seq {
-			replay = append(replay, *p)
-		}
-	}
-	s.after = head
+	s.after = b.ring.Head()
+	replay, _ := b.window(after+1, s.after)
 	b.subsMu.Lock()
 	id := b.nextSub
 	b.nextSub++
@@ -194,19 +175,10 @@ func (b *eventBus) unsubscribe(id int) {
 // window returns the ring events with lo <= Seq <= hi that are still
 // resident, plus the count that have been overwritten (lost for good).
 func (b *eventBus) window(lo, hi int64) ([]Event, int64) {
-	if lo < 1 {
-		lo = 1
-	}
-	var out []Event
-	var missing int64
-	for seq := lo; seq <= hi; seq++ {
-		if p := b.ring[int(seq)%len(b.ring)].Load(); p != nil && p.Seq == seq {
-			out = append(out, *p)
-		} else {
-			missing++
-		}
-	}
-	return out, missing
+	return b.ring.Range(lo, hi, func(seq int64, ev *Event) bool {
+		ev.Seq = seq
+		return true
+	})
 }
 
 // droppedTotal reports events evicted from subscriber queues since start.
@@ -221,7 +193,8 @@ func (b *eventBus) numSubscribers() int {
 }
 
 // handleEvents streams the decision log as Server-Sent Events. `?since=N`
-// or a Last-Event-ID header resumes after sequence N. The handler owns gap
+// or a Last-Event-ID header resumes after sequence N; a cursor that is not
+// a non-negative integer is answered 400. The handler owns gap
 // repair: when its bounded queue dropped events (or racing publishers
 // delivered out of order), it backfills the missing sequence range from the
 // ring, so the emitted stream is strictly ordered and exactly-once per
@@ -233,11 +206,18 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	cursor := r.URL.Query().Get("since")
+	if cursor == "" {
+		cursor = r.Header.Get("Last-Event-ID")
+	}
 	var after int64
-	if s := r.URL.Query().Get("since"); s != "" {
-		after, _ = strconv.ParseInt(s, 10, 64)
-	} else if s := r.Header.Get("Last-Event-ID"); s != "" {
-		after, _ = strconv.ParseInt(s, 10, 64)
+	if cursor != "" {
+		var err error
+		if after, err = strconv.ParseInt(cursor, 10, 64); err != nil || after < 0 {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("serve: bad event cursor %q (want a sequence number >= 0)", cursor))
+			return
+		}
 	}
 	id, ch, replay := d.bus.subscribe(after)
 	defer d.bus.unsubscribe(id)

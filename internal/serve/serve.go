@@ -107,20 +107,17 @@ type Config struct {
 	// GET /v1/jobs/{id}/explain. Off by default; both endpoints then return
 	// 404 and the scheduling loop pays no tracing cost.
 	Trace bool
-	// TraceBuffer / AuditBuffer size the span and audit-event rings.
-	// Defaults obs.DefaultSpanBuffer / obs.DefaultAuditBuffer.
-	TraceBuffer, AuditBuffer int
+	// TraceBuffer sizes the span ring. Default obs.DefaultSpanBuffer; the
+	// audit rings hold obs.DefaultAuditBuffer events each.
+	TraceBuffer int
 
 	// Flight is the always-on black-box flight recorder fed by the engine
 	// loop, WAL, HA and SSE drop paths, dumped by GET /debug/bundle. Unlike
-	// Trace it is on by default (the record path is lock-light and
-	// allocation-free): when nil, New creates one of FlightBuffer capacity.
-	// Pass a shared recorder so daemon-external components (the lease
-	// renewer, the follower tailer) land in the same ring.
+	// Trace it is on by default (the record path is one uncontended lock and
+	// no allocation): when nil, New creates one of obs.DefaultFlightBuffer
+	// capacity. Pass a shared recorder so daemon-external components (the
+	// lease renewer, the follower tailer) land in the same ring.
 	Flight *obs.FlightRecorder
-	// FlightBuffer sizes the ring New creates when Flight is nil. Default
-	// obs.DefaultFlightBuffer.
-	FlightBuffer int
 
 	// EngineStaleAfter bounds the engine readiness check in GET /readyz: a
 	// leader whose last scheduling round is older than this is not ready.
@@ -180,12 +177,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.TraceBuffer <= 0 {
 		c.TraceBuffer = obs.DefaultSpanBuffer
-	}
-	if c.AuditBuffer <= 0 {
-		c.AuditBuffer = obs.DefaultAuditBuffer
-	}
-	if c.FlightBuffer <= 0 {
-		c.FlightBuffer = obs.DefaultFlightBuffer
 	}
 	if c.EngineStaleAfter <= 0 {
 		c.EngineStaleAfter = 10 * c.Tick
@@ -303,9 +294,9 @@ type Daemon struct {
 	roundsN     atomic.Int64
 	overruns    atomic.Int64 // Run ticks whose Step outlasted cfg.Tick
 	clusterSnap atomic.Pointer[clusterSnapshot]
-	apiHist     obs.AtomicHistogram // API latency, written lock-free
-	apiSlow     atomic.Int64        // API requests over SLOAPILatencyTarget
-	apiErrs     atomic.Int64        // API responses with a 5xx status
+	apiHist     obs.Histogram // API latency, written lock-free
+	apiSlow     atomic.Int64  // API requests over SLOAPILatencyTarget
+	apiErrs     atomic.Int64  // API responses with a 5xx status
 
 	// Readiness state (health.go): wall nanos of the last completed round,
 	// and the fail-stop reason once the daemon has permanently stood down.
@@ -345,7 +336,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	flight := cfg.Flight
 	if flight == nil {
-		flight = obs.NewFlightRecorder(cfg.FlightBuffer)
+		flight = obs.NewFlightRecorder(obs.DefaultFlightBuffer)
 	}
 	policy := sim.OptimusPolicy().Session()
 	d := &Daemon{
@@ -362,7 +353,7 @@ func New(cfg Config) (*Daemon, error) {
 	d.reg.init()
 	if cfg.Trace {
 		d.tracer = obs.NewTracer(cfg.TraceBuffer)
-		d.audit = obs.NewAuditLog(cfg.AuditBuffer)
+		d.audit = obs.NewAuditLog(obs.DefaultAuditBuffer)
 	}
 	d.round = sim.NewRound(policy, cfg.Cluster, nil, d.tracer, d.audit, d.rec)
 	d.mu.Lock()

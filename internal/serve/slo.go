@@ -23,8 +23,8 @@ type SLOStatus struct {
 	APIErrorBurn            float64 `json:"apiErrorBurn"`
 }
 
-// SLO computes current attainment. Lock-free: counters are atomics and the
-// latency histogram is snapshotted.
+// SLO computes current attainment. Lock-free: counters and the latency
+// histogram are atomics.
 func (d *Daemon) SLO() SLOStatus {
 	s := SLOStatus{
 		OverrunTarget:           d.cfg.SLOOverrunTarget,
@@ -34,9 +34,8 @@ func (d *Daemon) SLO() SLOStatus {
 		s.OverrunRate = float64(d.overruns.Load()) / float64(rounds)
 		s.OverrunBurn = s.OverrunRate / d.cfg.SLOOverrunTarget
 	}
-	h := d.apiHist.Snapshot()
-	if n := h.Count(); n > 0 {
-		s.APIP99Seconds = h.Quantile(0.99)
+	if n := d.apiHist.Count(); n > 0 {
+		s.APIP99Seconds = d.apiHist.Quantile(0.99)
 		s.APISlowRate = float64(d.apiSlow.Load()) / float64(n)
 		s.APISlowBurn = s.APISlowRate / d.cfg.SLOAPIErrorBudget
 		s.APIErrorRate = float64(d.apiErrs.Load()) / float64(n)

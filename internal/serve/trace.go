@@ -17,7 +17,8 @@ var ErrTracingDisabled = errors.New("serve: tracing disabled (start optimusd wit
 // ExplainResponse is the GET /v1/jobs/{id}/explain body: the job's current
 // state plus its complete recorded decision history — every §4.1 marginal-
 // gain grant and every §4.2 placement, oldest first. History is bounded by
-// Config.AuditBuffer; long-lived daemons see a suffix of very old jobs.
+// obs.DefaultAuditBuffer events of each kind; long-lived daemons see a
+// suffix of very old jobs.
 type ExplainResponse struct {
 	Job        int              `json:"job"`
 	State      JobState         `json:"state"`

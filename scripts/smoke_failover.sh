@@ -36,7 +36,6 @@ trap cleanup EXIT
 go build -race -o "$workdir/optimusd" ./cmd/optimusd
 go build -o "$workdir/optimusd-load" ./cmd/optimusd-load
 go build -o "$workdir/optimus-trace" ./cmd/optimus-trace
-go build -o "$workdir/jsonok" ./cmd/jsonok
 
 waldir="$workdir/wal"
 
@@ -134,7 +133,7 @@ echo "all $nsub acked submissions survived the failover"
 
 # 5. The promoted follower's debug bundle narrates the takeover.
 curl -s "http://$follower/debug/bundle" >"$workdir/bundle.json"
-"$workdir/jsonok" <"$workdir/bundle.json" ||
+"$workdir/optimus-trace" jsonok <"$workdir/bundle.json" ||
     { echo "FAIL: /debug/bundle is not valid JSON:"; head -c 400 "$workdir/bundle.json"; exit 1; }
 grep -q '"msg":"lease acquired"' "$workdir/bundle.json" ||
     { echo "FAIL: bundle flight tail missing lease acquisition"; exit 1; }
@@ -172,7 +171,7 @@ done
 wait $l2pid 2>/dev/null && { echo "FAIL: fail-stop exited 0"; exit 1; }
 fsbundle="$waldir2/bundle-failstop-$l2pid.json"
 [ -s "$fsbundle" ] || { echo "FAIL: no fail-stop bundle at $fsbundle"; ls "$waldir2"; exit 1; }
-"$workdir/jsonok" <"$fsbundle" ||
+"$workdir/optimus-trace" jsonok <"$fsbundle" ||
     { echo "FAIL: fail-stop bundle is not valid JSON:"; head -c 400 "$fsbundle"; exit 1; }
 # The on-disk bundle is indented JSON ("key": "value"), unlike the compact
 # HTTP encoding — allow the space in the greps.

@@ -10,7 +10,7 @@ trap 'kill $pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/optimusd" ./cmd/optimusd
 go build -o "$workdir/optimusd-load" ./cmd/optimusd-load
-go build -o "$workdir/jsonok" ./cmd/jsonok
+go build -o "$workdir/optimus-trace" ./cmd/optimus-trace
 
 "$workdir/optimusd" -addr 127.0.0.1:0 -portfile "$workdir/port" \
     -tick 100ms -snapshot "$workdir/state.json" >"$workdir/d1.log" 2>&1 &
@@ -31,7 +31,7 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 [ "$ready" = 1 ] || { echo "daemon never became ready:"; cat "$workdir/ready.json"; exit 1; }
-"$workdir/jsonok" <"$workdir/ready.json" ||
+"$workdir/optimus-trace" jsonok <"$workdir/ready.json" ||
     { echo "/readyz is not valid JSON:"; cat "$workdir/ready.json"; exit 1; }
 grep -q '"engine"' "$workdir/ready.json" ||
     { echo "/readyz missing engine component:"; cat "$workdir/ready.json"; exit 1; }
@@ -69,12 +69,12 @@ grep -q 'event: placed' "$workdir/events.txt" ||
 # Decision tracing (-trace defaults on): the span export and the per-job
 # audit must both serve non-empty, well-formed JSON.
 curl -s "http://$addr/v1/trace" >"$workdir/trace.json"
-"$workdir/jsonok" <"$workdir/trace.json" ||
+"$workdir/optimus-trace" jsonok <"$workdir/trace.json" ||
     { echo "/v1/trace is not valid JSON:"; head -c 400 "$workdir/trace.json"; exit 1; }
 grep -q '"name":"interval"' "$workdir/trace.json" ||
     { echo "trace has no interval spans"; head -c 400 "$workdir/trace.json"; exit 1; }
 curl -s "http://$addr/v1/jobs/1/explain" >"$workdir/explain.json"
-"$workdir/jsonok" <"$workdir/explain.json" ||
+"$workdir/optimus-trace" jsonok <"$workdir/explain.json" ||
     { echo "/v1/jobs/1/explain is not valid JSON:"; cat "$workdir/explain.json"; exit 1; }
 grep -q '"kind":"seed"' "$workdir/explain.json" ||
     { echo "explain has no seed grant:"; cat "$workdir/explain.json"; exit 1; }
@@ -82,7 +82,7 @@ grep -q '"kind":"seed"' "$workdir/explain.json" ||
 # Debug bundle: one JSON document with build info, readiness, SLO burn,
 # the flight-recorder tail and goroutine stacks.
 curl -s "http://$addr/debug/bundle" >"$workdir/bundle.json"
-"$workdir/jsonok" <"$workdir/bundle.json" ||
+"$workdir/optimus-trace" jsonok <"$workdir/bundle.json" ||
     { echo "/debug/bundle is not valid JSON:"; head -c 400 "$workdir/bundle.json"; exit 1; }
 for field in '"build"' '"ready"' '"slo"' '"flight"' '"goroutines"'; do
     grep -q "$field" "$workdir/bundle.json" ||
