@@ -10,6 +10,7 @@ import (
 	"optimus/internal/lossfit"
 	"optimus/internal/obs"
 	"optimus/internal/psys"
+	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/workload"
 )
@@ -121,6 +122,66 @@ func TestAllocationBudgets(t *testing.T) {
 		// Two warm-up intervals, AllocsPerRun's own warm-up and ten runs.
 		if st := inc.Stats(); st.AllocFull != 13 || st.PlaceFull != 13 {
 			t.Errorf("session counted %d allocations and %d placements, want 13 each", st.AllocFull, st.PlaceFull)
+		}
+	})
+
+	t.Run("allocate-views", func(t *testing.T) {
+		// The daemon's round on a wide cluster: 150 estimated views on 500
+		// nodes, a third still on the placed-speed fallback, the rest on
+		// fitted §3.2 models. The views are rebuilt every round, so any
+		// per-view memo of the speed probes would start cold each time and
+		// cost at least one allocation per job; only Allocate is counted.
+		c := cluster.Uniform(500, cluster.Resources{cluster.CPU: 32, cluster.Memory: 128})
+		zoo := workload.Zoo()
+		rng := rand.New(rand.NewSource(9))
+		type live struct {
+			spec workload.JobSpec
+			fit  *lossfit.Fitter
+			est  *speedfit.Estimator
+		}
+		jobs := make([]live, 150)
+		fitted := 0
+		for i := range jobs {
+			m := zoo[i%len(zoo)]
+			spec := workload.JobSpec{ID: i, Model: m, Mode: speedfit.Mode(i % 2), Threshold: 0.02, Downscale: 0.2}
+			j := live{spec: spec, fit: lossfit.NewFitter(), est: speedfit.NewEstimator(spec.Mode, float64(m.GlobalBatch))}
+			if i%3 != 0 {
+				sim.PreRunProfile(j.est, spec, 8, 0.03, rng)
+				fitted++
+			}
+			jobs[i] = j
+		}
+		views := func() []*core.JobInfo {
+			infos := make([]*core.JobInfo, len(jobs))
+			for i, j := range jobs {
+				infos[i] = sim.EstimatedView(c, j.spec, 0, j.fit, j.est, 80, 0.95)
+			}
+			return infos
+		}
+		onModel := 0
+		for i, in := range views() {
+			fallback := sim.EpochsPerSecond(jobs[i].spec, sim.ApproxPlacedSpeed(c, jobs[i].spec, 2, 3)) * 0.8
+			if in.Speed(2, 3) != fallback {
+				onModel++
+			}
+		}
+		if onModel != fitted {
+			t.Fatalf("%d views predict from a fitted model, want %d", onModel, fitted)
+		}
+		st := core.NewAllocState()
+		st.Allocate(views(), c.Capacity()) // warm the scratch buffers
+		const runs = 10
+		var mallocs uint64
+		for r := 0; r < runs; r++ {
+			infos := views()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st.Allocate(infos, c.Capacity())
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if perOp := float64(mallocs) / runs; perOp > 25 {
+			t.Errorf("warmed Allocate over %d estimated views (%d fitted): %.1f allocs/op, budget 25", len(jobs), fitted, perOp)
 		}
 	})
 

@@ -45,28 +45,6 @@ type Allocation struct {
 // Tasks returns the total number of tasks in the allocation.
 func (a Allocation) Tasks() int { return a.PS + a.Workers }
 
-// MemoizeSpeed wraps a speed function with a lookup table keyed on (p, w).
-// The greedy allocator evaluates each job's Speed O(tasks granted) times and
-// almost always at arguments it has already visited — the base allocation is
-// re-probed on every heap pop — while the underlying closures (fitted models
-// over placement physics, or the simulator's ground-truth surfaces) are far
-// more expensive than a map hit. Callers with expensive speed functions wrap
-// once per scheduling interval (see sim.schedulerView) rather than inside
-// Allocate itself, so cheap closures pay no map overhead. Speed functions
-// must be pure for the lifetime of the wrapper for the memo to be exact.
-func MemoizeSpeed(f func(p, w int) float64) func(p, w int) float64 {
-	cache := make(map[[2]int]float64)
-	return func(p, w int) float64 {
-		key := [2]int{p, w}
-		if v, ok := cache[key]; ok {
-			return v
-		}
-		v := f(p, w)
-		cache[key] = v
-		return v
-	}
-}
-
 // remainingTime returns Q/f(p,w), with +Inf when the job cannot progress.
 func remainingTime(j *JobInfo, p, w int) float64 {
 	f := j.Speed(p, w)
@@ -153,19 +131,13 @@ func (h gainHeap) popTop() gainHeap {
 	return h
 }
 
-// bestGain computes the larger of the two marginal gains (9) for a job at
-// its current allocation, normalized by the dominant-resource share of the
-// task being added (the DRF-style normalization of §4.1, which makes gains
-// comparable across heterogeneous task profiles).
-func bestGain(j *JobInfo, a Allocation, capacity cluster.Resources) (gainKind, float64) {
-	kind, gain, _ := bestGainFrom(j, a, remainingTime(j, a.PS, a.Workers), capacity)
-	return kind, gain
-}
-
-// bestGainFrom is bestGain with the job's current remaining time supplied by
-// the caller (the allocator carries it across grants instead of re-deriving
-// it from the speed model). It additionally returns the remaining time the
-// winning action would leave the job with.
+// bestGainFrom computes the larger of the two marginal gains (9) for a job
+// at its current allocation, normalized by the dominant-resource share of
+// the task being added (the DRF-style normalization of §4.1, which makes
+// gains comparable across heterogeneous task profiles). The job's current
+// remaining time is supplied by the caller (the allocator carries it across
+// grants instead of re-deriving it from the speed model); the result also
+// carries the remaining time the winning action would leave the job with.
 func bestGainFrom(j *JobInfo, a Allocation, base float64, capacity cluster.Resources) (gainKind, float64, float64) {
 	gw, tw := math.Inf(-1), math.Inf(1)
 	if j.MaxWorkers == 0 || a.Workers < j.MaxWorkers {
@@ -383,15 +355,10 @@ func effectivePriority(j *JobInfo) float64 {
 	return j.Priority
 }
 
-// otherGain computes the normalized gain of the action other than `tried`.
-func otherGain(j *JobInfo, a Allocation, capacity cluster.Resources, tried gainKind) (gainKind, float64) {
-	kind, gain, _ := otherGainFrom(j, a, remainingTime(j, a.PS, a.Workers), capacity, tried)
-	return kind, gain
-}
-
-// otherGainFrom is otherGain with the job's current remaining time supplied
-// by the caller; it additionally returns the remaining time the alternative
-// action would leave the job with.
+// otherGainFrom computes the normalized gain of the action other than
+// `tried`, from the job's current remaining time supplied by the caller; it
+// also returns the remaining time the alternative action would leave the job
+// with.
 func otherGainFrom(j *JobInfo, a Allocation, base float64, capacity cluster.Resources, tried gainKind) (gainKind, float64, float64) {
 	prio := j.Priority
 	if prio == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"optimus/internal/cluster"
@@ -148,6 +149,93 @@ func TestPlaceMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGreedyBalancedMatchesScan drives the heap-backed greedyBalanced and
+// the kept scan, refGreedyBalanced, on identical node slices over seeded
+// instances: uniform clusters (every node ties until it takes a task, so the
+// position tie-break decides), mixed node sizes, and partly used nodes, from
+// one node to ~600, with allocations both within and above the p+w+16 prefix
+// the placer hands the first greedy attempt, feasible and not. Success and the
+// per-node PS and worker counts must match. One PlaceState is reused, so stale
+// scratch surfaces as cross-instance contamination.
+func TestGreedyBalancedMatchesScan(t *testing.T) {
+	st := NewPlaceState()
+	var placed, failed, wide int
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(5000 + seed))
+		n := 1 + r.Intn(40)
+		if r.Intn(3) == 0 {
+			n = 1 + r.Intn(600)
+		}
+		shape := seed % 3 // 0 uniform, 1 mixed sizes, 2 uniform and partly used
+		c := cluster.New()
+		for i := 0; i < n; i++ {
+			cap := cluster.Resources{cluster.CPU: 16, cluster.Memory: 64}
+			if shape == 1 {
+				cap = cluster.Resources{
+					cluster.CPU:    4 + float64(r.Intn(8))*4,
+					cluster.Memory: 16 + float64(r.Intn(6))*16,
+				}
+			}
+			node := cluster.NewNode(nodeID(i), cap)
+			if shape == 2 {
+				for u := r.Intn(4); u > 0; u-- {
+					if err := node.Allocate(cluster.Resources{cluster.CPU: 3, cluster.Memory: 10}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := c.AddNode(node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := PlacementRequest{
+			JobID:     int(seed),
+			WorkerRes: cluster.Resources{cluster.CPU: 2, cluster.Memory: 8},
+			PSRes:     cluster.Resources{cluster.CPU: 1, cluster.Memory: 4},
+		}
+		if r.Intn(2) == 0 { // off-grid profiles: spare CPU rarely ties
+			req.WorkerRes = cluster.Resources{cluster.CPU: 1 + 3*r.Float64(), cluster.Memory: 2 + 6*r.Float64()}
+			req.PSRes = cluster.Resources{cluster.CPU: 1 + 2*r.Float64(), cluster.Memory: 1 + 4*r.Float64()}
+		}
+		// Up to ~1.5× what the cluster could hold of the worker profile, so
+		// some instances run out of room; or a grant small against the
+		// cluster, like the placer's full-ordering retry on a wide cluster.
+		room := 1 + int(1.5*c.Capacity()[cluster.CPU]/req.WorkerRes[cluster.CPU])
+		if r.Intn(2) == 0 {
+			room = 1 + n/2
+		}
+		p, w := r.Intn(room/3+1), r.Intn(room)
+		if p+w+16 < n {
+			wide++
+		}
+		nodes := c.Nodes()
+
+		want, wantOK := refGreedyBalanced(req, nodes, p, w)
+		st.recNodes, st.recPS, st.recW, st.touched = st.recNodes[:0], st.recPS[:0], st.recW[:0], st.touched[:0]
+		gotOK := st.greedyBalanced(req, nodes, p, w)
+		if gotOK != wantOK {
+			t.Fatalf("seed %d (%d nodes, p=%d w=%d): scan ok=%v, heap ok=%v", seed, n, p, w, wantOK, gotOK)
+		}
+		if !gotOK {
+			failed++
+			continue
+		}
+		placed++
+		got := Placement{PSOnNode: st.recPS, WorkersOnNode: st.recW}
+		for _, node := range st.recNodes {
+			got.NodeIDs = append(got.NodeIDs, node.ID)
+		}
+		if !slices.Equal(want.NodeIDs, got.NodeIDs) || !slices.Equal(want.PSOnNode, got.PSOnNode) ||
+			!slices.Equal(want.WorkersOnNode, got.WorkersOnNode) {
+			t.Fatalf("seed %d (%d nodes, p=%d w=%d): placements diverge\nscan: %v\nheap: %v", seed, n, p, w, want, got)
+		}
+	}
+	if placed == 0 || failed == 0 || wide == 0 {
+		t.Fatalf("instances cover too little: %d placed, %d infeasible, %d on more than p+w+16 nodes", placed, failed, wide)
+	}
+	t.Logf("%d placed, %d infeasible, %d on more than p+w+16 nodes", placed, failed, wide)
 }
 
 // TestGainHeapOpsAllocationFree is the regression guard for the satellite

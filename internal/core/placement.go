@@ -91,6 +91,7 @@ type PlaceState struct {
 	psOn    []int
 	wOn     []int
 	spare   []cluster.Resources
+	heap    []int // greedyBalanced's candidate heap
 
 	// Staged placements of the current call: placeOne appends (node, ps, w)
 	// rows, placeRecs segments them per job, materialize() turns them into
@@ -438,59 +439,103 @@ func (st *PlaceState) stageEvenSplit(nodes []*cluster.Node, p, w int) {
 // hosting the fewest tasks of this job (ties broken by available CPU, then
 // node order), staging the resulting rows on success. Workers go first since
 // they are usually the larger profile.
+//
+// The fitting nodes of each task kind sit in a min-heap on exactly that key,
+// so each task takes the top instead of rescanning every node. Only the
+// chosen node's key changes, and only grows (one more task, less spare CPU),
+// so it sifts down; spare capacity only shrinks, so a node that stops
+// fitting the profile leaves the heap for good. An attempt costs
+// O(N + T log N) rather than O(N·T) and picks the same node for every task.
 func (st *PlaceState) greedyBalanced(req PlacementRequest, nodes []*cluster.Node, p, w int) bool {
 	k := len(nodes)
-	psOn := resizeInts(&st.psOn, k)
-	wOn := resizeInts(&st.wOn, k)
+	h := greedyHeap{psOn: resizeInts(&st.psOn, k), wOn: resizeInts(&st.wOn, k)}
 	if cap(st.spare) < k {
 		st.spare = make([]cluster.Resources, k)
 	}
-	spare := st.spare[:k]
+	h.spare = st.spare[:k]
 	for i, n := range nodes {
-		spare[i] = n.Available()
+		h.spare[i] = n.Available()
 	}
-	assign := func(res cluster.Resources, counts []int) bool {
-		best := -1
-		for i := range nodes {
-			if !res.Fits(spare[i]) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			ci, cb := psOn[i]+wOn[i], psOn[best]+wOn[best]
-			if ci < cb || (ci == cb && spare[i][cluster.CPU] > spare[best][cluster.CPU]) {
-				best = i
+	assign := func(res cluster.Resources, counts []int, tasks int) bool {
+		h.pos = st.heap[:0]
+		for i := range h.spare {
+			if res.Fits(h.spare[i]) {
+				h.pos = append(h.pos, i)
 			}
 		}
-		if best < 0 {
-			return false
+		st.heap = h.pos
+		for i := len(h.pos)/2 - 1; i >= 0; i-- {
+			h.down(i)
 		}
-		spare[best] = spare[best].Sub(res)
-		counts[best]++
+		for t := 0; t < tasks; t++ {
+			if len(h.pos) == 0 {
+				return false
+			}
+			best := h.pos[0]
+			h.spare[best] = h.spare[best].Sub(res)
+			counts[best]++
+			if !res.Fits(h.spare[best]) {
+				last := len(h.pos) - 1
+				h.pos[0] = h.pos[last]
+				h.pos = h.pos[:last]
+			}
+			h.down(0)
+		}
 		return true
 	}
-	for t := 0; t < w; t++ {
-		if !assign(req.WorkerRes, wOn) {
-			return false
-		}
-	}
-	for t := 0; t < p; t++ {
-		if !assign(req.PSRes, psOn) {
-			return false
-		}
+	if !assign(req.WorkerRes, h.wOn, w) || !assign(req.PSRes, h.psOn, p) {
+		return false
 	}
 	for i, n := range nodes {
-		if psOn[i] == 0 && wOn[i] == 0 {
+		if h.psOn[i] == 0 && h.wOn[i] == 0 {
 			continue
 		}
 		st.recNodes = append(st.recNodes, n)
-		st.recPS = append(st.recPS, psOn[i])
-		st.recW = append(st.recW, wOn[i])
+		st.recPS = append(st.recPS, h.psOn[i])
+		st.recW = append(st.recW, h.wOn[i])
 		st.touched = append(st.touched, i)
 	}
 	return true
+}
+
+// greedyHeap is greedyBalanced's candidate heap: node positions ordered by
+// (tasks of this job on the node, spare CPU descending, position).
+type greedyHeap struct {
+	pos       []int
+	psOn, wOn []int
+	spare     []cluster.Resources
+}
+
+// less is the greedy scan's preference: fewer tasks of this job, then more
+// spare CPU, then the earlier node.
+func (h *greedyHeap) less(a, b int) bool {
+	if ca, cb := h.psOn[a]+h.wOn[a], h.psOn[b]+h.wOn[b]; ca != cb {
+		return ca < cb
+	}
+	if sa, sb := h.spare[a][cluster.CPU], h.spare[b][cluster.CPU]; sa != sb {
+		return sa > sb
+	}
+	return a < b
+}
+
+// down restores heap order below slot i after its key grew.
+func (h *greedyHeap) down(i int) {
+	n := len(h.pos)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		best := l
+		if r := l + 1; r < n && h.less(h.pos[r], h.pos[l]) {
+			best = r
+		}
+		if !h.less(h.pos[best], h.pos[i]) {
+			return
+		}
+		h.pos[i], h.pos[best] = h.pos[best], h.pos[i]
+		i = best
+	}
 }
 
 // resizeInts returns *s resized to n elements, all zero, growing the backing

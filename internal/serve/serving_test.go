@@ -33,8 +33,8 @@ func TestClusterEncodeLargeConcurrent(t *testing.T) {
 	// shrink steps that ask for more than the cluster has free, but not a
 	// grant that fits the bound and still fails the greedy placer: a lone
 	// ds2 job's 25,345 PS + 20,991 workers on 10k 16-CPU nodes is packable,
-	// yet greedyBalanced fails it, and each shrink step then costs a full
-	// O(N·T) kernel call (see TestWideRoundsSkipUnpackableRetries). This
+	// yet greedyBalanced fails it, and each shrink step then costs a
+	// kernel call (see TestWideRoundsSkipUnpackableRetries). This
 	// test is about racing cluster encodes against rounds, not that cliff.
 	c := cluster.Testbed()
 	for i := c.Len(); i < 10000; i++ {
@@ -481,6 +481,9 @@ func TestOpenLoop1000Clients(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	wgStep.Wait()
+	// A submit can land after the stepper's last round published the
+	// cluster snapshot; one more round publishes every admitted job.
+	d.Step()
 
 	if n := errs.Load(); n > 0 {
 		t.Fatalf("%d operations failed under 1000-client open-loop load", n)

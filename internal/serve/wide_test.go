@@ -27,8 +27,10 @@ import (
 // 1 Gbps} is granted 25,345 PS and 20,991 workers. That grant passes the
 // bound and is packable (6,335 nodes of 4 PS + 1 worker, 3,664 of 4 workers
 // and one of 5 PS), but greedyBalanced places the workers first, about two
-// per node, and runs out of room for the PS. Every shrink step then costs a
-// full O(N·T) kernel call (~3 s here) and the round takes hours.
+// per node, and runs out of room for the PS. Every shrink step the bound
+// admits then runs the kernel, O(N + T log N) with the greedy's candidate
+// heap (~20 ms on a 2-core host, where the per-task rescan took ~4 s), but
+// the steps are so many that the job's first round still runs past 100 s.
 func TestWideRoundsSkipUnpackableRetries(t *testing.T) {
 	d, err := New(Config{
 		Cluster:     cluster.Uniform(2000, cluster.Resources{cluster.CPU: 32, cluster.Memory: 128}),

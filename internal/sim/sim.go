@@ -551,9 +551,10 @@ func trueFitted(cfg Config, cache map[string]speedfit.Model, spec workload.JobSp
 		return m, m.Valid()
 	}
 	var samples []speedfit.Sample
+	placed := placedSpeed(cfg.Cluster, spec)
 	for p := 1; p <= 16; p++ {
 		for w := 1; w <= 16; w++ {
-			s := ApproxPlacedSpeed(cfg.Cluster, spec, p, w)
+			s := placed(p, w)
 			if s > 0 {
 				samples = append(samples, speedfit.Sample{P: p, W: w, Speed: s})
 			}
@@ -574,7 +575,7 @@ func truePredictor(cfg Config, cache map[string]speedfit.Model, spec workload.Jo
 	if m, ok := trueFitted(cfg, cache, spec); ok {
 		return m.Speed
 	}
-	return func(p, w int) float64 { return ApproxPlacedSpeed(cfg.Cluster, spec, p, w) }
+	return placedSpeed(cfg.Cluster, spec)
 }
 
 // schedulerView builds the core.JobInfo the policy sees for one job: a
@@ -636,10 +637,6 @@ func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model)
 			info.Priority = cfg.PriorityFactor
 		}
 	}
-	// Every speed closure above is pure for the duration of the interval,
-	// and the allocator plus the §7 churn damper probe it with heavily
-	// repeated arguments — memoize per job per interval.
-	info.Speed = core.MemoizeSpeed(info.Speed)
 	return info
 }
 

@@ -23,9 +23,14 @@ import (
 // learned — the paper's fitted f(p,w) is calibrated from placed deployments,
 // not from an ideal single-switch abstraction.
 func ApproxPlacedSpeed(c *cluster.Cluster, spec workload.JobSpec, p, w int) float64 {
-	if p < 1 || w < 1 {
-		return 0
-	}
+	return placedSpeed(c, spec)(p, w)
+}
+
+// placedSpeed is ApproxPlacedSpeed as a function of (p, w) for one job on c.
+// The O(nodes) capacity scan behind the tasks-per-node figure runs once, here,
+// rather than on every probe; node capacities never change after a cluster
+// is built.
+func placedSpeed(c *cluster.Cluster, spec workload.JobSpec) func(p, w int) float64 {
 	taskCPU := (spec.Model.WorkerRes[cluster.CPU] + spec.Model.PSRes[cluster.CPU]) / 2
 	nodeCPU := c.Capacity()[cluster.CPU] / float64(c.Len())
 	perNode := 1.0
@@ -35,7 +40,12 @@ func ApproxPlacedSpeed(c *cluster.Cluster, spec workload.JobSpec, p, w int) floa
 			perNode = 1
 		}
 	}
-	return spec.Model.SmoothPlacedSpeed(spec.Mode, p, w, perNode)
+	return func(p, w int) float64 {
+		if p < 1 || w < 1 {
+			return 0
+		}
+		return spec.Model.SmoothPlacedSpeed(spec.Mode, p, w, perNode)
+	}
 }
 
 // PreRunProfile simulates the §3.2 sample runs on a small dataset: n (p, w)
@@ -94,8 +104,9 @@ func estimatedSpeed(c *cluster.Cluster, spec workload.JobSpec, est *speedfit.Est
 			}
 		}
 	}
+	placed := placedSpeed(c, spec)
 	return func(p, w int) float64 {
-		return EpochsPerSecond(spec, ApproxPlacedSpeed(c, spec, p, w)) * 0.8
+		return EpochsPerSecond(spec, placed(p, w)) * 0.8
 	}
 }
 
@@ -103,8 +114,8 @@ func estimatedSpeed(c *cluster.Cluster, spec workload.JobSpec, est *speedfit.Est
 // online estimators — the default (estimation-driven) path of the
 // simulator's schedulerView, shared with the optimusd daemon. progress is
 // the job's completed epochs; priorEpochs and priorityFactor mirror the
-// same-named Config fields. The returned Speed closure is memoized and must
-// be rebuilt each scheduling interval.
+// same-named Config fields. The returned Speed closure reads the estimators'
+// state as of this call and must be rebuilt each scheduling interval.
 func EstimatedView(c *cluster.Cluster, spec workload.JobSpec, progress float64,
 	fit *lossfit.Fitter, est *speedfit.Estimator,
 	priorEpochs, priorityFactor float64) *core.JobInfo {
@@ -128,6 +139,5 @@ func EstimatedView(c *cluster.Cluster, spec workload.JobSpec, progress float64,
 	if totalEst > 0 && progress/totalEst < 0.1 {
 		info.Priority = priorityFactor
 	}
-	info.Speed = core.MemoizeSpeed(info.Speed)
 	return info
 }
