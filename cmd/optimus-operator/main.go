@@ -1,8 +1,8 @@
 // Command optimus-operator runs the complete Optimus system against real
 // components: training jobs on the psys parameter-server framework, §3
-// models fitted from their live telemetry, §4.1 marginal-gain allocation
-// each interval, §5.4 checkpoint-based rescaling, and pod groups bound on
-// the mini Kubernetes control plane by the §4.2 scheduler.
+// models fitted from their live telemetry, the §4.1/§4.2 round (sim.Round)
+// each interval, §5.4 checkpoint-based rescaling to the placed shape, and
+// pod groups bound on the mini Kubernetes control plane as the round placed.
 //
 // Usage:
 //

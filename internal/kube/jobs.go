@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"optimus/internal/cluster"
+	"optimus/internal/core"
 )
 
 // TrainingJob is the orchestrator-side description of one PS training job:
@@ -92,8 +93,8 @@ func (jc *JobController) Submit(job TrainingJob) error {
 // fresh pending group is created for the scheduler's next cycle.
 func (jc *JobController) Resize(jobID, newPS, newWorkers int) error {
 	jc.mu.Lock()
-	defer jc.mu.Unlock()
 	job, ok := jc.jobs[jobID]
+	jc.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("kube: no job %d", jobID)
 	}
@@ -102,18 +103,75 @@ func (jc *JobController) Resize(jobID, newPS, newWorkers int) error {
 	if err := next.validate(); err != nil {
 		return err
 	}
-	if next.PS == job.PS && next.Workers == job.Workers {
+	if next == job {
 		return nil // no change
 	}
-	if err := jc.deletePodsLocked(job); err != nil {
+	return jc.replace(next)
+}
+
+// replace deletes the job's pod group and creates next in its place, pending.
+func (jc *JobController) replace(next TrainingJob) error {
+	if err := jc.Delete(next.ID); err != nil {
 		return err
 	}
-	delete(jc.jobs, jobID)
-	// Re-create with the new shape (Submit re-validates and re-registers).
-	jc.mu.Unlock()
-	err := jc.Submit(next)
-	jc.mu.Lock()
-	return err
+	return jc.Submit(next)
+}
+
+// Apply makes the control plane hold each job's pod group where place puts
+// it, at the placement's shape, and every other job's group pending: each
+// group not already so is re-created pending, and then each placed one is
+// bound. It returns the number of pods bound. A move restarts no training.
+func (jc *JobController) Apply(place map[int]core.Placement) (int, error) {
+	var placed []int
+	for _, job := range jc.Jobs() {
+		pl := place[job.ID]
+		if jc.exactly(job, pl) {
+			continue
+		}
+		next := job
+		if pl.Servers() > 0 {
+			next.PS, next.Workers = pl.Counts()
+			placed = append(placed, job.ID)
+		}
+		if err := jc.replace(next); err != nil {
+			return 0, err
+		}
+	}
+	bound := 0
+	for _, id := range placed {
+		n, err := bind(jc.api, pendingGroups(jc.Pods(id))[id], place[id])
+		bound += n
+		if err != nil {
+			return bound, err
+		}
+	}
+	return bound, nil
+}
+
+// exactly reports whether job's pods are exactly where pl places them; for
+// the zero Placement, whether they are all pending.
+func (jc *JobController) exactly(job TrainingJob, pl core.Placement) bool {
+	type slot struct {
+		node string // "" is pending
+		role Role
+	}
+	want := map[slot]int{{"", RolePS}: job.PS, {"", RoleWorker}: job.Workers}
+	if pl.Servers() > 0 {
+		want = make(map[slot]int)
+	}
+	for i, node := range pl.NodeIDs {
+		want[slot{node, RolePS}] = pl.PSOnNode[i]
+		want[slot{node, RoleWorker}] = pl.WorkersOnNode[i]
+	}
+	for _, p := range jc.Pods(job.ID) {
+		want[slot{p.NodeName, p.Role}]--
+	}
+	for _, n := range want {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Delete removes the job and all of its pods.

@@ -318,99 +318,6 @@ func TestSchedulerRecovery(t *testing.T) {
 	}
 }
 
-func TestDefaultSchedulerSpreads(t *testing.T) {
-	api := newTestCluster(t, 3)
-	for i := 0; i < 3; i++ {
-		if err := api.CreatePod(Pod{
-			Name: fmt.Sprintf("p%d", i), JobID: 1, Role: RoleWorker,
-			Resources: res(5, 10),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := NewDefaultScheduler(api)
-	bound, err := s.ScheduleOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound != 3 {
-		t.Fatalf("bound %d, want 3", bound)
-	}
-	// Spread: one pod per node (least-loaded first).
-	nodes := map[string]int{}
-	for _, p := range api.ListPods() {
-		nodes[p.NodeName]++
-	}
-	if len(nodes) != 3 {
-		t.Errorf("default scheduler used %d nodes, want 3 (spread)", len(nodes))
-	}
-}
-
-func TestDefaultSchedulerLeavesUnfittablePending(t *testing.T) {
-	api := newTestCluster(t, 1)
-	if err := api.CreatePod(Pod{Name: "huge", Resources: res(99, 99)}); err != nil {
-		t.Fatal(err)
-	}
-	s := NewDefaultScheduler(api)
-	bound, err := s.ScheduleOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound != 0 {
-		t.Errorf("bound %d, want 0", bound)
-	}
-	p, _ := api.GetPod("huge")
-	if p.Phase != PodPending || p.NodeName != "" {
-		t.Errorf("unfittable pod = %+v, want pending/unbound", p)
-	}
-}
-
-// The two schedulers differ exactly as §4.2 predicts: for one job's pod
-// group, Optimus packs onto the fewest servers while the default spreads.
-func TestOptimusVsDefaultPlacementShape(t *testing.T) {
-	mkCluster := func() *APIServer {
-		api := newTestCluster(t, 4)
-		for i := 0; i < 2; i++ {
-			if err := api.CreatePod(Pod{
-				Name: fmt.Sprintf("ps%d", i), JobID: 1, Role: RolePS,
-				Resources: res(3, 8),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 2; i++ {
-			if err := api.CreatePod(Pod{
-				Name: fmt.Sprintf("w%d", i), JobID: 1, Role: RoleWorker,
-				Resources: res(5, 10),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return api
-	}
-	usedNodes := func(api *APIServer) int {
-		nodes := map[string]bool{}
-		for _, p := range api.ListPods() {
-			if p.NodeName != "" {
-				nodes[p.NodeName] = true
-			}
-		}
-		return len(nodes)
-	}
-	optAPI := mkCluster()
-	if _, err := NewOptimusScheduler(optAPI).ScheduleOnce(); err != nil {
-		t.Fatal(err)
-	}
-	defAPI := mkCluster()
-	if _, err := NewDefaultScheduler(defAPI).ScheduleOnce(); err != nil {
-		t.Fatal(err)
-	}
-	opt, def := usedNodes(optAPI), usedNodes(defAPI)
-	if opt >= def {
-		t.Errorf("optimus used %d nodes, default %d; want fewer for optimus", opt, def)
-	}
-}
-
 func TestDrainNodeReschedulesPods(t *testing.T) {
 	api := newTestCluster(t, 2)
 	for i := 0; i < 2; i++ {

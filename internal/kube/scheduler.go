@@ -2,7 +2,7 @@ package kube
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,28 +27,7 @@ func NewOptimusScheduler(api *APIServer) *OptimusScheduler {
 // ScheduleOnce runs one scheduling cycle and returns the number of pods
 // bound.
 func (s *OptimusScheduler) ScheduleOnce() (int, error) {
-	pods := s.api.ListPods()
-	type group struct {
-		jobID   int
-		ps      []Pod
-		workers []Pod
-	}
-	groups := make(map[int]*group)
-	for _, p := range pods {
-		if p.Phase != PodPending || p.NodeName != "" {
-			continue
-		}
-		g := groups[p.JobID]
-		if g == nil {
-			g = &group{jobID: p.JobID}
-			groups[p.JobID] = g
-		}
-		if p.Role == RolePS {
-			g.ps = append(g.ps, p)
-		} else {
-			g.workers = append(g.workers, p)
-		}
-	}
+	groups := pendingGroups(s.api.ListPods())
 	if len(groups) == 0 {
 		return 0, nil
 	}
@@ -56,24 +35,17 @@ func (s *OptimusScheduler) ScheduleOnce() (int, error) {
 	// Mirror the cluster's free state into a placement cluster.
 	free := s.api.FreeCapacity()
 	c := cluster.New()
-	var nodeNames []string
-	for name := range free {
-		nodeNames = append(nodeNames, name)
-	}
-	sort.Strings(nodeNames)
-	for _, name := range nodeNames {
-		if err := c.AddNode(cluster.NewNode(name, free[name])); err != nil {
+	for _, n := range s.api.ListNodes() {
+		if err := c.AddNode(cluster.NewNode(n.Name, free[n.Name])); err != nil {
 			return 0, err
 		}
 	}
 
 	var reqs []core.PlacementRequest
-	byJob := make(map[int]*group)
 	for id, g := range groups {
 		if len(g.ps) == 0 || len(g.workers) == 0 {
 			continue // incomplete group; wait for all pods
 		}
-		byJob[id] = g
 		reqs = append(reqs, core.PlacementRequest{
 			JobID:     id,
 			Alloc:     core.Allocation{PS: len(g.ps), Workers: len(g.workers)},
@@ -85,24 +57,57 @@ func (s *OptimusScheduler) ScheduleOnce() (int, error) {
 
 	bound := 0
 	for id, pl := range placements {
-		g := byJob[id]
-		pi, wi := 0, 0
-		for i, node := range pl.NodeIDs {
-			for k := 0; k < pl.PSOnNode[i]; k++ {
-				if err := s.api.Bind(g.ps[pi].Name, node); err != nil {
-					return bound, fmt.Errorf("kube: bind %s: %w", g.ps[pi].Name, err)
-				}
-				pi++
-				bound++
-			}
-			for k := 0; k < pl.WorkersOnNode[i]; k++ {
-				if err := s.api.Bind(g.workers[wi].Name, node); err != nil {
-					return bound, fmt.Errorf("kube: bind %s: %w", g.workers[wi].Name, err)
-				}
-				wi++
-				bound++
-			}
+		n, err := bind(s.api, groups[id], pl)
+		bound += n
+		if err != nil {
+			return bound, err
 		}
+	}
+	return bound, nil
+}
+
+// group is one job's pending, unbound pods.
+type group struct {
+	jobID       int
+	ps, workers []Pod
+}
+
+// pendingGroups groups the pending, unbound pods by job.
+func pendingGroups(pods []Pod) map[int]group {
+	groups := make(map[int]group)
+	for _, p := range pods {
+		if p.Phase != PodPending || p.NodeName != "" {
+			continue
+		}
+		g := groups[p.JobID]
+		g.jobID = p.JobID
+		if p.Role == RolePS {
+			g.ps = append(g.ps, p)
+		} else {
+			g.workers = append(g.workers, p)
+		}
+		groups[p.JobID] = g
+	}
+	return groups
+}
+
+// bind binds g's pods to the nodes pl names, pl's per-node counts of each
+// role, and returns the number bound. pl must place exactly g's pods.
+func bind(api *APIServer, g group, pl core.Placement) (int, error) {
+	if ps, w := pl.Counts(); ps != len(g.ps) || w != len(g.workers) {
+		return 0, fmt.Errorf("kube: job %d: placement of %d PS + %d workers for %d + %d pending pods",
+			g.jobID, ps, w, len(g.ps), len(g.workers))
+	}
+	bound := 0
+	for i, node := range pl.NodeIDs {
+		np, nw := pl.PSOnNode[i], pl.WorkersOnNode[i]
+		for _, p := range slices.Concat(g.ps[:np], g.workers[:nw]) {
+			if err := api.Bind(p.Name, node); err != nil {
+				return bound, fmt.Errorf("kube: bind %s: %w", p.Name, err)
+			}
+			bound++
+		}
+		g.ps, g.workers = g.ps[np:], g.workers[nw:]
 	}
 	return bound, nil
 }

@@ -211,8 +211,7 @@ func (o *Operator) killAndRecover(mj *managedJob) error {
 }
 
 // crashNode drains the node on the control plane and recovers every job that
-// had tasks placed there; the §4.2 scheduler re-places the drained pods on
-// the next Cycle.
+// had tasks placed there; the next Cycle's round re-places the drained pods.
 func (o *Operator) crashNode(node string) error {
 	affected := make(map[int]bool)
 	for _, p := range o.api.ListPods() {

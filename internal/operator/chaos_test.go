@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -159,7 +160,17 @@ func TestResizeToleratesCheckpointFailure(t *testing.T) {
 	// Cycle until a resize is attempted; the armed failure must not error it.
 	sawFailure := func() bool { return op.FaultStats().CheckpointFailures > 0 }
 	converged := func() bool { return op.Status()[0].Completed }
-	cycleUntil(t, op, 20*time.Second, func() bool { return sawFailure() || converged() })
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline) && !sawFailure() && !converged(); {
+		time.Sleep(40 * time.Millisecond) // sleep: let the live driver produce fresh telemetry
+		rep, err := op.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The cycle whose resize hit the failure resized nothing.
+		if sawFailure() && slices.Contains(rep.Resized, 1) {
+			t.Errorf("job 1 reported resized in the cycle its checkpoint failed: %+v", rep)
+		}
+	}
 	if !sawFailure() && !converged() {
 		t.Fatalf("neither checkpoint failure nor convergence: %+v", op.FaultStats())
 	}

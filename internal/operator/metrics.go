@@ -9,9 +9,10 @@ import (
 )
 
 // WritePrometheus exports the operator's live state in Prometheus text
-// format 0.0.4: per-system counters from the chaos fault ledger and
-// aggregate job gauges from Status(). It takes the same snapshots the
-// public accessors do, so it is safe to call while jobs are running.
+// format 0.0.4: per-system counters from the chaos fault ledger, aggregate
+// job gauges from Status(), and the scheduling round's latency histograms.
+// It takes the same snapshots the public accessors do, so it is safe to
+// call while jobs are running.
 func (o *Operator) WritePrometheus(w io.Writer) error {
 	e := metrics.NewExporter(w)
 	fs := o.FaultStats()
@@ -45,6 +46,13 @@ func (o *Operator) WritePrometheus(w io.Writer) error {
 	e.Gauge("optimus_operator_jobs_completed", "Jobs that reached convergence.", float64(completed))
 	e.Gauge("optimus_operator_ps_tasks", "Parameter-server tasks deployed.", float64(ps))
 	e.Gauge("optimus_operator_worker_tasks", "Worker tasks deployed.", float64(workers))
+
+	e.Histogram("optimus_operator_allocate_duration_seconds",
+		"Wall-clock time of the marginal-gain allocation kernel.", o.rec.AllocateDuration())
+	e.Histogram("optimus_operator_place_duration_seconds",
+		"Wall-clock time of the placement pass, including shrink retries.", o.rec.PlaceDuration())
+	e.Histogram("optimus_operator_refit_duration_seconds",
+		"Wall-clock time of one job's loss-curve refit.", o.rec.RefitDuration())
 
 	// Per-job last loss, labelled by job ID in stable order.
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })

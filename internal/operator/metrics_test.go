@@ -27,6 +27,10 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE optimus_operator_training_steps_total counter",
 		"# TYPE optimus_operator_ps_tasks gauge",
 		`optimus_operator_job_last_loss{job="1"}`,
+		"# TYPE optimus_operator_allocate_duration_seconds histogram",
+		"optimus_operator_allocate_duration_seconds_count 1",
+		"optimus_operator_place_duration_seconds_count 1",
+		"# TYPE optimus_operator_refit_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q in:\n%s", want, out)

@@ -2,9 +2,10 @@
 // components — the closed-loop system of §5.5: training jobs execute on the
 // psys parameter-server framework, their live telemetry (losses, measured
 // step rates) feeds the §3 estimators, the §4.1 marginal-gain allocator
-// decides each job's (PS, workers) every scheduling interval, resizes happen
-// via §5.4 checkpoint/restart, and the kube control plane tracks each job's
-// pod group, placed by the §4.2 scheduler.
+// and §4.2 placer decide each job's (PS, workers) and nodes every scheduling
+// interval through sim.Round, the round sim.Run and optimusd run, resizes
+// happen via §5.4 checkpoint/restart, and each job's pod group on the kube
+// control plane is bound where the round placed it.
 //
 // Nothing here is simulated: the losses come from SGD on real data, speeds
 // from wall-clock measurements, and convergence from the job owner's
@@ -23,7 +24,9 @@ import (
 	"optimus/internal/core"
 	"optimus/internal/kube"
 	"optimus/internal/lossfit"
+	"optimus/internal/metrics"
 	"optimus/internal/psys"
+	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 )
 
@@ -96,7 +99,8 @@ type managedJob struct {
 type Operator struct {
 	api     *kube.APIServer
 	jc      *kube.JobController
-	sched   *kube.OptimusScheduler
+	policy  sim.Policy
+	rec     *metrics.Recorder // the round's latencies; WritePrometheus reads them
 	ckptDir string
 
 	mu     sync.Mutex
@@ -110,7 +114,8 @@ func New(api *kube.APIServer, ckptDir string) *Operator {
 	return &Operator{
 		api:     api,
 		jc:      kube.NewJobController(api),
-		sched:   kube.NewOptimusScheduler(api),
+		policy:  sim.OptimusPolicy(),
+		rec:     metrics.NewRecorder(),
 		ckptDir: ckptDir,
 		jobs:    make(map[int]*managedJob),
 	}
@@ -134,18 +139,23 @@ func (o *Operator) Submit(req JobRequest) error {
 	if err != nil {
 		return err
 	}
-	if err := o.startIncarnation(mj, core.Allocation{PS: 1, Workers: 1}, nil); err != nil {
+	return o.launch(mj, core.Allocation{PS: 1, Workers: 1}, nil)
+}
+
+// launch starts mj at alloc from params, then registers its pod group and mj.
+func (o *Operator) launch(mj *managedJob, alloc core.Allocation, params []float64) error {
+	if err := o.startIncarnation(mj, alloc, params); err != nil {
 		return err
 	}
 	if err := o.jc.Submit(kube.TrainingJob{
-		ID: req.ID, PS: 1, Workers: 1,
-		PSRes: req.PSRes, WorkerRes: req.WorkerRes,
+		ID: mj.req.ID, PS: alloc.PS, Workers: alloc.Workers,
+		PSRes: mj.req.PSRes, WorkerRes: mj.req.WorkerRes,
 	}); err != nil {
 		o.stopIncarnation(mj)
 		return err
 	}
 	o.mu.Lock()
-	o.jobs[req.ID] = mj
+	o.jobs[mj.req.ID] = mj
 	o.mu.Unlock()
 	return nil
 }
@@ -284,32 +294,21 @@ func (o *Operator) stopIncarnation(mj *managedJob) {
 type CycleReport struct {
 	Active    int
 	Completed []int
-	Resized   []int
-	Bound     int
+	Resized   []int // jobs checkpoint-restarted to their placed shape
+	Bound     int   // pods bound
 }
 
 // Cycle runs one scheduling interval: harvest telemetry, refresh the §3
-// models, decide allocations (§4.1), apply resizes via checkpoint/restart
-// (§5.4) and reconcile the pod groups (§4.2 placement on the control plane).
+// models, run the round sim.Run and optimusd run over the control plane's
+// nodes, and apply it (DESIGN.md §12 states the rules). It is not safe for
+// concurrent use.
 func (o *Operator) Cycle() (CycleReport, error) {
-	var report CycleReport
-
-	o.mu.Lock()
-	jobs := make([]*managedJob, 0, len(o.jobs))
-	for _, mj := range o.jobs {
-		if !mj.completed {
-			jobs = append(jobs, mj)
-		}
-	}
-	o.mu.Unlock()
-	report.Active = len(jobs)
-	if len(jobs) == 0 {
-		return report, nil
-	}
+	jobs := o.managed()
+	report := CycleReport{Active: len(jobs)}
 
 	// 1. Telemetry → estimators, convergence check.
-	var infos []*core.JobInfo
-	byID := make(map[int]*managedJob)
+	byID := make(map[int]*managedJob, len(jobs))
+	var fits []*lossfit.Fitter
 	for _, mj := range jobs {
 		mj.mu.Lock()
 		var window float64
@@ -344,46 +343,59 @@ func (o *Operator) Cycle() (CycleReport, error) {
 			report.Completed = append(report.Completed, mj.req.ID)
 			continue
 		}
-		infos = append(infos, o.viewOf(mj))
 		byID[mj.req.ID] = mj
+		if mj.fitter.Len() >= 5 {
+			fits = append(fits, mj.fitter)
+		}
 	}
-	if len(infos) == 0 {
+	if len(byID) == 0 {
 		return report, nil
 	}
 
-	// 2. Allocation against the cluster's total capacity.
-	var capacity cluster.Resources
-	for _, n := range o.api.ListNodes() {
-		capacity = capacity.Add(n.Capacity)
+	// 2. The round. Only Cycle touches the fitters, so one batch refits them
+	// all, as in sim and optimusd, and viewOf reads the cached fits.
+	lossfit.FitAll(fits, o.rec.ObserveRefitDuration)
+	infos := make([]*core.JobInfo, 0, len(byID))
+	for _, mj := range byID {
+		infos = append(infos, o.viewOf(mj))
 	}
-	alloc := core.Allocate(infos, capacity)
-
-	// 3. Apply resizes: checkpoint/restart the psys job, resize the pod
-	// group, let the scheduler re-place it.
-	for id, mj := range byID {
-		next := alloc[id]
-		if next.PS < 1 || next.Workers < 1 {
-			continue // paused this interval; keep the current incarnation
+	c := cluster.New() // each node's capacity less the live pods of jobs outside the round
+	for _, n := range o.api.ListNodes() {
+		_ = c.AddNode(cluster.NewNode(n.Name, n.Capacity)) // names are unique
+	}
+	for _, p := range o.api.ListPods() {
+		if n := c.Node(p.NodeName); n != nil && byID[p.JobID] == nil &&
+			p.Phase != kube.PodSucceeded && p.Phase != kube.PodFailed {
+			n.Capacity = n.Capacity.Sub(p.Resources)
 		}
+	}
+	round := sim.NewRound(o.policy, c, nil, nil, nil, o.rec)
+	round.Allocate(infos, c.Capacity())
+	round.Place()
+
+	// 3. Resize each placed job whose shape changed, then apply the placement.
+	place := make(map[int]core.Placement, len(byID))
+	for id, mj := range byID {
+		pl, _ := round.Placement(id) // the zero Placement if unplaced
+		ps, workers := pl.Counts()
 		mj.mu.Lock()
 		cur := mj.alloc
 		mj.mu.Unlock()
-		if next == cur {
-			continue
+		if next := (core.Allocation{PS: ps, Workers: workers}); ps > 0 && next != cur {
+			resized, err := o.resize(mj, next)
+			if err != nil {
+				return report, fmt.Errorf("operator: resize job %d: %w", id, err)
+			}
+			if !resized {
+				continue // the old incarnation's pods wait pending
+			}
+			report.Resized = append(report.Resized, id)
 		}
-		if err := o.resize(mj, next); err != nil {
-			return report, fmt.Errorf("operator: resize job %d: %w", id, err)
-		}
-		report.Resized = append(report.Resized, id)
+		place[id] = pl
 	}
-
-	// 4. Reconcile bindings on the control plane.
-	bound, err := o.sched.ScheduleOnce()
-	if err != nil {
-		return report, err
-	}
+	bound, err := o.jc.Apply(place)
 	report.Bound = bound
-	return report, nil
+	return report, err
 }
 
 // viewOf builds the scheduler's JobInfo from live estimates.
@@ -440,8 +452,9 @@ func (o *Operator) viewOf(mj *managedJob) *core.JobInfo {
 	return info
 }
 
-// resize performs the §5.4 checkpoint/restart and updates the pod group.
-func (o *Operator) resize(mj *managedJob, next core.Allocation) error {
+// resize performs the §5.4 checkpoint/restart at next. It reports false when
+// an injected checkpoint-write failure keeps the current incarnation.
+func (o *Operator) resize(mj *managedJob, next core.Allocation) (bool, error) {
 	mj.mu.Lock()
 	job := mj.job
 	mj.mu.Unlock()
@@ -449,25 +462,23 @@ func (o *Operator) resize(mj *managedJob, next core.Allocation) error {
 	ckpt := filepath.Join(o.ckptDir, fmt.Sprintf("job-%d.ckpt", mj.req.ID))
 	if err := job.SaveCheckpoint(ckpt); err != nil {
 		if errors.Is(err, psys.ErrCheckpointFailed) {
-			// Injected checkpoint-write failure: keep the current incarnation
-			// and let the next interval retry the resize.
 			o.mu.Lock()
 			o.faults.CheckpointFailures++
 			o.mu.Unlock()
-			return nil
+			return false, nil
 		}
-		return err
+		return false, err
 	}
+	defer os.Remove(ckpt)
 	ck, err := psys.LoadCheckpoint(ckpt)
 	if err != nil {
-		return err
+		return false, err
 	}
 	o.stopIncarnation(mj)
 	if err := o.startIncarnation(mj, next, ck.Params); err != nil {
-		return err
+		return false, err
 	}
-	defer os.Remove(ckpt)
-	return o.jc.Resize(mj.req.ID, next.PS, next.Workers)
+	return true, nil
 }
 
 // complete tears a converged job down and removes its pods.
@@ -515,15 +526,7 @@ func (o *Operator) Status() []JobStatus {
 
 // Shutdown stops every job and driver.
 func (o *Operator) Shutdown() {
-	o.mu.Lock()
-	jobs := make([]*managedJob, 0, len(o.jobs))
-	for _, mj := range o.jobs {
-		jobs = append(jobs, mj)
-	}
-	o.mu.Unlock()
-	for _, mj := range jobs {
-		if !mj.completed {
-			o.stopIncarnation(mj)
-		}
+	for _, mj := range o.managed() {
+		o.stopIncarnation(mj)
 	}
 }

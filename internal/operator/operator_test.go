@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,6 +129,66 @@ func TestOperatorEndToEnd(t *testing.T) {
 	// Completed jobs must have no pods left.
 	if pods := api.ListPods(); len(pods) != 0 {
 		t.Errorf("%d pods left after completion", len(pods))
+	}
+}
+
+// The round decides shape and nodes together (§4.2): after every cycle, a
+// job the round placed trains at exactly the shape its pods are bound at,
+// with none pending. Three floor jobs fill 24 of 3 × 10 CPU; a grant that
+// fits the aggregate but does not pack is shrunk until it does.
+func TestCycleBindsWhatItResizes(t *testing.T) {
+	api := kube.NewAPIServer()
+	for i := 0; i < 3; i++ {
+		if err := api.RegisterNode(kube.Node{Name: fmt.Sprintf("n%d", i), Capacity: res(10, 64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := New(api, t.TempDir())
+	defer op.Shutdown()
+	for id := 1; id <= 3; id++ {
+		if err := op.Submit(request(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for cycle := 1; time.Now().Before(deadline); cycle++ {
+		time.Sleep(40 * time.Millisecond) // sleep: let the live drivers produce fresh telemetry
+		rep, err := op.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pods := api.ListPods()
+		for _, st := range op.Status() {
+			if st.Completed {
+				continue
+			}
+			var ps, workers, pending int
+			for _, p := range pods {
+				switch {
+				case p.JobID != st.ID:
+				case p.NodeName == "":
+					pending++
+				case p.Role == kube.RolePS:
+					ps++
+				default:
+					workers++
+				}
+			}
+			// An unplaced job keeps its incarnation with every pod pending.
+			placed := ps+workers > 0 || slices.Contains(rep.Resized, st.ID)
+			if placed && (pending > 0 || ps != st.PS || workers != st.Workers) {
+				t.Fatalf("cycle %d: job %d trains at (%d PS, %d workers); pods bound (%d, %d), %d pending",
+					cycle, st.ID, st.PS, st.Workers, ps, workers, pending)
+			}
+		}
+		if rep.Active == 0 {
+			break
+		}
+	}
+	for _, st := range op.Status() {
+		if !st.Completed {
+			t.Errorf("job %d did not complete: %+v", st.ID, st)
+		}
 	}
 }
 

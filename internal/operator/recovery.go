@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"optimus/internal/core"
-	"optimus/internal/kube"
 )
 
 // §5.5 fault tolerance: "we use etcd as fault-tolerant storage of job
@@ -146,20 +145,7 @@ func (o *Operator) recoverJob(pj persistedJob) error {
 	if alloc.PS < 1 || alloc.Workers < 1 {
 		alloc = core.Allocation{PS: 1, Workers: 1}
 	}
-	if err := o.startIncarnation(mj, alloc, pj.Params); err != nil {
-		return err
-	}
-	if err := o.jc.Submit(kube.TrainingJob{
-		ID: pj.Req.ID, PS: alloc.PS, Workers: alloc.Workers,
-		PSRes: pj.Req.PSRes, WorkerRes: pj.Req.WorkerRes,
-	}); err != nil {
-		o.stopIncarnation(mj)
-		return err
-	}
-	o.mu.Lock()
-	o.jobs[pj.Req.ID] = mj
-	o.mu.Unlock()
-	return nil
+	return o.launch(mj, alloc, pj.Params)
 }
 
 // rebuildManaged reconstructs the in-memory job state (dataset, estimators,

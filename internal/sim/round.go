@@ -10,17 +10,17 @@ import (
 	"optimus/internal/obs"
 )
 
-// Round is the decision half of one scheduling round, the one copy both
-// drivers of the paper's control loop run — sim.Run per replayed interval
-// and the optimusd daemon (serve.Daemon.Step) per tick: allocate by marginal
-// gain (§4.1), place by Theorem 1 (§4.2), and shrink a job that does not
-// pack until it does rather than leave it idle for a round (§4.2). A Round
-// owns scratch reused from round to round and is not safe for concurrent
-// use.
+// Round is the decision half of one scheduling round, the one copy every
+// driver of the paper's control loop runs — sim.Run per replayed interval,
+// the optimusd daemon (serve.Daemon.Step) per tick, and the §5 operator
+// (operator.Cycle) per interval on live jobs: allocate by marginal gain
+// (§4.1), place by Theorem 1 (§4.2), and shrink a job that does not pack
+// until it does rather than leave it idle for a round (§4.2). A Round owns
+// scratch reused from round to round and is not safe for concurrent use.
 //
 // The other half of the round — apply the placement, advance the physics,
-// observe — is Job's Deploy, Undeploy, Advance and Observe, which both
-// drivers call from their own loops. What stays with each driver, and why:
+// observe — is Job's Deploy, Undeploy, Advance and Observe for sim.Run and
+// the daemon; the operator binds pods. What stays with those two, and why:
 //   - The views. sim's schedulerView damps beginning-state priority on the
 //     ground-truth progress fraction, EstimatedView (the daemon's) on the
 //     estimated one; merging them would move the pinned sim schedules.
