@@ -209,6 +209,40 @@ func TestAllocationBudgets(t *testing.T) {
 		}
 	})
 
+	t.Run("lossfit-growing", func(t *testing.T) {
+		// A running job's history gains one sample per refit. Every buffer
+		// the refit sizes by the row count (samples, preprocessing, design
+		// matrix, NNLS scratch and factor-cache key) grows geometrically, so
+		// 256 refits allocate a few times per buffer in total; sizing any of
+		// them exactly would cost at least one allocation per refit.
+		const refits = 256
+		m := workload.ZooByName("seq2seq")
+		f := lossfit.NewFitter()
+		for e := 1; e <= 8; e++ {
+			if err := f.Add(float64(e), m.TrueLoss(float64(e))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := f.Fit(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for e := 9; e < 9+refits; e++ {
+			if err := f.Add(float64(e), m.TrueLoss(float64(e))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Fit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Measured 54; a buffer sized exactly would add ≥ 256.
+		if n := after.Mallocs - before.Mallocs; n > refits/2 {
+			t.Errorf("%d refits over a history growing by one sample each: %d allocations, budget %d", refits, n, refits/2)
+		}
+	})
+
 	t.Run("fitall", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		m := workload.ZooByName("seq2seq")

@@ -289,7 +289,7 @@ func (s *fitScratch) fitPoints(points []Point, window int) (Model, error) {
 	const gridSteps = 40
 	for g := 0; g <= gridSteps; g++ {
 		b2 := minLoss * float64(g) / float64(gridSteps+1)
-		m, ok := s.fitWithAsymptote(cleaned, b2)
+		m, ok := s.fitWithAsymptote(cleaned, b2, best.Residual)
 		if !ok {
 			continue
 		}
@@ -374,12 +374,18 @@ func (s *fitScratch) preprocess(points []Point, window int) ([]Point, float64) {
 // from the previous candidate's (or previous refit's) active set and reuses
 // the design matrix's QR factors across candidates.
 //
+// best is the smallest residual found so far. The residual sum stops, and
+// the candidate is reported not ok, once sqrt(partial/n) ≥ best: the terms
+// are non-negative, so under round-to-nearest the full sum is no smaller and
+// the candidate cannot pass fitPoints' strict <. Nothing reads a losing
+// candidate, and its solve has already updated the warm start.
+//
 // Only the rhs depends on β2 once the kept rows are fixed, so the design
 // matrix [k, 1] is rebuilt only when the kept-row count changes. The count
 // identifies the set: fitPoints' β2 grid is monotone (rounding is monotone),
 // so each candidate's kept rows are a subset or superset of the previous
 // candidate's, and a chain of sets with equal sizes is one set.
-func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2 float64) (Model, bool) {
+func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2, best float64) (Model, bool) {
 	rhs := s.rhs[:0]
 	for _, p := range cleaned {
 		d := p.Loss - b2
@@ -401,7 +407,7 @@ func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2 float64) (Model, bool)
 		}
 		s.mat.Data, s.mat.Rows, s.mat.Cols = data, len(rhs), 2
 	}
-	x, _, err := s.ws.Solve(&s.mat, rhs)
+	x, err := s.ws.Coef(&s.mat, rhs)
 	if err != nil {
 		return Model{}, false
 	}
@@ -410,11 +416,17 @@ func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2 float64) (Model, bool)
 		return Model{}, false // flat model: no convergence information
 	}
 	// Residual in the original (normalized) loss space.
+	n := float64(len(cleaned))
 	var ss float64
-	for _, p := range cleaned {
-		d := m.Loss(p.K) - p.Loss
-		ss += d * d
+	for lo := 0; lo < len(cleaned); lo += 32 {
+		for _, p := range cleaned[lo:min(lo+32, len(cleaned))] {
+			d := m.Loss(p.K) - p.Loss
+			ss += d * d
+		}
+		if math.Sqrt(ss/n) >= best {
+			return Model{}, false
+		}
 	}
-	m.Residual = math.Sqrt(ss / float64(len(cleaned)))
+	m.Residual = math.Sqrt(ss / n)
 	return m, true
 }

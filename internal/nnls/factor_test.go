@@ -164,11 +164,26 @@ func TestFactorCacheMatchesReference(t *testing.T) {
 }
 
 // TestLeastSquaresMatchesReference pins the factor/apply split of the
-// unconstrained solver to the single-pass kernel bit for bit.
+// unconstrained solver, and its fused reflector apply, to the single-pass
+// kernel bit for bit: random well-posed systems, then single-column, square
+// and speedfit-shaped (4 and 5 columns) ones, where the fused apply's first
+// and last reflectors coincide or leave no rows below the triangle.
 func TestLeastSquaresMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
+	shapes := [][2]int{{1, 1}, {7, 1}, {64, 1}, {2, 2}, {4, 4}, {5, 5}, {9, 9},
+		{5, 4}, {20, 4}, {144, 4}, {6, 5}, {25, 5}, {144, 5}}
+	for trial := 0; trial < 100+10*len(shapes); trial++ {
 		a, b := randWellPosed(r)
+		if trial >= 100 {
+			shape := shapes[(trial-100)%len(shapes)]
+			a, b = NewMatrix(shape[0], shape[1]), make([]float64, shape[0])
+			for i := range a.Data {
+				a.Data[i] = r.NormFloat64()
+			}
+			for i := range b {
+				b[i] = r.NormFloat64()
+			}
+		}
 		x, err := LeastSquares(a, b)
 		qr, rhs := a.Clone(), append([]float64(nil), b...)
 		rx := make([]float64, a.Cols)
@@ -182,4 +197,69 @@ func TestLeastSquaresMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoefMatchesSolve drives one workspace through Coef and another through
+// SolveWith over the same seeded sequences (lossfit's β2 sweep on a growing
+// design matrix, unrelated well-posed problems, rank-deficient ones and
+// speedfit-shaped ones), and requires the same x bits and error outcomes at
+// every solve: Coef is SolveWith minus the norm, with the same solver state.
+func TestCoefMatchesSolve(t *testing.T) {
+	coef, solve := NewWorkspace(), NewWorkspace()
+	check := func(label string, a *Matrix, b []float64) {
+		t.Helper()
+		x, err := coef.Coef(a, b)
+		sx, _, serr := solve.SolveWith(a, b, Options{})
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("%s: Coef err %v, SolveWith err %v", label, err, serr)
+		}
+		if len(x) != len(sx) {
+			t.Fatalf("%s: Coef returned %d coefficients, SolveWith %d", label, len(x), len(sx))
+		}
+		for j := range sx {
+			if math.Float64bits(x[j]) != math.Float64bits(sx[j]) {
+				t.Fatalf("%s: Coef x[%d] = %v, SolveWith %v", label, j, x[j], sx[j])
+			}
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		a, loss := lossDesign(r, 8+r.Intn(100))
+		for step := 0; step < 5; step++ {
+			b := make([]float64, a.Rows)
+			for g := 0; g <= 40; g++ {
+				b2 := minOf(loss) * float64(g) / 41
+				for i, l := range loss {
+					b[i] = 1 / (l - b2)
+				}
+				check("sweep", a, b)
+			}
+			k := float64(a.Rows + 1)
+			a.Data = append(a.Data, k, 1)
+			a.Rows++
+			loss = append(loss, loss[len(loss)-1]*(1-0.001*r.Float64()))
+		}
+		for i := 0; i < 5; i++ {
+			g, rhs := randWellPosed(r)
+			check("well-posed", g, rhs)
+			dup := r.Intn(g.Cols - 1)
+			for row := 0; row < g.Rows; row++ {
+				g.Set(row, dup+1, g.At(row, dup))
+			}
+			check("rank-deficient", g, rhs)
+		}
+		for _, cols := range []int{4, 5} {
+			s := NewMatrix(cols+r.Intn(140), cols)
+			for i := range s.Data {
+				s.Data[i] = r.Float64()
+			}
+			rhs := make([]float64, s.Rows)
+			for i := range rhs {
+				rhs[i] = 2*r.Float64() - 0.5
+			}
+			check("speedfit-shaped", s, rhs)
+		}
+	}
+	check("empty", NewMatrix(3, 0), []float64{1, 2, 3})
+	check("rhs mismatch", NewMatrix(3, 2), []float64{1, 2})
 }

@@ -92,21 +92,38 @@ func factorInPlace(qr *Matrix, diag []float64) error {
 // solveFactored solves min‖A·x − rhs‖₂ from factorInPlace's output: it applies
 // the reflectors to rhs in order (destroying it) and back-substitutes into x
 // (length qr.Cols).
+//
+// The apply is fused: the pass that adds reflector k's multiple to row i
+// also accumulates reflector k+1's dot product over the updated row, in the
+// same row order as a separate pass would, so each rhs element sees the same
+// operations. The last reflector updates only rows below qr.Cols, the only
+// ones back substitution reads; the rest of rhs is left partly applied.
 func solveFactored(qr *Matrix, diag, rhs, x []float64) error {
 	if len(rhs) != qr.Rows {
 		return errors.New("nnls: rhs length mismatch")
 	}
 	m, n := qr.Rows, qr.Cols
-	for k := 0; k < n; k++ {
-		var s float64
-		for i := k; i < m; i++ {
-			s += qr.At(i, k) * rhs[i]
-		}
-		s = -s / qr.At(k, k)
-		for i := k; i < m; i++ {
-			rhs[i] += s * qr.At(i, k)
-		}
+	if n == 0 {
+		return nil
 	}
+	d := qr.Data[:m*n]
+	var s float64 // reflector k's dot product with rhs
+	for i := 0; i < m; i++ {
+		s += d[i*n] * rhs[i]
+	}
+	for k := 0; k < n-1; k++ {
+		s = -s / d[k*n+k]
+		rhs[k] += s * d[k*n+k]
+		var next float64
+		for i := k + 1; i < m; i++ {
+			rhs[i] += s * d[i*n+k]
+			next += d[i*n+k+1] * rhs[i]
+		}
+		s = next
+	}
+	k := n - 1
+	s = -s / d[k*n+k]
+	rhs[k] += s * d[k*n+k]
 
 	// Back substitution on R (upper triangle of qr with diagonal in diag).
 	for k := n - 1; k >= 0; k-- {

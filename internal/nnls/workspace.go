@@ -1,9 +1,11 @@
 package nnls
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Workspace holds every scratch buffer one NNLS solve needs, so repeated
@@ -80,15 +82,38 @@ func (ws *Workspace) Solve(a *Matrix, b []float64) ([]float64, float64, error) {
 // SolveWith finds x ≥ 0 minimizing ‖A·x − b‖₂, reusing the workspace's
 // buffers and warm-starting from the previous solve's passive set when the
 // column counts match (row counts may differ — the passive set is a column
-// property). The returned solution slice is owned by the workspace and is
-// only valid until the next solve; callers that retain it must copy.
+// property), and returns x with its residual norm. The returned solution
+// slice is owned by the workspace and is only valid until the next solve;
+// callers that retain it must copy.
 func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
+	x, err := ws.coef(a, b, opt)
+	if err != nil {
+		if err == errEmpty {
+			return nil, Norm2(b), err
+		}
+		return nil, 0, err
+	}
+	return x, Norm2(ws.residInto(a, x, b)), nil
+}
+
+// Coef is Solve without the residual norm: the same solve, leaving the
+// workspace in the same state, returning the same x bit for bit. Callers
+// that never read the norm (lossfit's β2 grid measures its own residual in
+// loss space) skip its O(rows) pass and per-row division.
+func (ws *Workspace) Coef(a *Matrix, b []float64) ([]float64, error) {
+	return ws.coef(a, b, Options{})
+}
+
+var errEmpty = errors.New("nnls: empty matrix")
+
+// coef is the one solver body behind SolveWith and Coef.
+func (ws *Workspace) coef(a *Matrix, b []float64, opt Options) ([]float64, error) {
 	if len(b) != a.Rows {
-		return nil, 0, errors.New("nnls: rhs length mismatch")
+		return nil, errors.New("nnls: rhs length mismatch")
 	}
 	n := a.Cols
 	if n == 0 {
-		return nil, Norm2(b), errors.New("nnls: empty matrix")
+		return nil, errEmpty
 	}
 	ws.ensure(a.Rows, n)
 	ws.rekey(a)
@@ -140,7 +165,7 @@ func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, 
 			break // no active column left for the KKT check to pick
 		}
 		// Dual vector w = Aᵀ(b − A·x).
-		w := ws.dualInto(a, x, b)
+		w := ws.dualInto(a, x, b, passive)
 
 		// Pick the most violated constraint among the active set.
 		j, wmax := -1, tol
@@ -204,8 +229,7 @@ func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, 
 	copy(ws.warm[:n], passive)
 	ws.warmCols = n
 	ws.hasWarm = true
-
-	return x, Norm2(ws.residInto(a, x, b)), nil
+	return x, nil
 }
 
 // ensure sizes every buffer for an m×n problem, growing only when needed.
@@ -223,12 +247,15 @@ func (ws *Workspace) ensure(m, n int) {
 		copy(w, ws.warm)
 		ws.warm = w
 	}
+	// Row buffers grow geometrically: a refit usually sees one more row than
+	// the last, and exact sizing would reallocate them on every refit.
 	if cap(ws.resid) < m {
-		ws.resid = make([]float64, m)
-		ws.subRhs = make([]float64, m)
+		c := max(m, 2*cap(ws.resid))
+		ws.resid = make([]float64, c)
+		ws.subRhs = make([]float64, c)
 	}
 	if cap(ws.sub.Data) < m*n {
-		ws.sub.Data = make([]float64, m*n)
+		ws.sub.Data = make([]float64, max(m*n, 2*cap(ws.sub.Data)))
 	}
 }
 
@@ -264,16 +291,15 @@ func (ws *Workspace) rekey(a *Matrix) {
 	ws.key.Data = append(ws.key.Data[:0], data...)
 }
 
+// sameBits reports whether x and y hold the same float64 bit patterns, as
+// one memory compare over their storage.
 func sameBits(x, y []float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(y[i]) {
-			return false
-		}
-	}
-	return true
+	return len(x) == len(y) && bytes.Equal(float64Bytes(x), float64Bytes(y))
+}
+
+// float64Bytes views v's storage as bytes, without copying.
+func float64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
 // residInto computes b − a·x into the workspace residual buffer.
@@ -290,19 +316,23 @@ func (ws *Workspace) residInto(a *Matrix, x, b []float64) []float64 {
 	return out
 }
 
-// dualInto computes aᵀ·(b − a·x) into the workspace dual buffer.
-func (ws *Workspace) dualInto(a *Matrix, x, b []float64) []float64 {
+// dualInto computes aᵀ·(b − a·x) into the workspace dual buffer, for the
+// non-passive columns only: the KKT pick reads nothing else, so passive
+// entries are left stale. Each entry sums its rows in order, as the full
+// product does.
+func (ws *Workspace) dualInto(a *Matrix, x, b []float64, passive []bool) []float64 {
 	r := ws.residInto(a, x, b)
-	out := ws.dual[:a.Cols]
-	for j := range out {
-		out[j] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		ri := r[i]
-		for j, v := range row {
-			out[j] += v * ri
+	n := a.Cols
+	out := ws.dual[:n]
+	for j, p := range passive {
+		if p {
+			continue
 		}
+		var s float64
+		for i, ri := range r {
+			s += a.Data[i*n+j] * ri
+		}
+		out[j] = s
 	}
 	return out
 }

@@ -161,11 +161,17 @@ func Zoo() []*Model {
 	}
 }
 
-// ZooByName returns the model with the given name, or nil.
+// zooTable is the zoo ZooByName searches, built once.
+var zooTable = Zoo()
+
+// ZooByName returns a fresh copy of the model with the given name, or nil.
+// Model holds only strings, numbers and arrays, so callers may mutate the
+// copy.
 func ZooByName(name string) *Model {
-	for _, m := range Zoo() {
+	for _, m := range zooTable {
 		if m.Name == name {
-			return m
+			c := *m
+			return &c
 		}
 	}
 	return nil

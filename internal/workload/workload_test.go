@@ -41,6 +41,30 @@ func TestZooByName(t *testing.T) {
 	}
 }
 
+// TestZooByNameCopies: ZooByName serves every zoo entry by value from a table
+// built once, so a caller mutating its result cannot change what the next
+// caller sees, and a lookup costs the one copy it returns.
+func TestZooByNameCopies(t *testing.T) {
+	for _, want := range Zoo() {
+		got := ZooByName(want.Name)
+		if got == nil || *got != *want {
+			t.Fatalf("ZooByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+		got.Name, got.LossB0, got.WorkerRes[0] = "mutated", -1, -1
+		if again := ZooByName(want.Name); again == nil || *again != *want {
+			t.Fatalf("mutating a ZooByName(%q) result leaked into the next call: %+v", want.Name, again)
+		}
+	}
+	if m := ZooByName("nope"); m != nil {
+		t.Errorf("ZooByName of an unknown name = %+v, want nil", m)
+	}
+	var sink *Model
+	if allocs := testing.AllocsPerRun(100, func() { sink = ZooByName("ds2") }); allocs != 1 {
+		t.Errorf("ZooByName allocated %.1f times per call, want 1 (the copy)", allocs)
+	}
+	_ = sink
+}
+
 func TestValidateCatchesBadModels(t *testing.T) {
 	m := ZooByName("kaggle")
 	m.ModelBytes = 0
