@@ -15,11 +15,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# internal/experiments runs its parallel worker pool under the detector;
-# internal/serve includes the 1000-submission daemon load test;
-# internal/lossfit and internal/serve run lossfit.FitAll's parallel refits.
+# Every package, the root one included. Slow (most of a minute on two cores):
+# the detector runs internal/experiments' parallel worker pool, the
+# 1000-submission daemon load test in internal/serve, and lossfit.FitAll's
+# parallel refits several times slower than a plain test run.
 race:
-	$(GO) test -race ./internal/core/ ./internal/psys/ ./internal/kube/ ./internal/operator/ ./internal/sim/ ./internal/chaos/ ./internal/experiments/ ./internal/serve/ ./internal/obs/ ./internal/wal/ ./internal/ha/ ./internal/lossfit/
+	$(GO) test -race ./...
 
 # The repo's benchmark: end-to-end workloads plus per-layer probes, one JSON
 # line per workload (see bench/README.md and BENCHMARK.json).

@@ -3,6 +3,7 @@ package optimus
 import (
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"optimus/internal/cluster"
@@ -255,14 +256,14 @@ func TestAllocationBudgets(t *testing.T) {
 				}
 			}
 		}
-		refits := 0
-		observe := func(float64) { refits++ }
+		var refits atomic.Int64 // observe runs on FitAll's workers
+		observe := func(float64) { refits.Add(1) }
 		lossfit.FitAll(fs, observe)
-		refits = 0
+		refits.Store(0)
 		// Every fitter is fresh: FitAll must neither refit nor allocate.
 		allocs := testing.AllocsPerRun(10, func() { lossfit.FitAll(fs, observe) })
-		if allocs != 0 || refits != 0 {
-			t.Errorf("FitAll over fitted fitters: %.1f allocs/op, %d refits, want 0 and 0", allocs, refits)
+		if allocs != 0 || refits.Load() != 0 {
+			t.Errorf("FitAll over fitted fitters: %.1f allocs/op, %d refits, want 0 and 0", allocs, refits.Load())
 		}
 		// AllocsPerRun runs at GOMAXPROCS 1, where no worker can start.
 		// At 4, starting one allocates its closure, so 100 calls must stay
@@ -274,8 +275,8 @@ func TestAllocationBudgets(t *testing.T) {
 			lossfit.FitAll(fs, observe)
 		}
 		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n >= 100 || refits != 0 {
-			t.Errorf("FitAll over fitted fitters at GOMAXPROCS 4: %d allocs in 100 calls, %d refits; a worker started", n, refits)
+		if n := after.Mallocs - before.Mallocs; n >= 100 || refits.Load() != 0 {
+			t.Errorf("FitAll over fitted fitters at GOMAXPROCS 4: %d allocs in 100 calls, %d refits; a worker started", n, refits.Load())
 		}
 	})
 

@@ -3,6 +3,8 @@
 // models fitted from their live telemetry, the §4.1/§4.2 round (sim.Round)
 // each interval, §5.4 checkpoint-based rescaling to the placed shape, and
 // pod groups bound on the mini Kubernetes control plane as the round placed.
+// It ends with each job's status and the per-node pod layout of the last
+// cycle that had live pods.
 //
 // Usage:
 //
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"time"
 
 	"optimus/internal/cluster"
@@ -92,6 +95,7 @@ func main() {
 		log.Printf("submitted job %d (%s, %s)", id, specs[id%len(specs)], mode)
 	}
 
+	var layout []kube.Pod // the pods after the last cycle that had any
 	for cycle := 1; cycle <= *maxCycles; cycle++ {
 		time.Sleep(*interval)
 		rep, err := op.Cycle()
@@ -102,6 +106,9 @@ func main() {
 			log.Printf("cycle %d: active=%d resized=%v completed=%v bound=%d",
 				cycle, rep.Active, rep.Resized, rep.Completed, rep.Bound)
 		}
+		if pods := api.ListPods(); len(pods) > 0 {
+			layout = pods
+		}
 		if rep.Active == 0 && cycle > 1 {
 			break
 		}
@@ -109,5 +116,23 @@ func main() {
 	for _, st := range op.Status() {
 		log.Printf("job %d: completed=%v steps=%d final=(%dps,%dw) last-loss=%.5f",
 			st.ID, st.Completed, st.Steps, st.PS, st.Workers, st.LastLoss)
+	}
+	// Theorem 1 puts each job's PS and workers on the fewest nodes, evenly.
+	byNode := map[string][]string{}
+	for _, p := range layout {
+		node := p.NodeName
+		if node == "" {
+			node = "pending"
+		}
+		byNode[node] = append(byNode[node], p.Name) // ListPods sorts by name
+	}
+	nodeNames := make([]string, 0, len(byNode))
+	for n := range byNode {
+		nodeNames = append(nodeNames, n)
+	}
+	slices.Sort(nodeNames)
+	log.Printf("pod layout of the last cycle with live pods:")
+	for _, n := range nodeNames {
+		log.Printf("  %s: %v", n, byNode[n])
 	}
 }

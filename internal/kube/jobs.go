@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"optimus/internal/cluster"
@@ -26,8 +27,8 @@ func (j TrainingJob) validate() error {
 }
 
 // JobController owns the pod groups of training jobs: it turns job specs
-// into pods, resizes gangs when the scheduler changes a job's allocation
-// (the orchestrator half of §5.4's elastic scaling — the parameters
+// into pods, re-creates and binds gangs where the scheduler's round placed
+// them (the orchestrator half of §5.4's elastic scaling — the parameters
 // themselves travel via checkpoint in the training runtime), and cleans up
 // on completion.
 type JobController struct {
@@ -85,28 +86,6 @@ func (jc *JobController) Submit(job TrainingJob) error {
 	}
 	jc.jobs[job.ID] = job
 	return nil
-}
-
-// Resize replaces the job's pod group with one of the new shape. Following
-// §5.4's checkpoint-based method, the whole gang restarts: old pods are
-// deleted (their runtime checkpoints first, in the training layer) and a
-// fresh pending group is created for the scheduler's next cycle.
-func (jc *JobController) Resize(jobID, newPS, newWorkers int) error {
-	jc.mu.Lock()
-	job, ok := jc.jobs[jobID]
-	jc.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("kube: no job %d", jobID)
-	}
-	next := job
-	next.PS, next.Workers = newPS, newWorkers
-	if err := next.validate(); err != nil {
-		return err
-	}
-	if next == job {
-		return nil // no change
-	}
-	return jc.replace(next)
 }
 
 // replace deletes the job's pod group and creates next in its place, pending.
@@ -223,4 +202,50 @@ func (jc *JobController) Pods(jobID int) []Pod {
 		}
 	}
 	return out
+}
+
+// group is one job's pending pods.
+type group struct {
+	jobID       int
+	ps, workers []Pod
+}
+
+// pendingGroups groups the pending pods (those bound to no node) by job.
+func pendingGroups(pods []Pod) map[int]group {
+	groups := make(map[int]group)
+	for _, p := range pods {
+		if p.NodeName != "" {
+			continue
+		}
+		g := groups[p.JobID]
+		g.jobID = p.JobID
+		if p.Role == RolePS {
+			g.ps = append(g.ps, p)
+		} else {
+			g.workers = append(g.workers, p)
+		}
+		groups[p.JobID] = g
+	}
+	return groups
+}
+
+// bind binds g's pods to the nodes pl names, pl's per-node counts of each
+// role, and returns the number bound. pl must place exactly g's pods.
+func bind(api *APIServer, g group, pl core.Placement) (int, error) {
+	if ps, w := pl.Counts(); ps != len(g.ps) || w != len(g.workers) {
+		return 0, fmt.Errorf("kube: job %d: placement of %d PS + %d workers for %d + %d pending pods",
+			g.jobID, ps, w, len(g.ps), len(g.workers))
+	}
+	bound := 0
+	for i, node := range pl.NodeIDs {
+		np, nw := pl.PSOnNode[i], pl.WorkersOnNode[i]
+		for _, p := range slices.Concat(g.ps[:np], g.workers[:nw]) {
+			if err := api.Bind(p.Name, node); err != nil {
+				return bound, fmt.Errorf("kube: bind %s: %w", p.Name, err)
+			}
+			bound++
+		}
+		g.ps, g.workers = g.ps[np:], g.workers[nw:]
+	}
+	return bound, nil
 }

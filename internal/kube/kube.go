@@ -1,29 +1,18 @@
 // Package kube is a miniature container orchestrator modeled on the
-// Kubernetes surface Optimus deploys against (§5.5): a versioned API server
-// holding node and pod objects with watch streams, bind-based scheduling
-// with admission control, node agents that run bound pods, and an etcd-like
-// snapshot/restore path that lets a failed scheduler recover its job state.
+// Kubernetes surface Optimus deploys against (§5.5): an API server holding
+// node and pod objects with admission-checked binding and node draining,
+// and a JobController that keeps each training job's pod group where the
+// operator's scheduling round placed it. The operator (internal/operator)
+// is the one scheduler that drives it; it persists the job state a restarted
+// scheduler recovers from (Operator.SaveState), so this store persists none.
 package kube
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
 
 	"optimus/internal/cluster"
-)
-
-// PodPhase is the pod lifecycle state.
-type PodPhase string
-
-// Pod lifecycle phases.
-const (
-	PodPending   PodPhase = "Pending"
-	PodRunning   PodPhase = "Running"
-	PodSucceeded PodPhase = "Succeeded"
-	PodFailed    PodPhase = "Failed"
 )
 
 // Role distinguishes the two task kinds of a PS training job.
@@ -41,9 +30,7 @@ type Pod struct {
 	JobID     int
 	Role      Role
 	Resources cluster.Resources
-	NodeName  string // "" until bound
-	Phase     PodPhase
-	Version   int // resource version at last mutation
+	NodeName  string // "" while pending
 }
 
 // Node is one registered server.
@@ -52,40 +39,17 @@ type Node struct {
 	Capacity cluster.Resources
 }
 
-// EventType classifies watch events.
-type EventType string
-
-// Watch event types.
-const (
-	EventAdded    EventType = "ADDED"
-	EventModified EventType = "MODIFIED"
-	EventDeleted  EventType = "DELETED"
-)
-
-// Event is one watch notification.
-type Event struct {
-	Type EventType
-	Pod  Pod
-}
-
-// APIServer is the cluster control plane: a versioned object store with
-// watches and admission-checked pod binding.
+// APIServer is the cluster control plane: a store of nodes and pods with
+// admission-checked pod binding.
 type APIServer struct {
-	mu       sync.Mutex
-	version  int
-	nodes    map[string]*Node
-	pods     map[string]*Pod
-	watchers map[int]chan Event
-	nextW    int
+	mu    sync.Mutex
+	nodes map[string]*Node
+	pods  map[string]*Pod
 }
 
 // NewAPIServer returns an empty control plane.
 func NewAPIServer() *APIServer {
-	return &APIServer{
-		nodes:    make(map[string]*Node),
-		pods:     make(map[string]*Pod),
-		watchers: make(map[int]chan Event),
-	}
+	return &APIServer{nodes: make(map[string]*Node), pods: make(map[string]*Pod)}
 }
 
 // RegisterNode adds a node; duplicate names are rejected.
@@ -109,28 +73,19 @@ func (a *APIServer) CreatePod(p Pod) error {
 	if _, dup := a.pods[p.Name]; dup {
 		return fmt.Errorf("kube: pod %q exists", p.Name)
 	}
-	p.Phase = PodPending
 	p.NodeName = ""
-	a.version++
-	p.Version = a.version
 	a.pods[p.Name] = &p
-	a.notifyLocked(Event{Type: EventAdded, Pod: p})
 	return nil
 }
 
-// DeletePod removes a pod (any phase).
+// DeletePod removes a pod, bound or pending.
 func (a *APIServer) DeletePod(name string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	p, ok := a.pods[name]
-	if !ok {
+	if _, ok := a.pods[name]; !ok {
 		return fmt.Errorf("kube: no pod %q", name)
 	}
 	delete(a.pods, name)
-	a.version++
-	ev := *p
-	ev.Version = a.version
-	a.notifyLocked(Event{Type: EventDeleted, Pod: ev})
 	return nil
 }
 
@@ -152,7 +107,7 @@ func (a *APIServer) Bind(podName, nodeName string) error {
 	}
 	free := n.Capacity
 	for _, other := range a.pods {
-		if other.NodeName == nodeName && other.Phase != PodSucceeded && other.Phase != PodFailed {
+		if other.NodeName == nodeName {
 			free = free.Sub(other.Resources)
 		}
 	}
@@ -161,24 +116,6 @@ func (a *APIServer) Bind(podName, nodeName string) error {
 			podName, p.Resources, nodeName, free)
 	}
 	p.NodeName = nodeName
-	a.version++
-	p.Version = a.version
-	a.notifyLocked(Event{Type: EventModified, Pod: *p})
-	return nil
-}
-
-// SetPhase transitions a pod's phase (used by node agents).
-func (a *APIServer) SetPhase(podName string, phase PodPhase) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p, ok := a.pods[podName]
-	if !ok {
-		return fmt.Errorf("kube: no pod %q", podName)
-	}
-	p.Phase = phase
-	a.version++
-	p.Version = a.version
-	a.notifyLocked(Event{Type: EventModified, Pod: *p})
 	return nil
 }
 
@@ -217,103 +154,9 @@ func (a *APIServer) ListNodes() []Node {
 	return out
 }
 
-// FreeCapacity reports each node's unallocated resources.
-func (a *APIServer) FreeCapacity() map[string]cluster.Resources {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]cluster.Resources, len(a.nodes))
-	for name, n := range a.nodes {
-		out[name] = n.Capacity
-	}
-	for _, p := range a.pods {
-		if p.NodeName != "" && p.Phase != PodSucceeded && p.Phase != PodFailed {
-			out[p.NodeName] = out[p.NodeName].Sub(p.Resources)
-		}
-	}
-	return out
-}
-
-// Watch subscribes to pod events; cancel() unsubscribes and closes the
-// channel. Slow consumers drop events rather than blocking the control
-// plane (the channel is buffered).
-func (a *APIServer) Watch() (<-chan Event, func()) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ch := make(chan Event, 256)
-	id := a.nextW
-	a.nextW++
-	a.watchers[id] = ch
-	cancel := func() {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		if c, ok := a.watchers[id]; ok {
-			delete(a.watchers, id)
-			close(c)
-		}
-	}
-	return ch, cancel
-}
-
-func (a *APIServer) notifyLocked(ev Event) {
-	for _, ch := range a.watchers {
-		select {
-		case ch <- ev:
-		default: // drop for slow consumers
-		}
-	}
-}
-
-// snapshotState is the etcd-persisted representation.
-type snapshotState struct {
-	Version int
-	Nodes   []Node
-	Pods    []Pod
-}
-
-// Snapshot serializes the control-plane state — the etcd write of §5.5.
-func (a *APIServer) Snapshot() ([]byte, error) {
-	a.mu.Lock()
-	st := snapshotState{Version: a.version}
-	for _, n := range a.nodes {
-		st.Nodes = append(st.Nodes, *n)
-	}
-	for _, p := range a.pods {
-		st.Pods = append(st.Pods, *p)
-	}
-	a.mu.Unlock()
-	sort.Slice(st.Nodes, func(i, j int) bool { return st.Nodes[i].Name < st.Nodes[j].Name })
-	sort.Slice(st.Pods, func(i, j int) bool { return st.Pods[i].Name < st.Pods[j].Name })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("kube: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore rebuilds a control plane from a snapshot (scheduler recovery path:
-// Kubernetes restarts the scheduler, which reloads job state from etcd).
-func Restore(data []byte) (*APIServer, error) {
-	var st snapshotState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("kube: restore: %w", err)
-	}
-	a := NewAPIServer()
-	a.version = st.Version
-	for _, n := range st.Nodes {
-		node := n
-		a.nodes[n.Name] = &node
-	}
-	for _, p := range st.Pods {
-		pod := p
-		a.pods[p.Name] = &pod
-	}
-	return a, nil
-}
-
-// DrainNode removes a node from the cluster: every live pod bound to it is
-// reset to pending/unbound so a scheduler can re-place it elsewhere — the
-// control-plane half of recovering from a server failure. Finished pods are
-// left untouched.
+// DrainNode removes a node from the cluster: every pod bound to it becomes
+// pending again, so the next round can re-place it elsewhere — the
+// control-plane half of recovering from a server failure.
 func (a *APIServer) DrainNode(name string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -322,14 +165,9 @@ func (a *APIServer) DrainNode(name string) error {
 	}
 	delete(a.nodes, name)
 	for _, p := range a.pods {
-		if p.NodeName != name || p.Phase == PodSucceeded || p.Phase == PodFailed {
-			continue
+		if p.NodeName == name {
+			p.NodeName = ""
 		}
-		p.NodeName = ""
-		p.Phase = PodPending
-		a.version++
-		p.Version = a.version
-		a.notifyLocked(Event{Type: EventModified, Pod: *p})
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"optimus/internal/chaos"
-	"optimus/internal/kube"
 	"optimus/internal/psys"
 )
 
@@ -215,7 +214,7 @@ func (o *Operator) killAndRecover(mj *managedJob) error {
 func (o *Operator) crashNode(node string) error {
 	affected := make(map[int]bool)
 	for _, p := range o.api.ListPods() {
-		if p.NodeName == node && p.Phase != kube.PodSucceeded && p.Phase != kube.PodFailed {
+		if p.NodeName == node {
 			affected[p.JobID] = true
 		}
 	}

@@ -364,8 +364,7 @@ func (o *Operator) Cycle() (CycleReport, error) {
 		_ = c.AddNode(cluster.NewNode(n.Name, n.Capacity)) // names are unique
 	}
 	for _, p := range o.api.ListPods() {
-		if n := c.Node(p.NodeName); n != nil && byID[p.JobID] == nil &&
-			p.Phase != kube.PodSucceeded && p.Phase != kube.PodFailed {
+		if n := c.Node(p.NodeName); n != nil && byID[p.JobID] == nil {
 			n.Capacity = n.Capacity.Sub(p.Resources)
 		}
 	}
