@@ -9,7 +9,6 @@ import (
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/lossfit"
-	"optimus/internal/obs"
 	"optimus/internal/psys"
 	"optimus/internal/sim"
 	"optimus/internal/speedfit"
@@ -37,21 +36,6 @@ func TestAllocationBudgets(t *testing.T) {
 		// A per-job or per-grant allocation would cost ≥100 here.
 		if allocs > 25 {
 			t.Errorf("warmed Allocate: %.1f allocs/op, budget 25", allocs)
-		}
-
-		// Disabled observability must be free: a switched-off tracer and
-		// audit log attached to the same state may not add a single
-		// allocation over the baseline just measured.
-		st.Trace = obs.NewTracer(obs.DefaultSpanBuffer)
-		st.Audit = obs.NewAuditLog(obs.DefaultAuditBuffer)
-		st.Trace.SetEnabled(false)
-		st.Audit.SetEnabled(false)
-		st.Allocate(jobs, capacity)
-		disabled := testing.AllocsPerRun(10, func() {
-			st.Allocate(jobs, capacity)
-		})
-		if disabled > allocs {
-			t.Errorf("disabled tracing costs allocations: %.1f allocs/op vs %.1f baseline", disabled, allocs)
 		}
 	})
 

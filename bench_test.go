@@ -231,8 +231,8 @@ func BenchmarkNNLS(b *testing.B) {
 
 // BenchmarkTracedInterval runs the same full simulation with the internal/obs
 // layer off and on; the ns/op delta between the subbenchmarks is the whole
-// cost of span recording, grant auditing and latency histograms (budgeted at
-// <5% in DESIGN.md §13). One op is an entire multi-interval run, so the
+// cost of span recording, the per-job decision audit and latency histograms
+// (budgeted at <5% in DESIGN.md §13). One op is an entire multi-interval run, so the
 // measurement covers every traced code path, not a microbenchmark of one.
 func BenchmarkTracedInterval(b *testing.B) {
 	jobs := workload.Generate(workload.GenConfig{

@@ -14,8 +14,9 @@
 //
 // `spans` replays a trace with scheduler tracing on and emits the span tree
 // as Chrome trace-event JSON (load in Perfetto); `explain` renders one job's
-// full decision audit — every marginal-gain grant and placement. Both run on
-// a built-in demo workload when FILE is omitted (see internal/obs).
+// decision audit — its grant and placement in every round, under any
+// -policy. Both run on a built-in demo workload when FILE is omitted (see
+// internal/obs).
 //
 // Traces are plain CSV (see internal/trace), so a run is fully replayable
 // and its outputs feed standard plotting tools. Fault schedules are plain

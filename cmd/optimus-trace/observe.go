@@ -111,9 +111,11 @@ func cmdSpans(args []string) {
 	}
 }
 
-// cmdExplain replays a trace under auditing and renders one job's complete
-// decision history: every §4.1 marginal-gain grant (with the gain, dominant
-// share, priority and heap depth behind it) and every §4.2 placement.
+// cmdExplain replays a trace under auditing and renders one job's decision
+// history under any -policy: one row per round the job was scheduled in,
+// with the §4.1 inputs (effective priority, remaining work, predicted speed
+// at the placed shape), the (PS, workers) granted, and the §4.2 placement.
+// It exits non-zero when nothing was recorded for the job.
 func cmdExplain(args []string) {
 	file, rest := splitFileArg(args)
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
@@ -128,9 +130,8 @@ func cmdExplain(args []string) {
 	}
 	_, au, res := tracedSim(file, *policyName, *seed)
 
-	grants := au.Grants(*jobID)
-	places := au.Places(*jobID)
-	if len(grants) == 0 && len(places) == 0 {
+	decisions := au.Decisions(*jobID)
+	if len(decisions) == 0 {
 		lg.Fatalf("no decisions recorded for job %d (unknown job, or audit ring wrapped; ran %d intervals)",
 			*jobID, res.Intervals)
 	}
@@ -139,20 +140,12 @@ func cmdExplain(args []string) {
 	} else {
 		fmt.Printf("job %d: did not complete in %d intervals\n", *jobID, res.Intervals)
 	}
-	fmt.Printf("\n%d grants:\n", len(grants))
-	fmt.Printf("%6s %9s %-7s %12s %9s %5s %5s %7s\n",
-		"round", "time", "kind", "gain", "domshare", "prio", "heap", "ps/w")
-	for _, g := range grants {
-		fmt.Printf("%6d %8.0fs %-7s %12.4g %9.4f %5.2f %5d %3d/%-3d\n",
-			g.Round, g.Time, g.Kind, g.Gain, g.DominantShare, g.Priority,
-			g.HeapDepth, g.PS, g.Workers)
-	}
-	fmt.Printf("\n%d placements:\n", len(places))
-	fmt.Printf("%6s %9s %7s %7s %6s %5s  %s\n",
-		"round", "time", "ps/w", "servers", "spread", "even", "nodes")
-	for _, p := range places {
-		fmt.Printf("%6d %8.0fs %3d/%-3d %7d %6d %5v  %s\n",
-			p.Round, p.Time, p.PS, p.Workers, p.Servers, p.Spread, p.Even,
-			strings.Join(p.Nodes, ","))
+	fmt.Printf("\n%d decisions:\n", len(decisions))
+	fmt.Printf("%6s %9s %5s %10s %10s %7s %7s %7s %6s %5s  %s\n",
+		"round", "time", "prio", "remaining", "speed", "grant", "ps/w", "servers", "spread", "even", "nodes")
+	for _, d := range decisions {
+		fmt.Printf("%6d %8.0fs %5.2f %10.4g %10.4g %3d/%-3d %3d/%-3d %7d %6d %5v  %s\n",
+			d.Round, d.Time, d.Priority, d.Remaining, d.Speed, d.GrantPS, d.GrantWorkers,
+			d.PS, d.Workers, d.Servers, d.Spread, d.Even, strings.Join(d.Nodes, ","))
 	}
 }

@@ -29,11 +29,12 @@
 // lease term, and starts scheduling. Admission is exactly-once across the
 // cutover because the log is the admission ledger.
 //
-// Tracing (-trace, on by default) records per-round scheduler spans and the
-// per-job decision audit, served at GET /v1/trace (Chrome trace-event JSON)
-// and GET /v1/jobs/{id}/explain. Profiling (-pprof-addr, off by default)
-// starts a second listener serving only the pprof handlers, so profiles
-// never share a port with the public API.
+// Tracing (-trace, on by default) records per-round scheduler spans and one
+// audited decision per job per round (its grant and placement), served at
+// GET /v1/trace (Chrome trace-event JSON) and GET /v1/jobs/{id}/explain.
+// Profiling (-pprof-addr, off by default) starts a second listener serving
+// only the pprof handlers, so profiles never share a port with the public
+// API.
 //
 // Observability: an always-on flight recorder (internal/obs) keeps the last
 // few thousand structured engine/WAL/HA events in a ring. GET /readyz is the

@@ -199,13 +199,10 @@ type allocRun struct {
 // the next Allocate call; callers that retain allocations across intervals
 // must copy it.
 type AllocState struct {
-	// Trace, when non-nil and enabled, receives one "alloc-kernel" span per
-	// Allocate call. Audit, when non-nil and enabled, receives one
-	// GrantEvent per grant — the §4.1 decision audit log. Both default to
-	// nil; the disabled path performs no extra allocation (CI-guarded by
-	// alloc_guard_test.go) and near-zero extra work.
+	// Trace, when non-nil, receives one "alloc-kernel" span per Allocate
+	// call. It defaults to nil; the nil path performs no extra allocation
+	// (CI-guarded by alloc_guard_test.go) and near-zero extra work.
 	Trace *obs.Tracer
-	Audit *obs.AuditLog
 
 	ordered []*JobInfo
 	runs    []allocRun
@@ -252,14 +249,6 @@ func (st *AllocState) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[
 		}
 		remaining = remaining.Sub(seed)
 		runs = append(runs, allocRun{job: j, alloc: Allocation{PS: 1, Workers: 1}})
-		if st.Audit.Enabled() {
-			share, _ := seed.DominantShare(capacity)
-			st.Audit.Grant(obs.GrantEvent{
-				Job: j.ID, Kind: obs.GrantSeed,
-				DominantShare: share, Priority: effectivePriority(j),
-				PS: 1, Workers: 1,
-			})
-		}
 	}
 	st.runs = runs
 
@@ -312,19 +301,6 @@ func (st *AllocState) Allocate(jobs []*JobInfo, capacity cluster.Resources) map[
 			r.alloc.PS++
 		}
 		r.remain = e.after
-		if st.Audit.Enabled() {
-			kind := obs.GrantWorker
-			if e.kind == addPS {
-				kind = obs.GrantPS
-			}
-			share, _ := req.DominantShare(capacity)
-			st.Audit.Grant(obs.GrantEvent{
-				Job: r.job.ID, Kind: kind, Gain: e.gain,
-				DominantShare: share, Priority: effectivePriority(r.job),
-				HeapDepth: len(h),
-				PS:        r.alloc.PS, Workers: r.alloc.Workers,
-			})
-		}
 		if kind, gain, after := bestGainFrom(r.job, r.alloc, r.remain, capacity); gain > 0 {
 			h.replaceTop(heapEntry{gain: gain, after: after, kind: kind, run: e.run})
 		} else {
@@ -346,9 +322,9 @@ func Allocate(jobs []*JobInfo, capacity cluster.Resources) map[int]Allocation {
 	return st.Allocate(jobs, capacity)
 }
 
-// effectivePriority resolves the zero-means-1.0 convention of
-// JobInfo.Priority for audit reporting.
-func effectivePriority(j *JobInfo) float64 {
+// EffectivePriority resolves the zero-means-1.0 convention of
+// JobInfo.Priority: the factor that scales the job's marginal gain.
+func EffectivePriority(j *JobInfo) float64 {
 	if j.Priority == 0 {
 		return 1
 	}

@@ -51,7 +51,7 @@ func (in *Incremental) Stats() IncrStats {
 // AllocSession runs the §4.1 allocator once per interval and counts the
 // intervals. The returned map is St's and is overwritten by the next call.
 type AllocSession struct {
-	// St is the allocator kernel; attach Trace/Audit here.
+	// St is the allocator kernel; attach Trace here.
 	St     *AllocState
 	rounds uint64
 }
@@ -66,7 +66,7 @@ func (s *AllocSession) Allocate(jobs []*JobInfo, capacity cluster.Resources) map
 // each interval moves. Unlike the bare kernel, the session owns the
 // cluster-reset step: callers must not call ResetAll before Place.
 type PlaceSession struct {
-	// St is the placer kernel; attach Trace/Audit here.
+	// St is the placer kernel; attach Trace here.
 	St *PlaceState
 	// Prepare resets the cluster to its pre-placement state. Nil means
 	// plain ResetAll.

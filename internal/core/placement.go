@@ -16,15 +16,37 @@ type PlacementRequest struct {
 }
 
 // Placement records where one job's tasks landed: parallel slices of node
-// IDs and per-node PS/worker counts.
+// IDs and per-node PS/worker counts. Even reports that the §4.2 placer's
+// exact Theorem-1 even split produced it, not its greedy fallback (or a
+// baseline placer).
 type Placement struct {
 	NodeIDs       []string
 	PSOnNode      []int
 	WorkersOnNode []int
+	Even          bool
 }
 
 // Servers returns the number of distinct servers used.
 func (p Placement) Servers() int { return len(p.NodeIDs) }
+
+// Spread is the audit evenness metric: the difference between the most- and
+// least-loaded servers of the placement, counting both task kinds. A
+// Theorem-1 even split has spread ≤ 1 per task kind, so ≤ 2 total; large
+// values flag fragmented greedy placements.
+func (p Placement) Spread() int {
+	if len(p.NodeIDs) == 0 {
+		return 0
+	}
+	lo, hi := -1, 0
+	for i := range p.NodeIDs {
+		t := p.PSOnNode[i] + p.WorkersOnNode[i]
+		hi = max(hi, t)
+		if lo < 0 || t < lo {
+			lo = t
+		}
+	}
+	return hi - lo
+}
 
 // Counts returns the placed totals.
 func (p Placement) Counts() (ps, workers int) {
@@ -78,12 +100,9 @@ type placeRec struct {
 // position by binary search — so each request sees exactly the ordering a
 // full re-sort would produce at a fraction of the cost.
 type PlaceState struct {
-	// Trace, when non-nil and enabled, receives one "place-kernel" span per
-	// Place call. Audit, when non-nil and enabled, receives one PlaceEvent
-	// per committed placement — the §4.2 decision audit log. Both default to
-	// nil; the disabled path performs no extra work.
+	// Trace, when non-nil, receives one "place-kernel" span per Place call.
+	// It defaults to nil; the nil path performs no extra work.
 	Trace *obs.Tracer
-	Audit *obs.AuditLog
 
 	ordered []orderedReq
 	index   []*cluster.Node // sorted: available CPU desc, node ID asc
@@ -193,20 +212,6 @@ func (st *PlaceState) placeStep(req PlacementRequest, c *cluster.Cluster) bool {
 	rec := placeRec{job: req.JobID, off: off, n: len(st.recNodes) - off, even: even}
 	st.commitRec(req, rec, c)
 	st.recs = append(st.recs, rec)
-	if st.Audit.Enabled() {
-		ids := make([]string, rec.n)
-		for i := 0; i < rec.n; i++ {
-			ids[i] = st.recNodes[off+i].ID
-		}
-		st.Audit.Place(obs.PlaceEvent{
-			Job: req.JobID,
-			PS:  req.Alloc.PS, Workers: req.Alloc.Workers,
-			Servers: rec.n,
-			Spread:  st.recSpread(rec),
-			Even:    rec.even,
-			Nodes:   ids,
-		})
-	}
 	st.resift()
 	return true
 }
@@ -232,24 +237,6 @@ func (st *PlaceState) commitRec(req PlacementRequest, rec placeRec, c *cluster.C
 	}
 }
 
-// recSpread is placementSpread computed on a staged record segment.
-func (st *PlaceState) recSpread(rec placeRec) int {
-	if rec.n == 0 {
-		return 0
-	}
-	min, max := -1, 0
-	for i := rec.off; i < rec.off+rec.n; i++ {
-		t := st.recPS[i] + st.recW[i]
-		if t > max {
-			max = t
-		}
-		if min < 0 || t < min {
-			min = t
-		}
-	}
-	return max - min
-}
-
 // materialize builds the caller-owned result from the staged records: one
 // node-ID arena, two count arenas, and the map — four allocations total,
 // independent of job count beyond the map's buckets. Each Placement's slices
@@ -272,6 +259,7 @@ func (st *PlaceState) materialize(sizeHint int) map[int]Placement {
 			NodeIDs:       ids[rec.off:end:end],
 			PSOnNode:      ps[rec.off:end:end],
 			WorkersOnNode: ws[rec.off:end:end],
+			Even:          rec.even,
 		}
 	}
 	return placements
@@ -357,27 +345,6 @@ func (st *PlaceState) resift() {
 	st.touched = st.touched[:0]
 }
 
-// placementSpread is the audit evenness metric: the difference between the
-// most- and least-loaded servers of the placement, counting both task kinds.
-// A Theorem-1 even split has spread ≤ 1 per task kind, so ≤ 2 total; large
-// values flag fragmented greedy placements.
-func placementSpread(pl Placement) int {
-	if len(pl.NodeIDs) == 0 {
-		return 0
-	}
-	min, max := -1, 0
-	for i := range pl.NodeIDs {
-		t := pl.PSOnNode[i] + pl.WorkersOnNode[i]
-		if t > max {
-			max = t
-		}
-		if min < 0 || t < min {
-			min = t
-		}
-	}
-	return max - min
-}
-
 // placeOne finds the smallest k such that the first k index nodes fit an
 // even split of the job, staging the chosen rows in the record arrays. When
 // no exact even split exists on any prefix (per-node capacities may be too
@@ -385,7 +352,7 @@ func placementSpread(pl Placement) int {
 // balanced as the capacities allow — preserving Theorem 1's spirit while
 // guaranteeing progress whenever the job fits at all. The first result
 // reports whether the Theorem-1 even-split path produced the placement
-// (audit evenness flag).
+// (Placement.Even).
 func (st *PlaceState) placeOne(req PlacementRequest) (even, ok bool) {
 	p, w := req.Alloc.PS, req.Alloc.Workers
 	nodes := st.index

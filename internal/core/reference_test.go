@@ -297,6 +297,7 @@ func refTryEvenSplit(req PlacementRequest, nodes []*cluster.Node, p, w int) (Pla
 		NodeIDs:       make([]string, k),
 		PSOnNode:      make([]int, k),
 		WorkersOnNode: make([]int, k),
+		Even:          true,
 	}
 	for i, n := range nodes {
 		pl.NodeIDs[i] = n.ID

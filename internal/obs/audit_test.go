@@ -5,67 +5,50 @@ import "testing"
 func TestAuditLogPerJobHistory(t *testing.T) {
 	a := NewAuditLog(64)
 	a.Stamp(1, 0)
-	a.Grant(GrantEvent{Job: 1, Kind: GrantSeed, PS: 1, Workers: 1})
-	a.Grant(GrantEvent{Job: 2, Kind: GrantSeed, PS: 1, Workers: 1})
-	a.Grant(GrantEvent{Job: 1, Kind: GrantWorker, Gain: 42, PS: 1, Workers: 2})
+	a.Record(Decision{Job: 1, GrantPS: 1, GrantWorkers: 2, PS: 1, Workers: 2, Servers: 1, Nodes: []string{"n0"}})
+	a.Record(Decision{Job: 2, GrantPS: 1, GrantWorkers: 1})
 	a.Stamp(2, 600)
-	a.Grant(GrantEvent{Job: 1, Kind: GrantPS, Gain: 7, PS: 2, Workers: 2})
-	a.Place(PlaceEvent{Job: 1, PS: 2, Workers: 2, Servers: 2, Even: true})
+	a.Record(Decision{Job: 1, GrantPS: 2, GrantWorkers: 2, PS: 2, Workers: 2, Servers: 2, Even: true})
 
-	g1 := a.Grants(1)
-	if len(g1) != 3 {
-		t.Fatalf("job 1 grants = %d, want 3", len(g1))
+	d1 := a.Decisions(1)
+	if len(d1) != 2 {
+		t.Fatalf("job 1 decisions = %d, want 2", len(d1))
 	}
-	if g1[0].Kind != GrantSeed || g1[1].Kind != GrantWorker || g1[2].Kind != GrantPS {
-		t.Errorf("wrong grant order: %+v", g1)
+	if d1[0].Round != 1 || d1[0].Time != 0 || d1[0].Seq != 1 || d1[0].Nodes[0] != "n0" {
+		t.Errorf("first-round decision wrong: %+v", d1[0])
 	}
-	if g1[2].Round != 2 || g1[2].Time != 600 {
-		t.Errorf("stamp not applied: round=%d time=%g", g1[2].Round, g1[2].Time)
+	if d1[1].Round != 2 || d1[1].Time != 600 || d1[1].Seq != 3 || !d1[1].Even {
+		t.Errorf("stamp not applied: %+v", d1[1])
 	}
-	if g1[0].Round != 1 || g1[0].Time != 0 {
-		t.Errorf("first-round stamp wrong: %+v", g1[0])
+	if all := a.Decisions(-1); len(all) != 3 || all[1].Job != 2 || all[1].Seq != 2 {
+		t.Errorf("all decisions = %+v", all)
 	}
-	if all := a.Grants(-1); len(all) != 4 {
-		t.Errorf("all grants = %d, want 4", len(all))
-	}
-	if p := a.Places(1); len(p) != 1 || !p[0].Even || p[0].Round != 2 {
-		t.Errorf("placements = %+v", p)
-	}
-	if p := a.Places(9); len(p) != 0 {
-		t.Errorf("unknown job has placements: %+v", p)
+	if d := a.Decisions(9); len(d) != 0 {
+		t.Errorf("unknown job has decisions: %+v", d)
 	}
 }
 
+// TestAuditLogRingWrapAndDisabled: the log keeps the newest decisions, and
+// a nil log — the disabled state — records and returns nothing.
 func TestAuditLogRingWrapAndDisabled(t *testing.T) {
 	a := NewAuditLog(4)
 	for i := 0; i < 10; i++ {
-		a.Grant(GrantEvent{Job: i})
+		a.Record(Decision{Job: i})
 	}
-	got := a.Grants(-1)
+	got := a.Decisions(-1)
 	if len(got) != 4 {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
-	for i, ev := range got {
-		if want := 6 + i; ev.Job != want {
-			t.Errorf("event %d: job %d, want %d", i, ev.Job, want)
+	for i, d := range got {
+		if want := 6 + i; d.Job != want || d.Seq != int64(want+1) {
+			t.Errorf("decision %d: job %d seq %d, want job %d", i, d.Job, d.Seq, want)
 		}
 	}
 
-	a.SetEnabled(false)
-	a.Grant(GrantEvent{Job: 99})
-	a.Place(PlaceEvent{Job: 99})
-	if evs := a.Grants(99); len(evs) != 0 {
-		t.Errorf("disabled log recorded %v", evs)
-	}
-
 	var nilA *AuditLog
-	if nilA.Enabled() {
-		t.Error("nil log reports enabled")
-	}
-	nilA.Grant(GrantEvent{}) // must not panic
-	nilA.Place(PlaceEvent{})
+	nilA.Record(Decision{}) // must not panic
 	nilA.Stamp(1, 0)
-	if nilA.Grants(-1) != nil || nilA.Places(-1) != nil {
-		t.Error("nil log returned events")
+	if nilA.Decisions(-1) != nil {
+		t.Error("nil log returned decisions")
 	}
 }

@@ -1,17 +1,17 @@
 // Package obs is the scheduler's decision-tracing and explainability layer:
 // nestable spans over the fit → allocate → place → deploy pipeline, an audit
-// log of every §4.1 marginal-gain grant and §4.2 placement, and log-bucketed
-// latency histograms. It is zero-dependency (standard library only) so the
-// core kernels can carry optional obs hooks without import cycles, and it is
-// built to cost nothing when off: every entry point is nil-receiver safe, a
-// non-nil Tracer/AuditLog can be gated with SetEnabled, and the disabled
-// path performs no allocation (CI-guarded by alloc_guard_test.go).
+// log of one decision per job per scheduling round (its §4.1 grant and §4.2
+// placement), and log-bucketed latency histograms. It is zero-dependency
+// (standard library only) so the core kernels can carry optional spans
+// without import cycles, and it is built to cost nothing when off: every
+// entry point is nil-receiver safe, a nil Tracer or AuditLog is the off
+// state, and that path performs no allocation (CI-guarded by
+// alloc_guard_test.go).
 package obs
 
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,11 +36,10 @@ type SpanRef int64
 const NoSpan SpanRef = -1
 
 // Tracer records spans into a Ring. Begin/End are intended for one
-// goroutine at a time (the scheduling loop); mu guards the nesting stack so
-// Spans/Reset can run concurrently from an HTTP handler. A nil *Tracer is a
-// valid, permanently-disabled tracer.
+// goroutine at a time (the scheduling loop); mu guards the nesting stack, and
+// Spans reads only the ring, so it can run concurrently from an HTTP handler.
+// A nil *Tracer records nothing.
 type Tracer struct {
-	on    atomic.Bool
 	epoch time.Time
 	ring  *Ring[Span] // span IDs are ring sequences
 
@@ -51,37 +50,29 @@ type Tracer struct {
 // DefaultSpanBuffer is the ring capacity NewTracer uses for size <= 0.
 const DefaultSpanBuffer = 8192
 
-// NewTracer returns an enabled tracer retaining the last `size` spans.
+// NewTracer returns a tracer retaining the last `size` spans.
 func NewTracer(size int) *Tracer {
 	if size <= 0 {
 		size = DefaultSpanBuffer
 	}
-	t := &Tracer{
+	return &Tracer{
 		epoch: time.Now(),
 		ring:  NewRing[Span](size),
 		stack: make([]int64, 0, 16),
 	}
-	t.on.Store(true)
-	return t
 }
 
-// SetEnabled toggles recording. Disabled Begin/End are branch-and-return:
-// no lock, no clock read, no allocation.
-func (t *Tracer) SetEnabled(v bool) {
-	if t != nil {
-		t.on.Store(v)
-	}
-}
-
-// Enabled reports whether spans are being recorded. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
+// Enabled reports whether spans are being recorded: whether t is non-nil.
+// A nil tracer's Begin/End are branch-and-return: no lock, no clock read, no
+// allocation.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Begin opens a span nested under the innermost open span.
 func (t *Tracer) Begin(name string) SpanRef { return t.BeginJob(name, 0) }
 
 // BeginJob opens a job-scoped span.
 func (t *Tracer) BeginJob(name string, job int) SpanRef {
-	if t == nil || !t.on.Load() {
+	if t == nil {
 		return NoSpan
 	}
 	now := int64(time.Since(t.epoch))
@@ -101,7 +92,7 @@ func (t *Tracer) BeginJob(name string, job int) SpanRef {
 // implicitly discards any still-open inner spans, so a skipped End cannot
 // corrupt the nesting stack.
 func (t *Tracer) End(ref SpanRef) {
-	if t == nil || ref <= 0 || !t.on.Load() {
+	if t == nil || ref <= 0 {
 		return
 	}
 	now := int64(time.Since(t.epoch))
@@ -120,7 +111,7 @@ func (t *Tracer) End(ref SpanRef) {
 // Annotate attaches a free-form detail string to an open or closed span
 // still in the ring.
 func (t *Tracer) Annotate(ref SpanRef, detail string) {
-	if t == nil || ref <= 0 || !t.on.Load() {
+	if t == nil || ref <= 0 {
 		return
 	}
 	t.ring.Update(int64(ref), func(s *Span) { s.Detail = detail })
@@ -145,16 +136,4 @@ func (t *Tracer) Len() int64 {
 		return 0
 	}
 	return t.ring.Head()
-}
-
-// Reset drops all recorded spans and open-span state, keeping the clock
-// epoch so span timestamps remain monotone across resets.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring.Reset()
-	t.stack = t.stack[:0]
 }

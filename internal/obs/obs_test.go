@@ -67,6 +67,8 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
+// TestTracerDisabledAndNil: a nil tracer, the disabled state, records
+// nothing and never panics.
 func TestTracerDisabledAndNil(t *testing.T) {
 	var nilT *Tracer
 	if nilT.Enabled() {
@@ -77,23 +79,12 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	if got := nilT.Spans(); got != nil {
 		t.Errorf("nil tracer spans = %v", got)
 	}
-
-	tr := NewTracer(4)
-	tr.SetEnabled(false)
-	if ref := tr.Begin("off"); ref != NoSpan {
-		t.Errorf("disabled Begin returned %d", ref)
-	}
-	if n := tr.Len(); n != 0 {
-		t.Errorf("disabled tracer recorded %d spans", n)
-	}
-	tr.SetEnabled(true)
-	tr.End(tr.Begin("on"))
-	if n := len(tr.Spans()); n != 1 {
-		t.Errorf("re-enabled tracer has %d spans, want 1", n)
+	if n := nilT.Len(); n != 0 {
+		t.Errorf("nil tracer recorded %d spans", n)
 	}
 }
 
-// TestTracerConcurrentExport exercises Spans/Reset racing Begin/End — the
+// TestTracerConcurrentExport exercises Spans racing Begin/End — the
 // daemon serves /v1/trace while the scheduling loop records.
 func TestTracerConcurrentExport(t *testing.T) {
 	tr := NewTracer(128)

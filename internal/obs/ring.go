@@ -73,19 +73,11 @@ func (r *Ring[T]) Range(lo, hi int64, keep func(seq int64, v *T) bool) (out []T,
 }
 
 // Head returns the last sequence issued (0 when empty): the number of values
-// ever Put since the last Reset.
+// ever Put.
 func (r *Ring[T]) Head() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.head
-}
-
-// Reset drops every value and restarts the sequence at 1.
-func (r *Ring[T]) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.buf)
-	r.head = 0
 }
 
 func (r *Ring[T]) slot(seq int64) int { return int((seq - 1) % int64(len(r.buf))) }

@@ -56,7 +56,7 @@ func TestRingWrapAndLost(t *testing.T) {
 	}
 }
 
-func TestRingUpdateAndReset(t *testing.T) {
+func TestRingUpdate(t *testing.T) {
 	r := NewRing[int](2)
 	for i := 1; i <= 3; i++ {
 		r.Put(i)
@@ -72,16 +72,6 @@ func TestRingUpdateAndReset(t *testing.T) {
 	}
 	if _, vals, _ := ringValues(r, 1, 3); len(vals) != 2 || vals[0] != 2 || vals[1] != 43 {
 		t.Fatalf("after Update: %v", vals)
-	}
-	r.Reset()
-	if r.Head() != 0 {
-		t.Fatalf("Head after Reset = %d", r.Head())
-	}
-	if seq := r.Put(7); seq != 1 {
-		t.Fatalf("first Put after Reset issued %d, want 1", seq)
-	}
-	if _, vals, _ := ringValues(r, 1, 9); len(vals) != 1 || vals[0] != 7 {
-		t.Fatalf("after Reset: %v", vals)
 	}
 }
 

@@ -48,10 +48,9 @@ type Bundle struct {
 
 	// Flight is the recorder tail, oldest first — the incident narrative.
 	Flight []obs.FlightEvent `json:"flight"`
-	// Spans / Grants / Placements are present only on a -trace daemon.
-	Spans      []obs.Span       `json:"spans,omitempty"`
-	Grants     []obs.GrantEvent `json:"grants,omitempty"`
-	Placements []obs.PlaceEvent `json:"placements,omitempty"`
+	// Spans / Decisions are present only on a -trace daemon.
+	Spans     []obs.Span     `json:"spans,omitempty"`
+	Decisions []obs.Decision `json:"decisions,omitempty"`
 
 	// Goroutines is the full runtime.Stack dump; Metrics is the Prometheus
 	// text exposition at capture time.
@@ -87,8 +86,7 @@ func (d *Daemon) DebugBundle(reason string) Bundle {
 		b.Spans = spans
 	}
 	if d.audit != nil {
-		b.Grants = tailOf(d.audit.Grants(-1), bundleAuditEvents)
-		b.Placements = tailOf(d.audit.Places(-1), bundleAuditEvents)
+		b.Decisions = tailOf(d.audit.Decisions(-1), bundleAuditEvents)
 	}
 	stack := make([]byte, bundleStackBytes)
 	b.Goroutines = string(stack[:runtime.Stack(stack, true)])

@@ -15,8 +15,8 @@
 //	GET    /v1/jobs              list
 //	GET    /v1/jobs/{id}         status: fitted loss curve, remaining-epoch
 //	                             estimate, current (PS, workers) allocation
-//	GET    /v1/jobs/{id}/explain decision audit: every §4.1 grant and §4.2
-//	                             placement recorded for the job (needs -trace)
+//	GET    /v1/jobs/{id}/explain decision audit: the job's §4.1 grant and §4.2
+//	                             placement of every round (needs -trace)
 //	DELETE /v1/jobs/{id}         cancel with resource release
 //	GET    /v1/cluster           per-node utilization
 //	GET    /v1/events            SSE stream of scheduler decisions
@@ -103,12 +103,12 @@ type Config struct {
 
 	// Trace enables the internal/obs observability layer: per-round span
 	// trees (exported as Chrome trace-event JSON at GET /v1/trace) and the
-	// per-grant/per-placement decision audit log behind
+	// decision audit log, one record per job per round, behind
 	// GET /v1/jobs/{id}/explain. Off by default; both endpoints then return
 	// 404 and the scheduling loop pays no tracing cost.
 	Trace bool
 	// TraceBuffer sizes the span ring. Default obs.DefaultSpanBuffer; the
-	// audit rings hold obs.DefaultAuditBuffer events each.
+	// audit ring holds obs.DefaultAuditBuffer decisions.
 	TraceBuffer int
 
 	// Flight is the always-on black-box flight recorder fed by the engine

@@ -15,16 +15,15 @@ import (
 var ErrTracingDisabled = errors.New("serve: tracing disabled (start optimusd with -trace)")
 
 // ExplainResponse is the GET /v1/jobs/{id}/explain body: the job's current
-// state plus its complete recorded decision history — every §4.1 marginal-
-// gain grant and every §4.2 placement, oldest first. History is bounded by
-// obs.DefaultAuditBuffer events of each kind; long-lived daemons see a
-// suffix of very old jobs.
+// state plus its recorded decision history, oldest first — one decision per
+// round the job was scheduled in: its §4.1 inputs and grant and its §4.2
+// placement. History is bounded by obs.DefaultAuditBuffer decisions over all
+// jobs; long-lived daemons see a suffix of very old jobs.
 type ExplainResponse struct {
-	Job        int              `json:"job"`
-	State      JobState         `json:"state"`
-	Alloc      core.Allocation  `json:"alloc"`
-	Grants     []obs.GrantEvent `json:"grants"`
-	Placements []obs.PlaceEvent `json:"placements"`
+	Job       int             `json:"job"`
+	State     JobState        `json:"state"`
+	Alloc     core.Allocation `json:"alloc"`
+	Decisions []obs.Decision  `json:"decisions"`
 }
 
 // Explain returns one job's decision history. ErrTracingDisabled when the
@@ -39,9 +38,8 @@ func (d *Daemon) Explain(id int) (ExplainResponse, error) {
 	}
 	st := j.status.Load().st
 	resp := ExplainResponse{Job: id, State: st.State, Alloc: st.Alloc}
-	// The audit log has its own lock; no daemon lock is held here at all.
-	resp.Grants = d.audit.Grants(id)
-	resp.Placements = d.audit.Places(id)
+	// The audit ring has its own lock; no daemon lock is held here at all.
+	resp.Decisions = d.audit.Decisions(id)
 	return resp, nil
 }
 

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"optimus/internal/cluster"
 	"optimus/internal/obs"
+	"optimus/internal/workload"
 )
 
 // tracedServer builds a daemon with tracing on plus its HTTP front end.
@@ -85,24 +87,20 @@ func TestHTTPExplainEndpoint(t *testing.T) {
 	if ex.Job != 1 || ex.State != StateRunning {
 		t.Errorf("explain header %+v", ex)
 	}
-	if len(ex.Grants) == 0 {
-		t.Fatal("no grant events")
+	if len(ex.Decisions) != 1 {
+		t.Fatalf("%d decisions after one round, want 1", len(ex.Decisions))
 	}
-	if ex.Grants[0].Kind != obs.GrantSeed {
-		t.Errorf("first grant %q, want seed", ex.Grants[0].Kind)
-	}
-	// The deployed allocation can be smaller than the last grant (the §4.2
+	// The deployed allocation can be smaller than the grant (the §4.2
 	// fragmentation escape hatch shrinks unpackable allocations), never
 	// larger.
-	last := ex.Grants[len(ex.Grants)-1]
-	if last.PS < ex.Alloc.PS || last.Workers < ex.Alloc.Workers {
-		t.Errorf("grant history ends at %d/%d, below deployed allocation %+v", last.PS, last.Workers, ex.Alloc)
+	dec := ex.Decisions[0]
+	if dec.PS != ex.Alloc.PS || dec.Workers != ex.Alloc.Workers ||
+		dec.GrantPS < dec.PS || dec.GrantWorkers < dec.Workers {
+		t.Errorf("decision grants %d/%d and places %d/%d, deployed allocation %+v",
+			dec.GrantPS, dec.GrantWorkers, dec.PS, dec.Workers, ex.Alloc)
 	}
-	if len(ex.Placements) == 0 {
-		t.Fatal("no placement events")
-	}
-	if ex.Placements[0].Servers == 0 || len(ex.Placements[0].Nodes) == 0 {
-		t.Errorf("degenerate placement event %+v", ex.Placements[0])
+	if dec.Round != 1 || dec.Servers == 0 || len(dec.Nodes) != dec.Servers || dec.Speed <= 0 {
+		t.Errorf("degenerate decision %+v", dec)
 	}
 
 	// Unknown job → 404.
@@ -236,5 +234,68 @@ func TestSSEResumeExactlyOnce(t *testing.T) {
 		if seen[seq] != 1 {
 			t.Errorf("seq %d delivered %d times, want exactly once", seq, seen[seq])
 		}
+	}
+}
+
+// TestAuditVolumeWide pins the audit's volume on a daemon shaped like the
+// bench's rounds-wide workload (150 async zoo jobs on 500 nodes of 32 CPU /
+// 128 GB), five rounds: the ring holds exactly one decision per active job
+// per round — not one per granted task, which came to 4,105 events in the
+// first round alone — and each job's last decision is the deployment its
+// status reports.
+func TestAuditVolumeWide(t *testing.T) {
+	d, err := New(Config{
+		Cluster: cluster.Uniform(500, cluster.Resources{cluster.CPU: 32, cluster.Memory: 128}),
+		Seed:    1,
+		Trace:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(srv.Close)
+	zoo := workload.Zoo()
+	for i := 0; i < 150; i++ {
+		submit(t, d, SubmitRequest{Model: zoo[i%len(zoo)].Name, Mode: "async"})
+	}
+	want := 0
+	for r := 0; r < 5; r++ {
+		want += len(d.active())
+		d.Step()
+	}
+	all := d.audit.Decisions(-1)
+	if len(all) != want {
+		t.Fatalf("audit holds %d decisions, want one per active job per round (%d)", len(all), want)
+	}
+	live := 0
+	for id := 1; id <= 150; id++ {
+		ds := d.audit.Decisions(id)
+		if len(ds) == 0 {
+			t.Errorf("job %d: no decisions", id)
+			continue
+		}
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + strconv.Itoa(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State.terminal() {
+			continue
+		}
+		live++
+		last := ds[len(ds)-1]
+		if last.Round != 5 || last.PS != st.Alloc.PS || last.Workers != st.Alloc.Workers ||
+			!slices.Equal(last.Nodes, st.Nodes) {
+			t.Errorf("job %d: last decision round %d %d/%d on %v, status %+v on %v",
+				id, last.Round, last.PS, last.Workers, last.Nodes, st.Alloc, st.Nodes)
+		}
+	}
+	if live == 0 || want <= 150 {
+		t.Errorf("%d live jobs and %d decisions: the rounds exercised nothing", live, want)
 	}
 }

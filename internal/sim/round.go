@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"optimus/internal/cluster"
@@ -32,6 +33,7 @@ type Round struct {
 	policy  Policy
 	cluster *cluster.Cluster
 	trace   *obs.Tracer
+	audit   *obs.AuditLog
 	rec     *metrics.Recorder
 	prepare func(*cluster.Cluster)
 
@@ -48,8 +50,9 @@ type Round struct {
 // NewRound returns the round kernel for one driver run of policy p on
 // cluster c. prepare resets c to its pre-placement state before a placement
 // (nil means ResetAll); a policy's kernel pair (Policy.Incr) gets it as its
-// placement session's Prepare. The tracer and audit log, either of which may
-// be nil, are attached to the pair's kernels; rec receives the allocate and
+// placement session's Prepare. The tracer, which may be nil, is attached to
+// the pair's kernels; the audit log, which may be nil, receives one
+// obs.Decision per job per round from Place. rec receives the allocate and
 // place latencies and the pair's round and migration counters.
 func NewRound(p Policy, c *cluster.Cluster, prepare func(*cluster.Cluster),
 	tr *obs.Tracer, au *obs.AuditLog, rec *metrics.Recorder) *Round {
@@ -58,11 +61,10 @@ func NewRound(p Policy, c *cluster.Cluster, prepare func(*cluster.Cluster),
 	}
 	if inc := p.Incr; inc != nil {
 		inc.Place.Prepare = prepare
-		inc.Alloc.St.Trace, inc.Alloc.St.Audit = tr, au
-		inc.Place.St.Trace, inc.Place.St.Audit = tr, au
+		inc.Alloc.St.Trace, inc.Place.St.Trace = tr, tr
 	}
 	return &Round{
-		policy: p, cluster: c, trace: tr, rec: rec, prepare: prepare,
+		policy: p, cluster: c, trace: tr, audit: au, rec: rec, prepare: prepare,
 		byID:    make(map[int]*core.JobInfo),
 		keep:    make(map[int]core.Allocation),
 		rescued: make(map[int]core.Placement),
@@ -111,7 +113,7 @@ func (r *Round) alloc(id int) core.Allocation {
 // until it packs or is down to one of each. A kernel pair retries through
 // its §4.2 kernel, which does not reset the cluster, and skips the steps
 // beyond the job's core.Headroom, which cannot pack. A traced span notes
-// "shrink=steps".
+// "shrink=steps". Last, an attached audit log receives each job's decision.
 func (r *Round) Place() {
 	span := r.trace.Begin("place")
 	start := time.Now()
@@ -169,6 +171,31 @@ func (r *Round) Place() {
 		r.trace.Annotate(span, fmt.Sprintf("shrink=%d", steps))
 	}
 	r.trace.End(span)
+	if r.audit != nil {
+		r.record()
+	}
+}
+
+// record writes one decision per job of the round to the audit log: the
+// job's §4.1 inputs, its grant (or Keep override), and its placement after
+// any shrink retry. The decision shares the placement's node IDs, which no
+// placer or Job.Deploy writes after the round places them.
+func (r *Round) record() {
+	for _, in := range r.infos {
+		a := r.alloc(in.ID)
+		d := obs.Decision{
+			Job: in.ID, Priority: core.EffectivePriority(in), Remaining: in.RemainingWork,
+			GrantPS: a.PS, GrantWorkers: a.Workers,
+		}
+		if pl, ok := r.Placement(in.ID); ok {
+			d.PS, d.Workers = pl.Counts()
+			d.Servers, d.Spread, d.Even, d.Nodes = pl.Servers(), pl.Spread(), pl.Even, pl.NodeIDs
+			if f := in.Speed(d.PS, d.Workers); f > 0 && !math.IsInf(f, 1) {
+				d.Speed = f // JSON carries no NaN or Inf; no progress records 0
+			}
+		}
+		r.audit.Record(d)
+	}
 }
 
 // Placement returns job id's placement this round, if it has one.

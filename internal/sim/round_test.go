@@ -7,6 +7,7 @@ import (
 	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/metrics"
+	"optimus/internal/obs"
 )
 
 // TestRoundContract pins what both drivers rely on from the round kernel:
@@ -112,5 +113,71 @@ func TestRunAllocatesOncePerInterval(t *testing.T) {
 		if calls != res.Intervals {
 			t.Errorf("%s: %d Allocate calls over %d intervals", base.Name, calls, res.Intervals)
 		}
+	}
+}
+
+// TestRoundRecordsDecisions pins the audit a Round writes: per round, one
+// decision per job carrying the job's grant (or Keep override), its
+// effective priority and §4.1 inputs, and its placement — on a
+// Theorem-1-packable instance, an exact even split with spread 0.
+func TestRoundRecordsDecisions(t *testing.T) {
+	flat := func(p, w int) float64 { // no marginal gain past the seed
+		if p < 1 || w < 1 {
+			return 0
+		}
+		return 1
+	}
+	task := cluster.Resources{cluster.CPU: 1}
+	infos := []*core.JobInfo{
+		{ID: 1, RemainingWork: 50, Speed: flat, WorkerRes: task, PSRes: task},
+		{ID: 2, RemainingWork: 70, Speed: flat, WorkerRes: task, PSRes: task, Priority: 0.95},
+	}
+	au := obs.NewAuditLog(64)
+	c := cluster.Uniform(4, cluster.Resources{cluster.CPU: 3})
+	r := NewRound(OptimusPolicy(), c, nil, nil, au, metrics.NewRecorder())
+	for round := 1; round <= 2; round++ {
+		au.Stamp(round, float64(600*round))
+		r.Allocate(infos, c.Capacity())
+		// Job 2 keeps its 1/1 grant and lands on one server; job 1 is kept
+		// at 2/4, which splits evenly as 1 PS + 2 workers on two servers.
+		r.Keep(1, core.Allocation{PS: 2, Workers: 4})
+		r.Place()
+		for _, in := range infos {
+			ds := au.Decisions(in.ID)
+			if len(ds) != round {
+				t.Fatalf("round %d job %d: %d decisions, want one per round", round, in.ID, len(ds))
+			}
+			d := ds[round-1]
+			if d.Round != round || d.Time != float64(600*round) {
+				t.Errorf("round %d job %d: stamped round %d time %g", round, in.ID, d.Round, d.Time)
+			}
+			if a := r.alloc(in.ID); d.GrantPS != a.PS || d.GrantWorkers != a.Workers {
+				t.Errorf("round %d job %d: grant %d/%d, round allocated %v", round, in.ID, d.GrantPS, d.GrantWorkers, a)
+			}
+			if d.Priority != core.EffectivePriority(in) || d.Remaining != in.RemainingWork {
+				t.Errorf("round %d job %d: priority %g remaining %g, view has %g and %g",
+					round, in.ID, d.Priority, d.Remaining, core.EffectivePriority(in), in.RemainingWork)
+			}
+			pl, ok := r.Placement(in.ID)
+			if !ok {
+				t.Fatalf("round %d job %d: unplaced", round, in.ID)
+			}
+			if ps, w := pl.Counts(); d.PS != ps || d.Workers != w || d.Speed != in.Speed(ps, w) {
+				t.Errorf("round %d job %d: placed %d/%d at speed %g, round placed %d/%d", round, in.ID, d.PS, d.Workers, d.Speed, ps, w)
+			}
+			if d.Servers != len(d.Nodes) || d.Servers != pl.Servers() {
+				t.Errorf("round %d job %d: %d servers, nodes %v, placement %v", round, in.ID, d.Servers, d.Nodes, pl.NodeIDs)
+			}
+		}
+		if d := au.Decisions(1)[round-1]; d.GrantPS != 2 || d.GrantWorkers != 4 || d.Priority != 1 ||
+			d.Servers != 2 || !d.Even || d.Spread != 0 {
+			t.Errorf("round %d: kept job 1 decided %+v, want 2/4 at priority 1 split evenly over 2 servers", round, d)
+		}
+		if d := au.Decisions(2)[round-1]; d.GrantPS != 1 || d.GrantWorkers != 1 || d.Priority != 0.95 {
+			t.Errorf("round %d: job 2 decided %+v, want its 1/1 grant at priority 0.95", round, d)
+		}
+	}
+	if n := len(au.Decisions(-1)); n != 4 {
+		t.Errorf("%d decisions over 2 rounds of 2 jobs, want 4", n)
 	}
 }

@@ -38,8 +38,8 @@ type Policy struct {
 	// Place. The round kernel (Round) hands its placement session the
 	// pre-placement cluster preparation step (reset plus reservations),
 	// retries unpackable jobs through its bare §4.2 kernel, attaches the
-	// driver's tracer and audit log to both kernels and surfaces its round
-	// and migration counters into the metrics.
+	// driver's tracer to both kernels and surfaces its round and migration
+	// counters into the metrics.
 	Incr *core.Incremental
 
 	// Session, when set, returns a private instance of the policy for one
@@ -114,11 +114,12 @@ type Config struct {
 	ShareSchedule func(t float64) float64
 
 	// --- observability (internal/obs) ---
-	// Trace, when non-nil and enabled, receives one span tree per scheduling
-	// interval (interval → fit / allocate / place / deploy, plus the kernel
-	// spans of instrumented policies). Audit receives the per-grant and
-	// per-placement decision log, stamped with the round number and
-	// simulated time. Both default to nil — off — at zero cost to the run.
+	// Trace, when non-nil, receives one span tree per scheduling interval
+	// (interval → fit / allocate / place / deploy, plus the kernel spans of
+	// instrumented policies). Audit receives one decision per job per
+	// interval (its grant and placement), stamped with the round number and
+	// simulated time, under every policy. Both default to nil — off — at
+	// zero cost to the run.
 	Trace *obs.Tracer
 	Audit *obs.AuditLog
 }

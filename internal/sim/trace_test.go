@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
+	"optimus/internal/core"
 	"optimus/internal/obs"
 )
 
 // TestRunTraced checks the observability contract of a traced run: one
 // "interval" span tree per scheduling round (with fit/allocate/place/deploy
-// children and the instrumented kernels below them), a complete per-job
-// grant history, and non-empty latency histograms.
+// children and the instrumented kernels below them), a per-job decision
+// history, and non-empty latency histograms.
 func TestRunTraced(t *testing.T) {
 	tr := obs.NewTracer(obs.DefaultSpanBuffer)
 	au := obs.NewAuditLog(obs.DefaultAuditBuffer)
@@ -55,25 +57,18 @@ func TestRunTraced(t *testing.T) {
 		t.Error("no place-kernel spans")
 	}
 
-	// Audit: every completed job has a grant history starting at the seed,
-	// stamped with a valid round.
+	// Audit: every completed job has a decision history, stamped with valid
+	// rounds.
 	for id := range res.JCTs {
-		evs := au.Grants(id)
-		if len(evs) == 0 {
-			t.Errorf("job %d: no grant events", id)
-			continue
+		ds := au.Decisions(id)
+		if len(ds) == 0 {
+			t.Errorf("job %d: no decisions", id)
 		}
-		if evs[0].Kind != obs.GrantSeed {
-			t.Errorf("job %d: first grant %q", id, evs[0].Kind)
-		}
-		for _, ev := range evs {
-			if ev.Round < 1 || ev.Round > res.Intervals {
-				t.Errorf("job %d: grant stamped round %d of %d", id, ev.Round, res.Intervals)
+		for _, d := range ds {
+			if d.Round < 1 || d.Round > res.Intervals {
+				t.Errorf("job %d: decision stamped round %d of %d", id, d.Round, res.Intervals)
 			}
 		}
-	}
-	if evs := au.Places(-1); len(evs) == 0 {
-		t.Error("no placement events")
 	}
 
 	// Latency histograms track every round even without tracing attached.
@@ -109,5 +104,71 @@ func TestRunUntracedUnchanged(t *testing.T) {
 	}
 	if plain.Intervals != traced.Intervals {
 		t.Errorf("intervals %d vs %d", plain.Intervals, traced.Intervals)
+	}
+}
+
+// TestRunAuditsEveryPolicy: under every policy, a run with an audit log
+// records exactly one decision per active job per round, carrying the shape
+// and servers the round deployed, never more than the job's grant.
+func TestRunAuditsEveryPolicy(t *testing.T) {
+	type deployed struct {
+		alloc core.Allocation
+		nodes []string
+	}
+	for _, p := range []Policy{OptimusPolicy(), DRFPolicy(), TetrisPolicy()} {
+		t.Run(p.Name, func(t *testing.T) {
+			var rounds []map[int]deployed // rounds[i] is round i+1
+			deployHook = func(round int, active []*jobState) {
+				if round != len(rounds)+1 {
+					t.Fatalf("deploy of round %d after %d rounds", round, len(rounds))
+				}
+				m := make(map[int]deployed, len(active))
+				for _, js := range active {
+					m[js.Spec.ID] = deployed{js.Alloc, js.Nodes}
+				}
+				rounds = append(rounds, m)
+			}
+			defer func() { deployHook = nil }()
+			cfg := testbedConfig(p, smallMix(6, 5))
+			cfg.Audit = obs.NewAuditLog(obs.DefaultAuditBuffer)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rounds) != res.Intervals || res.Intervals == 0 {
+				t.Fatalf("%d deploys over %d intervals", len(rounds), res.Intervals)
+			}
+			want := 0
+			for _, m := range rounds {
+				want += len(m)
+			}
+			ds := cfg.Audit.Decisions(-1)
+			if len(ds) != want {
+				t.Errorf("%d decisions, want one per active job per round (%d)", len(ds), want)
+			}
+			seen := map[[2]int]bool{}
+			for _, d := range ds {
+				if d.Round < 1 || d.Round > len(rounds) {
+					t.Errorf("decision stamped round %d of %d", d.Round, len(rounds))
+					continue
+				}
+				dep, ok := rounds[d.Round-1][d.Job]
+				key := [2]int{d.Round, d.Job}
+				if !ok || seen[key] {
+					t.Errorf("round %d: job %d decided again or while inactive (active %v)", d.Round, d.Job, ok)
+					continue
+				}
+				seen[key] = true
+				if placed := (core.Allocation{PS: d.PS, Workers: d.Workers}); placed != dep.alloc ||
+					!slices.Equal(d.Nodes, dep.nodes) || d.Servers != len(dep.nodes) {
+					t.Errorf("round %d job %d: decided %v on %v, round deployed %v on %v",
+						d.Round, d.Job, placed, d.Nodes, dep.alloc, dep.nodes)
+				}
+				if d.PS > d.GrantPS || d.Workers > d.GrantWorkers {
+					t.Errorf("round %d job %d: placed %d/%d above the grant %d/%d",
+						d.Round, d.Job, d.PS, d.Workers, d.GrantPS, d.GrantWorkers)
+				}
+			}
+		})
 	}
 }

@@ -76,8 +76,17 @@ grep -q '"name":"interval"' "$workdir/trace.json" ||
 curl -s "http://$addr/v1/jobs/1/explain" >"$workdir/explain.json"
 "$workdir/optimus-trace" jsonok <"$workdir/explain.json" ||
     { echo "/v1/jobs/1/explain is not valid JSON:"; cat "$workdir/explain.json"; exit 1; }
-grep -q '"kind":"seed"' "$workdir/explain.json" ||
-    { echo "explain has no seed grant:"; cat "$workdir/explain.json"; exit 1; }
+# A running job has at least one recorded decision that placed it on nodes.
+grep -q '"decisions":\[{' "$workdir/explain.json" ||
+    { echo "explain has no decisions:"; cat "$workdir/explain.json"; exit 1; }
+grep -q '"nodes":\["' "$workdir/explain.json" ||
+    { echo "explain has no placed decision:"; cat "$workdir/explain.json"; exit 1; }
+# The offline explain records under every policy; it exits non-zero when
+# nothing is recorded for the job.
+for p in optimus drf tetris; do
+    "$workdir/optimus-trace" explain -job 0 -policy "$p" >/dev/null ||
+        { echo "optimus-trace explain -policy $p recorded nothing"; exit 1; }
+done
 
 # Debug bundle: one JSON document with build info, readiness, SLO burn,
 # the flight-recorder tail and goroutine stacks.
