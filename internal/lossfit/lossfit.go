@@ -126,6 +126,9 @@ type Fitter struct {
 	cached       Model
 	cachedErr    error
 	gen          uint64 // bumped by Add; see Generation
+	// rewrote is set when compact rewrote the samples since the last Fit, so
+	// the scratch's preprocessed prefix no longer matches them.
+	rewrote bool
 
 	// scratch holds the NNLS workspace and preprocessing buffers reused
 	// across refits; allocated on first Fit.
@@ -134,13 +137,21 @@ type Fitter struct {
 
 // fitScratch bundles every buffer one FitPoints evaluation needs. A Fitter
 // keeps one across refits so the steady-state "one new point then refit"
-// cycle allocates nothing and warm-starts NNLS from the previous active set.
+// cycle allocates nothing, warm-starts NNLS from the previous active set and
+// preprocesses only the samples the new point can change.
 type fitScratch struct {
-	ws      nnls.Workspace
-	mat     nnls.Matrix
-	rhs     []float64
-	cleaned []Point
-	orig    []Point
+	ws  nnls.Workspace
+	mat nnls.Matrix
+	rhs []float64
+
+	// The last preprocess: n samples under window, their filtered losses
+	// (raw), the running max of raw from 0 up (runMax), the normalization
+	// constant and the normalized samples.
+	n, window int
+	raw       []float64
+	runMax    []float64
+	maxLoss   float64
+	cleaned   []Point
 }
 
 // NewFitter returns a Fitter with the paper's default preprocessing window.
@@ -186,6 +197,7 @@ func (f *Fitter) compact() {
 		out = append(out, f.points[len(f.points)-1])
 	}
 	f.points = out
+	f.rewrote = true
 }
 
 // Preprocess applies the paper's outlier removal and normalization and
@@ -208,8 +220,8 @@ func (f *Fitter) Fit() (Model, error) {
 	if f.scratch == nil {
 		f.scratch = new(fitScratch)
 	}
-	f.cached, f.cachedErr = f.scratch.fitPoints(f.points, f.OutlierWindow)
-	f.fitted, f.dirty, f.cachedWindow = true, false, f.OutlierWindow
+	f.cached, f.cachedErr = f.scratch.fit(f.points, f.OutlierWindow, !f.rewrote)
+	f.fitted, f.dirty, f.cachedWindow, f.rewrote = true, false, f.OutlierWindow, false
 	return f.cached, f.cachedErr
 }
 
@@ -272,10 +284,17 @@ func FitPoints(points []Point, window int) (Model, error) {
 
 // fitPoints is FitPoints running on a reusable scratch.
 func (s *fitScratch) fitPoints(points []Point, window int) (Model, error) {
+	return s.fit(points, window, false)
+}
+
+// fit is fitPoints, preprocessing incrementally when appended is set (see
+// update).
+func (s *fitScratch) fit(points []Point, window int, appended bool) (Model, error) {
 	if len(points) < 4 {
+		s.n = 0 // the samples go unprocessed: the next call starts over
 		return Model{}, fmt.Errorf("lossfit: need at least 4 points, have %d", len(points))
 	}
-	cleaned, maxLoss := s.preprocess(points, window)
+	cleaned, maxLoss := s.update(points, window, appended)
 
 	minLoss := math.Inf(1)
 	for _, p := range cleaned {
@@ -307,65 +326,102 @@ func (s *fitScratch) fitPoints(points []Point, window int) (Model, error) {
 // preprocess is Preprocess writing into the scratch buffers. The returned
 // slice is owned by the scratch and valid until the next call.
 func (s *fitScratch) preprocess(points []Point, window int) ([]Point, float64) {
-	if len(points) == 0 {
+	return s.update(points, window, false)
+}
+
+// update is preprocess redoing only what changed since its last call. When
+// appended is set, the caller vouches that points extends, unchanged, the
+// samples the last call saw. A sample's filtered loss reads its neighbours
+// up to window away, so only the last window of the old samples and the new
+// ones are filtered again; the normalization is redone over every sample only
+// when the new maximum differs from the old in any bit. Each value is
+// computed by the same operations as a full pass, so the result is the same
+// bits. A window change, or appended unset, runs the full pass.
+func (s *fitScratch) update(points []Point, window int, appended bool) ([]Point, float64) {
+	n := len(points)
+	if n == 0 {
+		s.n = 0
 		return nil, 0
 	}
-	s.cleaned = append(s.cleaned[:0], points...)
-	cleaned := s.cleaned
-
-	// Outlier removal: a point must fall within [min of the next `window`
-	// losses, max of the previous `window` losses]; otherwise it is replaced
-	// by the mean of its immediate neighbours.
-	if window > 0 {
-		s.orig = append(s.orig[:0], points...)
-		orig := s.orig
-		for i := range orig {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for j := i + 1; j <= i+window && j < len(orig); j++ {
-				if orig[j].Loss < lo {
-					lo = orig[j].Loss
-				}
-			}
-			for j := i - 1; j >= 0 && j >= i-window; j-- {
-				if orig[j].Loss > hi {
-					hi = orig[j].Loss
-				}
-			}
-			if math.IsInf(lo, 1) || math.IsInf(hi, -1) {
-				continue // boundary points keep their value
-			}
-			if orig[i].Loss >= lo && orig[i].Loss <= hi {
-				continue
-			}
-			var sum float64
-			var n int
-			if i > 0 {
-				sum += orig[i-1].Loss
-				n++
-			}
-			if i+1 < len(orig) {
-				sum += orig[i+1].Loss
-				n++
-			}
-			if n > 0 {
-				cleaned[i].Loss = sum / float64(n)
-			}
-		}
+	from := 0
+	if appended && window == s.window && s.n <= n {
+		from = max(0, s.n-max(window, 0))
+	}
+	if cap(s.raw) < n {
+		// Grow geometrically: a refit usually sees one more sample.
+		c := max(n, 2*cap(s.raw))
+		s.raw = append(make([]float64, 0, c), s.raw[:from]...)
+		s.runMax = append(make([]float64, 0, c), s.runMax[:from]...)
+		s.cleaned = append(make([]Point, 0, c), s.cleaned[:from]...)
+	}
+	raw, runMax, cleaned := s.raw[:n], s.runMax[:n], s.cleaned[:n]
+	for i := from; i < n; i++ {
+		raw[i] = filtered(points, i, window)
 	}
 
+	// The running max starts at 0, so the max is never negative.
 	var maxLoss float64
-	for _, p := range cleaned {
-		if p.Loss > maxLoss {
-			maxLoss = p.Loss
+	if from > 0 {
+		maxLoss = runMax[from-1]
+	}
+	for i := from; i < n; i++ {
+		if raw[i] > maxLoss {
+			maxLoss = raw[i]
 		}
+		runMax[i] = maxLoss
 	}
 	if maxLoss <= 0 {
 		maxLoss = 1
 	}
-	for i := range cleaned {
-		cleaned[i].Loss /= maxLoss
+	if from > 0 && math.Float64bits(maxLoss) != math.Float64bits(s.maxLoss) {
+		from = 0
 	}
+	for i := from; i < n; i++ {
+		cleaned[i] = Point{K: points[i].K, Loss: raw[i] / maxLoss}
+	}
+	s.raw, s.runMax, s.cleaned = raw, runMax, cleaned
+	s.n, s.window, s.maxLoss = n, window, maxLoss
 	return cleaned, maxLoss
+}
+
+// filtered is sample i's loss after the paper's outlier removal: it must
+// fall within [min of the next window losses, max of the previous window
+// losses]; otherwise it is replaced by the mean of its immediate neighbours.
+func filtered(points []Point, i, window int) float64 {
+	if window <= 0 {
+		return points[i].Loss
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for j := i + 1; j <= i+window && j < len(points); j++ {
+		if points[j].Loss < lo {
+			lo = points[j].Loss
+		}
+	}
+	for j := i - 1; j >= 0 && j >= i-window; j-- {
+		if points[j].Loss > hi {
+			hi = points[j].Loss
+		}
+	}
+	if math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+		return points[i].Loss // boundary points keep their value
+	}
+	if points[i].Loss >= lo && points[i].Loss <= hi {
+		return points[i].Loss
+	}
+	var sum float64
+	var n int
+	if i > 0 {
+		sum += points[i-1].Loss
+		n++
+	}
+	if i+1 < len(points) {
+		sum += points[i+1].Loss
+		n++
+	}
+	if n > 0 {
+		return sum / float64(n)
+	}
+	return points[i].Loss
 }
 
 // fitWithAsymptote solves the linear subproblem for a fixed β2 and evaluates
@@ -384,7 +440,9 @@ func (s *fitScratch) preprocess(points []Point, window int) ([]Point, float64) {
 // matrix [k, 1] is rebuilt only when the kept-row count changes. The count
 // identifies the set: fitPoints' β2 grid is monotone (rounding is monotone),
 // so each candidate's kept rows are a subset or superset of the previous
-// candidate's, and a chain of sets with equal sizes is one set.
+// candidate's, and a chain of sets with equal sizes is one set. The solve is
+// told when the matrix was rebuilt, so the other candidates skip comparing
+// it with the workspace's factor cache key.
 func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2, best float64) (Model, bool) {
 	rhs := s.rhs[:0]
 	for _, p := range cleaned {
@@ -398,7 +456,8 @@ func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2, best float64) (Model,
 	if len(rhs) < 3 {
 		return Model{}, false
 	}
-	if s.mat.Rows != len(rhs) {
+	rebuilt := s.mat.Rows != len(rhs)
+	if rebuilt {
 		data := s.mat.Data[:0]
 		for _, p := range cleaned {
 			if p.Loss-b2 > 1e-9 {
@@ -407,7 +466,7 @@ func (s *fitScratch) fitWithAsymptote(cleaned []Point, b2, best float64) (Model,
 		}
 		s.mat.Data, s.mat.Rows, s.mat.Cols = data, len(rhs), 2
 	}
-	x, err := s.ws.Coef(&s.mat, rhs)
+	x, err := s.ws.CoefTracked(&s.mat, rhs, rebuilt)
 	if err != nil {
 		return Model{}, false
 	}

@@ -1,6 +1,7 @@
 package nnls
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -262,4 +263,105 @@ func TestCoefMatchesSolve(t *testing.T) {
 	}
 	check("empty", NewMatrix(3, 0), []float64{1, 2, 3})
 	check("rhs mismatch", NewMatrix(3, 2), []float64{1, 2})
+}
+
+// TestPrefixCacheMatchesReference walks one workspace's passive subproblem
+// and the reference's through the column lists Lawson–Hanson visits — {0},
+// then {0, 1}, back to {0}, over to {1} — and longer walks on three columns,
+// and requires every solve to agree bit for bit, failures included. The
+// matrices are lossfit-shaped, random, underdetermined, and two rank edges:
+// a column that passes the rank check alone but fails it next to a much
+// larger column (its tolerance scales with the list's largest entry), and a
+// column that passes alone but is dependent on the column before it.
+func TestPrefixCacheMatchesReference(t *testing.T) {
+	ws, ref := NewWorkspace(), new(refWorkspace)
+	solved := map[string]int{}
+	check := func(label string, a *Matrix, b []float64, cols []int) {
+		t.Helper()
+		passive := make([]bool, a.Cols)
+		for _, c := range cols {
+			passive[c] = true
+		}
+		ws.ensure(a.Rows, a.Cols)
+		ws.rekey(a, keyByValue)
+		ref.ensure(a.Rows, a.Cols)
+		z, ok := ws.solvePassive(a, b, passive)
+		rz, rok := ref.solvePassive(a, b, passive)
+		if ok != rok {
+			t.Fatalf("%s %v: ok %v, reference ok %v", label, cols, ok, rok)
+		}
+		if ok {
+			solved[fmt.Sprint(label, cols)]++
+			for j := 0; j < a.Cols; j++ {
+				if math.Float64bits(z[j]) != math.Float64bits(rz[j]) {
+					t.Fatalf("%s %v: z[%d] = %v, reference %v", label, cols, j, z[j], rz[j])
+				}
+			}
+		}
+	}
+	walk2 := [][]int{{0}, {0, 1}, {0}, {1}, {0, 1}, {1}, {0}, {0, 1}, {0, 1}}
+	walk3 := [][]int{{0}, {0, 1}, {0, 1, 2}, {0, 2}, {0}, {1, 2}, {0, 1, 2}, {0, 1}, {2}, {0, 2}}
+	randMatrix := func(r *rand.Rand, m, n int) (*Matrix, []float64) {
+		a, b := NewMatrix(m, n), make([]float64, m)
+		for i := range a.Data {
+			a.Data[i] = r.NormFloat64()
+		}
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		return a, b
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+
+		a, loss := lossDesign(r, 5+r.Intn(100))
+		b := make([]float64, a.Rows)
+		for i, l := range loss {
+			b[i] = 1 / (l - 0.5*minOf(loss))
+		}
+		before := ws.factorings
+		for _, cols := range walk2[:3] {
+			check("loss", a, b, cols)
+		}
+		if got := ws.factorings - before; got != 2 {
+			t.Fatalf("seed %d: {0} → {0, 1} → {0} factored %d columns, want 2", seed, got)
+		}
+		for _, cols := range walk2[3:] {
+			check("loss", a, b, cols)
+		}
+
+		g, gb := randMatrix(r, 3+r.Intn(30), 3)
+		for _, cols := range walk3 {
+			check("random", g, gb, cols)
+		}
+		u, ub := randMatrix(r, 1+r.Intn(2), 3)
+		for _, cols := range walk3 {
+			check("underdetermined", u, ub, cols)
+		}
+
+		// Column 0 is ~1e-15 against column 1's ~1.
+		tiny, tb := randMatrix(r, 10+r.Intn(40), 2)
+		for i := 0; i < tiny.Rows; i++ {
+			tiny.Set(i, 0, 1e-15*tiny.At(i, 0))
+		}
+		for _, cols := range walk2 {
+			check("tiny", tiny, tb, cols)
+		}
+
+		// Column 1 is 3·column 0 plus noise far under the rank tolerance.
+		dep, db := randMatrix(r, 10+r.Intn(40), 2)
+		for i := 0; i < dep.Rows; i++ {
+			dep.Set(i, 1, 3*dep.At(i, 0)+1e-18*dep.At(i, 1))
+		}
+		for _, cols := range walk2 {
+			check("dependent", dep, db, cols)
+		}
+	}
+	// Each rank edge must really sit on the edge: solvable alone, not as a pair.
+	for _, label := range []string{"tiny", "dependent"} {
+		if solved[label+"[0]"] == 0 || solved[label+"[1]"] == 0 || solved[label+"[0 1]"] != 0 {
+			t.Errorf("%s: solved {0} %d, {1} %d, {0, 1} %d times; want >0, >0, 0", label,
+				solved[label+"[0]"], solved[label+"[1]"], solved[label+"[0 1]"])
+		}
+	}
 }

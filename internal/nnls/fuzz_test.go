@@ -8,7 +8,8 @@ import (
 
 // FuzzSolve hardens the NNLS solver: arbitrary well-formed inputs must never
 // panic, never return negative or non-finite coordinates, and never report a
-// residual worse than the zero vector's.
+// residual worse than the zero vector's. Each input also runs a β2-style
+// sweep (see sweepMatchesReference).
 func FuzzSolve(f *testing.F) {
 	f.Add(int64(1), 4, 2)
 	f.Add(int64(2), 10, 5)
@@ -29,6 +30,7 @@ func FuzzSolve(f *testing.F) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
+		sweepMatchesReference(t, r, a)
 		x, res, err := Solve(a, b)
 		if err != nil {
 			return
@@ -110,4 +112,50 @@ func FuzzSolve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sweepMatchesReference solves a against 21 right-hand sides whose
+// noise-free solution slides from a non-negative vector to one with negative
+// coordinates, so the passive set flips along the way and the factor cache
+// extends, shrinks and refactors its column lists. A workspace keyed by value
+// (Solve), one told of the matrix only on the first solve (CoefTracked) and
+// the reference, which factors afresh every time, must agree bit for bit on
+// every solve, error outcomes included.
+func sweepMatchesReference(t *testing.T, r *rand.Rand, a *Matrix) {
+	var ws, wt Workspace
+	var ref refWorkspace
+	from, to := make([]float64, a.Cols), make([]float64, a.Cols)
+	for j := range from {
+		from[j] = 2 * r.Float64()
+		to[j] = 2*r.Float64() - 1.5
+	}
+	b := make([]float64, a.Rows)
+	for s := 0; s <= 20; s++ {
+		f := float64(s) / 20
+		for i := range b {
+			var dot float64
+			for j := 0; j < a.Cols; j++ {
+				dot += a.At(i, j) * ((1-f)*from[j] + f*to[j])
+			}
+			b[i] = dot + 0.01*r.NormFloat64()
+		}
+		x, res, err := ws.Solve(a, b)
+		tx, terr := wt.CoefTracked(a, b, s == 0)
+		rx, rres, rerr := ref.SolveWith(a, b, Options{})
+		if (err == nil) != (rerr == nil) || (terr == nil) != (rerr == nil) {
+			t.Fatalf("sweep %d: err %v, tracked err %v, reference err %v", s, err, terr, rerr)
+		}
+		if rerr != nil {
+			continue
+		}
+		if math.Float64bits(res) != math.Float64bits(rres) {
+			t.Fatalf("sweep %d: residual %v, reference %v", s, res, rres)
+		}
+		for j := range rx {
+			if math.Float64bits(x[j]) != math.Float64bits(rx[j]) ||
+				math.Float64bits(tx[j]) != math.Float64bits(rx[j]) {
+				t.Fatalf("sweep %d: x[%d] = %v, tracked %v, reference %v", s, j, x[j], tx[j], rx[j])
+			}
+		}
+	}
 }

@@ -22,8 +22,10 @@ func Solve(a *Matrix, b []float64) ([]float64, float64, error) {
 
 // SolveWith is Solve with explicit options.
 func SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
-	ws := Workspace{oneShot: true}
-	return ws.SolveWith(a, b, opt)
+	// The throwaway workspace never sees a second matrix, so it skips
+	// copying the key.
+	var ws Workspace
+	return ws.solveWith(a, b, opt, keyRebuilt)
 }
 
 func allPassive(passive []bool) bool {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -22,12 +21,16 @@ import (
 // resumes the outer loop from it — usually terminating immediately with the
 // KKT check instead of rebuilding the passive set one column at a time.
 //
-// A workspace also keeps the Householder QR factors of the last passive
-// subproblem it solved, keyed by the matrix's value (bit for bit, never by
-// pointer: callers refill one buffer). A solve on an identical matrix with a
-// new right-hand side — lossfit's β2 grid, 41 rhs against one design matrix —
-// reuses the factors and only applies the reflectors to the new rhs, which
-// yields exactly the bits a fresh factorization would.
+// A workspace also keeps the Householder QR factors of the passive column
+// lists it solved, keyed by the matrix's value (bit for bit, never by
+// pointer: callers refill one buffer). The factors grow and shrink by column
+// prefix (see qr): a passive list that extends the factored one costs only
+// the new columns' reflectors, and one that is a prefix of it costs none.
+// Lawson–Hanson's usual walk on lossfit's [k, 1] design — {0}, then {0, 1},
+// then back to {0} — thus factors each column once per matrix, and a solve
+// on the same matrix with a new right-hand side (lossfit's β2 grid, 41 rhs
+// against one design matrix) only applies the reflectors to the new rhs.
+// Every solution is the bits a fresh factorization would yield.
 //
 // A Workspace is not safe for concurrent use. The zero value is ready to use.
 type Workspace struct {
@@ -38,40 +41,50 @@ type Workspace struct {
 	z       []float64
 	passive []bool
 
-	// passive-subproblem scratch; sub and diag double as the factor cache
+	// passive-subproblem scratch
 	cols   []int
-	sub    Matrix
 	subRhs []float64
 	subSol []float64
-	diag   []float64
 
 	// warm-start memory: the passive set of the previous successful solve.
 	warm     []bool
 	warmCols int
 	hasWarm  bool
 
-	// factor cache: key is a copy of the last matrix solved, keyTol its
-	// automatic dual tolerance (0 = not computed yet), and when factored is
-	// set, sub/diag hold the factors of key's columns fcols.
-	key      Matrix
-	keyTol   float64
-	fcols    []int
-	factored bool
-	// oneShot marks the package-level Solve's throwaway workspace, which
-	// never sees a second matrix and so skips copying the key.
-	oneShot bool
-	// factorings counts QR factorizations; tests observe cache hits with it.
+	// factor cache: key has the last matrix's shape and, when it was solved
+	// by value, a copy of its values; keyTol is its automatic dual tolerance
+	// (0 = not computed yet), and f holds the factors of its columns f.cols.
+	key    Matrix
+	keyTol float64
+	f      qr
+	// factorings counts the columns factored, one Householder reflector each;
+	// tests observe cache hits with it.
 	factorings int
 }
+
+// matrixKey says how a solve learns whether its matrix is the one the
+// factor cache holds.
+type matrixKey int
+
+const (
+	keyByValue   matrixKey = iota // compare it with the cached key, bit for bit
+	keyRebuilt                    // the caller says it may differ: drop the cache
+	keyUnchanged                  // the caller says it holds the last solve's values
+)
 
 // NewWorkspace returns an empty workspace. The zero value works too; the
 // constructor exists for symmetry with the rest of the package.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
+// Factorings reports how many columns the workspace has factored, one
+// Householder reflector each, over its lifetime. A solve that reuses cached
+// factors adds nothing, so the count shows what the factor cache saves.
+func (ws *Workspace) Factorings() int { return ws.factorings }
+
 // Reset drops the warm-start memory. Buffers are kept. Call it when the next
 // problem is unrelated to the previous one (different model family, reused
 // workspace across jobs) and a cold start is wanted. The factor cache stays:
-// it is keyed by value, so it can never serve a different matrix.
+// it is keyed by the matrix, so it never serves a different one.
 func (ws *Workspace) Reset() { ws.hasWarm = false }
 
 // Solve is SolveWith with default options.
@@ -86,7 +99,12 @@ func (ws *Workspace) Solve(a *Matrix, b []float64) ([]float64, float64, error) {
 // slice is owned by the workspace and is only valid until the next solve;
 // callers that retain it must copy.
 func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
-	x, err := ws.coef(a, b, opt)
+	return ws.solveWith(a, b, opt, keyByValue)
+}
+
+// solveWith is SolveWith with the cache keyed as key says.
+func (ws *Workspace) solveWith(a *Matrix, b []float64, opt Options, key matrixKey) ([]float64, float64, error) {
+	x, err := ws.coef(a, b, opt, key)
 	if err != nil {
 		if err == errEmpty {
 			return nil, Norm2(b), err
@@ -101,13 +119,28 @@ func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, 
 // that never read the norm (lossfit's β2 grid measures its own residual in
 // loss space) skip its O(rows) pass and per-row division.
 func (ws *Workspace) Coef(a *Matrix, b []float64) ([]float64, error) {
-	return ws.coef(a, b, Options{})
+	return ws.coef(a, b, Options{}, keyByValue)
+}
+
+// CoefTracked is Coef for a caller that tracks its matrix's changes itself.
+// rebuilt reports whether a's values may differ from those of the previous
+// solve on this workspace; when it is false the solve skips comparing a,
+// value by value, with the factor cache's key. The caller must be sure: a
+// false rebuilt on a changed matrix solves with the old matrix's factors.
+// lossfit's β2 grid, which rebuilds its design matrix only when the kept-row
+// count changes, saves a 2n-float compare on each of its 41 candidates.
+func (ws *Workspace) CoefTracked(a *Matrix, b []float64, rebuilt bool) ([]float64, error) {
+	key := keyUnchanged
+	if rebuilt {
+		key = keyRebuilt
+	}
+	return ws.coef(a, b, Options{}, key)
 }
 
 var errEmpty = errors.New("nnls: empty matrix")
 
-// coef is the one solver body behind SolveWith and Coef.
-func (ws *Workspace) coef(a *Matrix, b []float64, opt Options) ([]float64, error) {
+// coef is the one solver body behind SolveWith, Coef and CoefTracked.
+func (ws *Workspace) coef(a *Matrix, b []float64, opt Options, key matrixKey) ([]float64, error) {
 	if len(b) != a.Rows {
 		return nil, errors.New("nnls: rhs length mismatch")
 	}
@@ -116,7 +149,7 @@ func (ws *Workspace) coef(a *Matrix, b []float64, opt Options) ([]float64, error
 		return nil, errEmpty
 	}
 	ws.ensure(a.Rows, n)
-	ws.rekey(a)
+	ws.rekey(a, key)
 
 	tol := opt.Tol
 	if tol == 0 {
@@ -239,9 +272,7 @@ func (ws *Workspace) ensure(m, n int) {
 		ws.dual = make([]float64, n)
 		ws.z = make([]float64, n)
 		ws.subSol = make([]float64, n)
-		ws.diag = make([]float64, n)
-		ints := make([]int, 2*n) // one allocation for both column lists
-		ws.cols, ws.fcols = ints[:0:n], ints[n:n]
+		ws.cols = make([]int, 0, n)
 		ws.passive = make([]bool, n)
 		w := make([]bool, n)
 		copy(w, ws.warm)
@@ -253,9 +284,6 @@ func (ws *Workspace) ensure(m, n int) {
 		c := max(m, 2*cap(ws.resid))
 		ws.resid = make([]float64, c)
 		ws.subRhs = make([]float64, c)
-	}
-	if cap(ws.sub.Data) < m*n {
-		ws.sub.Data = make([]float64, max(m*n, 2*cap(ws.sub.Data)))
 	}
 }
 
@@ -275,20 +303,25 @@ func autoTol(a *Matrix) float64 {
 	return tol
 }
 
-// rekey makes a the cache key. A matrix equal to the key bit for bit keeps
-// the cached factors and tolerance; any other matrix drops them (+0 and −0
-// differ, so do NaNs with different payloads).
-func (ws *Workspace) rekey(a *Matrix) {
+// rekey makes a the cache key. Under keyByValue a matrix equal to the key
+// bit for bit keeps the cached factors and tolerance and any other matrix
+// drops them (+0 and −0 differ, so do NaNs with different payloads). The
+// other modes take the caller's word, except that a matrix whose shape
+// differs from the key's is always a new one.
+func (ws *Workspace) rekey(a *Matrix, key matrixKey) {
 	data := a.Data[:a.Rows*a.Cols]
-	if ws.key.Rows == a.Rows && ws.key.Cols == a.Cols && sameBits(ws.key.Data, data) {
+	if ws.key.Rows == a.Rows && ws.key.Cols == a.Cols &&
+		(key == keyUnchanged || key == keyByValue && sameBits(ws.key.Data, data)) {
 		return
 	}
-	ws.factored, ws.keyTol = false, 0
-	if ws.oneShot {
-		return
-	}
+	ws.f.reset(a.Rows, a.Cols)
+	ws.keyTol = 0
 	ws.key.Rows, ws.key.Cols = a.Rows, a.Cols
-	ws.key.Data = append(ws.key.Data[:0], data...)
+	if key == keyByValue {
+		ws.key.Data = append(ws.key.Data[:0], data...)
+	} else {
+		ws.key.Data = ws.key.Data[:0] // no values: a later by-value solve misses
+	}
 }
 
 // sameBits reports whether x and y hold the same float64 bit patterns, as
@@ -339,8 +372,8 @@ func (ws *Workspace) dualInto(a *Matrix, x, b []float64, passive []bool) []float
 
 // solvePassive solves the unconstrained least-squares problem restricted to
 // the passive columns, returning a full-length workspace-owned vector with
-// zeros elsewhere. It factors the column subset only when the cache does not
-// already hold its factors for this matrix.
+// zeros elsewhere. It keeps the cached factors' longest common prefix with
+// the passive column list and factors only the columns past it.
 func (ws *Workspace) solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, bool) {
 	n := a.Cols
 	cols := ws.cols[:0]
@@ -357,28 +390,28 @@ func (ws *Workspace) solvePassive(a *Matrix, b []float64, passive []bool) ([]flo
 	if len(cols) == 0 {
 		return z, true
 	}
-	m, nc := a.Rows, len(cols)
-	if !ws.factored || !slices.Equal(ws.fcols, cols) {
-		ws.sub.Rows, ws.sub.Cols = m, nc
-		ws.sub.Data = ws.sub.Data[:m*nc]
-		for i := 0; i < m; i++ {
-			src := a.Data[i*n : (i+1)*n]
-			dst := ws.sub.Data[i*nc : (i+1)*nc]
-			for jj, c := range cols {
-				dst[jj] = src[c]
+	f := &ws.f
+	p := 0
+	for p < len(cols) && p < len(f.cols) && f.cols[p] == cols[p] {
+		p++
+	}
+	if p < len(cols) {
+		f.truncate(p)
+		for _, c := range cols[p:] {
+			ws.factorings++
+			if !f.push(a, c) {
+				return nil, false
 			}
 		}
-		ws.factorings++
-		ws.factored = factorInPlace(&ws.sub, ws.diag[:nc]) == nil
-		if !ws.factored {
-			return nil, false
-		}
-		ws.fcols = append(ws.fcols[:0], cols...)
 	}
-	rhs := ws.subRhs[:m]
+	nc := len(cols)
+	if !f.fullRank(nc) {
+		return nil, false
+	}
+	rhs := ws.subRhs[:a.Rows]
 	copy(rhs, b)
 	sol := ws.subSol[:nc]
-	if err := solveFactored(&ws.sub, ws.diag[:nc], rhs, sol); err != nil {
+	if err := f.solve(nc, rhs, sol); err != nil {
 		return nil, false
 	}
 	for jj, c := range cols {

@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"optimus/internal/nnls"
 )
@@ -171,7 +171,9 @@ func (s *fitScratch) fit(mode Mode, samples []Sample, batchSize float64) (Model,
 
 // Estimator accumulates speed observations for one job and refits on demand,
 // the online half of §3.2. It deduplicates by configuration, keeping a
-// running mean per (p, w) so noisy repeated observations average out.
+// running mean per (p, w) so noisy repeated observations average out. The
+// accumulators are kept ordered by (p, w), so a refit reads them in order
+// without sorting.
 //
 // Decay, when set in (0, 1), turns the mean into an exponentially weighted
 // one: each new observation of a configuration scales the old estimate by
@@ -183,7 +185,7 @@ type Estimator struct {
 	BatchSize float64
 	Decay     float64
 
-	acc map[[2]int]*accum
+	acc []accum // ordered by (p, w)
 
 	// Fit cache: the fit is a pure function of the accumulated averages, so
 	// it only needs to re-run when Observe has changed them since the last
@@ -194,7 +196,7 @@ type Estimator struct {
 	cached    Model
 	cachedErr error
 
-	// scratch holds the sorted-sample buffer and NNLS workspace reused
+	// scratch holds the sample buffer and NNLS workspace reused
 	// across refits; allocated on first Fit.
 	scratch *estScratch
 }
@@ -204,15 +206,35 @@ type estScratch struct {
 	fit     fitScratch
 }
 
+// accum is one configuration's running sums.
 type accum struct {
-	sum float64
-	n   float64
+	p, w int
+	sum  float64
+	n    float64
 }
 
 // NewEstimator creates an estimator for the given training mode. batchSize
 // is required for Sync jobs.
 func NewEstimator(mode Mode, batchSize float64) *Estimator {
-	return &Estimator{Mode: mode, BatchSize: batchSize, acc: make(map[[2]int]*accum)}
+	return &Estimator{Mode: mode, BatchSize: batchSize}
+}
+
+// slot returns configuration (p, w)'s accumulator, inserting a zero one in
+// order when it is new.
+func (e *Estimator) slot(p, w int) *accum {
+	lo, hi := 0, len(e.acc)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if a := &e.acc[h]; a.p < p || a.p == p && a.w < w {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == len(e.acc) || e.acc[lo].p != p || e.acc[lo].w != w {
+		e.acc = slices.Insert(e.acc, lo, accum{p: p, w: w})
+	}
+	return &e.acc[lo]
 }
 
 // Observe records one speed measurement for configuration (p, w).
@@ -223,12 +245,7 @@ func (e *Estimator) Observe(p, w int, speed float64) error {
 	if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
 		return fmt.Errorf("speedfit: invalid speed %g", speed)
 	}
-	key := [2]int{p, w}
-	a := e.acc[key]
-	if a == nil {
-		a = &accum{}
-		e.acc[key] = a
-	}
+	a := e.slot(p, w)
 	if e.Decay > 0 && e.Decay < 1 {
 		a.sum = a.sum*e.Decay + speed
 		a.n = a.n*e.Decay + 1
@@ -258,47 +275,36 @@ func (e *Estimator) Samples() []Sample {
 // the property a durable snapshot needs for byte-identical refits.
 func (e *Estimator) Accum() [][4]float64 {
 	out := make([][4]float64, 0, len(e.acc))
-	for key, a := range e.acc {
-		out = append(out, [4]float64{float64(key[0]), float64(key[1]), a.sum, a.n})
+	for _, a := range e.acc {
+		out = append(out, [4]float64{float64(a.p), float64(a.w), a.sum, a.n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
 // SetAccum replaces the estimator's state with rows from Accum. Invalid rows
-// (non-positive configuration or weight) are dropped.
+// (non-positive configuration or weight) are dropped; of two rows for one
+// configuration, the later wins.
 func (e *Estimator) SetAccum(rows [][4]float64) {
-	e.acc = make(map[[2]int]*accum, len(rows))
+	e.acc = e.acc[:0]
 	for _, r := range rows {
 		p, w := int(r[0]), int(r[1])
 		if p < 1 || w < 1 || r[3] <= 0 {
 			continue
 		}
-		e.acc[[2]int{p, w}] = &accum{sum: r[2], n: r[3]}
+		a := e.slot(p, w)
+		a.sum, a.n = r[2], r[3]
 	}
 	e.dirty = true
 	e.fitted = false
 }
 
-// samplesInto appends the averaged observations to dst (reusing its backing
-// array) and sorts them by (p, w).
+// samplesInto appends the averaged observations, ordered by (p, w), to dst
+// (reusing its backing array).
 func (e *Estimator) samplesInto(dst []Sample) []Sample {
-	out := dst
-	for key, a := range e.acc {
-		out = append(out, Sample{P: key[0], W: key[1], Speed: a.sum / a.n})
+	for _, a := range e.acc {
+		dst = append(dst, Sample{P: a.p, W: a.w, Speed: a.sum / a.n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P < out[j].P
-		}
-		return out[i].W < out[j].W
-	})
-	return out
+	return dst
 }
 
 // Fit produces a model from everything observed so far. The result is cached

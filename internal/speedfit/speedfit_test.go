@@ -440,3 +440,56 @@ func TestParseMode(t *testing.T) {
 		}
 	}
 }
+
+// TestAccumRoundTrip pins the accumulator rows: Accum lists them ordered by
+// (p, w) whatever the Observe order, SetAccum takes rows in any order, drops
+// invalid ones and keeps the later of two rows for one configuration, and
+// an estimator rebuilt from Accum refits to the same bits.
+func TestAccumRoundTrip(t *testing.T) {
+	e := NewEstimator(Async, 0)
+	for i, c := range [][2]int{{3, 1}, {1, 2}, {2, 2}, {1, 1}, {2, 1}, {1, 2}, {3, 1}} {
+		if err := e.Observe(c[0], c[1], 1+0.1*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := e.Accum()
+	want := [][2]float64{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}}
+	if len(rows) != len(want) || e.Configurations() != len(want) {
+		t.Fatalf("Accum() = %v, want configurations %v", rows, want)
+	}
+	for i, r := range rows {
+		if r[0] != want[i][0] || r[1] != want[i][1] {
+			t.Fatalf("Accum()[%d] = %v, want configuration %v", i, r, want[i])
+		}
+	}
+
+	// Reversed, with a stale duplicate of (2, 2) first and invalid rows.
+	in := [][4]float64{{2, 2, 99, 7}, {0, 1, 1, 1}, {1, 1, 1, 0}}
+	for i := len(rows) - 1; i >= 0; i-- {
+		in = append(in, rows[i])
+	}
+	r := NewEstimator(Async, 0)
+	r.SetAccum(in)
+	got := r.Accum()
+	if len(got) != len(rows) {
+		t.Fatalf("rebuilt Accum() = %v, want %v", got, rows)
+	}
+	for i := range rows {
+		if got[i] != rows[i] {
+			t.Fatalf("rebuilt Accum()[%d] = %v, want %v", i, got[i], rows[i])
+		}
+	}
+	m, err := e.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := r.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range m.Theta {
+		if math.Float64bits(m.Theta[j]) != math.Float64bits(rm.Theta[j]) {
+			t.Fatalf("rebuilt theta[%d] = %v, want %v", j, rm.Theta[j], m.Theta[j])
+		}
+	}
+}
