@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeSubmit -fuzztime 15s ./internal/serve/
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 15s ./internal/obs/
 	$(GO) test -fuzz FuzzHeadroom -fuzztime 15s ./internal/core/
+	$(GO) test -fuzz FuzzPlaceMatchesReference -fuzztime 15s ./internal/core/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/wal/
 
 # Run the online scheduler daemon on the paper testbed (600x scaled time).

@@ -3,11 +3,7 @@
 // intervals. They cache nothing (DESIGN.md §15 records why).
 package core
 
-import (
-	"slices"
-
-	"optimus/internal/cluster"
-)
+import "optimus/internal/cluster"
 
 // IncrStats are the cumulative counters of one session pair, exported by
 // optimusd's /v1/cluster endpoint and internal/metrics.
@@ -75,6 +71,9 @@ type PlaceSession struct {
 	cl            *cluster.Cluster // last interval's cluster and placement
 	last          map[int]Placement
 	requested     map[int]struct{}
+	pos           map[string]int32 // node ID → position in cl.Nodes()
+	kept          []int            // by position: tasks a job keeps there
+	slots         []int32          // the positions kept holds counts at
 	rounds        uint64
 	migratedTotal uint64
 	lastMigrated  int
@@ -99,10 +98,20 @@ func (s *PlaceSession) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[i
 // migrations counts tasks placed last interval on the same cluster that must
 // now stop or move: for every previously-placed job still requested, tasks on
 // a node beyond what the new placement keeps there. Jobs absent from the new
-// request list completed — their tasks stopping is not a migration.
+// request list completed — their tasks stopping is not a migration. Each job
+// costs one pass over its old and new rows: the new counts are scattered
+// into kept by node position, read back for the old rows, and zeroed.
 func (s *PlaceSession) migrations(out map[int]Placement, reqs []PlacementRequest, c *cluster.Cluster) int {
 	if c != s.cl {
+		s.pos = nil // positions of the last cluster
 		return 0
+	}
+	if nodes := c.Nodes(); len(s.pos) != len(nodes) {
+		s.pos = make(map[string]int32, len(nodes))
+		for i, n := range nodes {
+			s.pos[n.ID] = int32(i)
+		}
+		s.kept = make([]int, len(nodes))
 	}
 	if s.requested == nil {
 		s.requested = make(map[int]struct{}, len(reqs))
@@ -118,12 +127,17 @@ func (s *PlaceSession) migrations(out map[int]Placement, reqs []PlacementRequest
 			continue
 		}
 		now := out[id] // zero, with no nodes, if the job is unplaced now
+		s.slots = s.slots[:0]
+		for m, nodeID := range now.NodeIDs {
+			i := s.pos[nodeID]
+			s.kept[i] = now.PSOnNode[m] + now.WorkersOnNode[m]
+			s.slots = append(s.slots, i)
+		}
 		for k, nodeID := range old.NodeIDs {
-			kept := 0
-			if m := slices.Index(now.NodeIDs, nodeID); m >= 0 {
-				kept = now.PSOnNode[m] + now.WorkersOnNode[m]
-			}
-			moved += max(old.PSOnNode[k]+old.WorkersOnNode[k]-kept, 0)
+			moved += max(old.PSOnNode[k]+old.WorkersOnNode[k]-s.kept[s.pos[nodeID]], 0)
+		}
+		for _, i := range s.slots {
+			s.kept[i] = 0
 		}
 	}
 	return moved

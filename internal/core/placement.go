@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"strings"
 
 	"optimus/internal/cluster"
 	"optimus/internal/obs"
@@ -86,27 +88,30 @@ type placeRec struct {
 }
 
 // PlaceState owns the scratch memory of the §4.2 placer: the request
-// ordering, a free-CPU-sorted node index maintained incrementally across
-// placements, the per-attempt count/spare buffers of the greedy fallback,
-// and the record arrays the chosen placements are staged in before
-// materialization. The zero value is ready to use; a state is not safe for
-// concurrent use.
+// ordering, a free-CPU-sorted node index kept across calls, the per-attempt
+// count/spare buffers of the greedy fallback, and the record arrays the
+// chosen placements are staged in before materialization. The zero value is
+// ready to use; a state is not safe for concurrent use.
 //
-// The sorted index is the core optimization: the previous implementation
-// re-selected (or re-sorted) the most-available nodes from scratch for every
-// request, while committing a placement only changes the availability of the
-// handful of nodes it touched. Place now sorts the cluster once per call and
-// re-sifts just the touched nodes after each commit — each sinks to its new
-// position by binary search — so each request sees exactly the ordering a
-// full re-sort would produce at a fraction of the cost.
+// The index holds positions into the cluster's Nodes(), with each node's
+// available CPU and ID rank cached beside it, so the §4.2 order compares a
+// float and then an int. A commit changes only the nodes it touched, and
+// resift sinks just those, so each request sees exactly the ordering a full
+// re-sort would produce. Place refreshes the CPU keys in one pass and sorts
+// only when the index is out of order: a shrink retry, which places again on
+// the cluster the last call left, pays O(N) rather than O(N log N).
 type PlaceState struct {
 	// Trace, when non-nil, receives one "place-kernel" span per Place call.
 	// It defaults to nil; the nil path performs no extra work.
 	Trace *obs.Tracer
 
 	ordered []orderedReq
-	index   []*cluster.Node // sorted: available CPU desc, node ID asc
-	touched []int           // index positions staged by the current placeOne, ascending
+	cl      *cluster.Cluster // the cluster rank was built for
+	index   []int32          // positions into cl.Nodes(): available CPU desc, node ID asc
+	cpu     []float64        // by position: Available()[cluster.CPU]
+	rank    []int32          // by position: the rank of the node's ID
+	touched []int            // index positions staged by the current placeOne, ascending
+	view    []*cluster.Node  // greedyBalanced's candidates, in index order
 	psOn    []int
 	wOn     []int
 	spare   []cluster.Resources
@@ -124,30 +129,15 @@ type PlaceState struct {
 // NewPlaceState returns an empty placer state.
 func NewPlaceState() *PlaceState { return &PlaceState{} }
 
-// nodeLess is the §4.2 server ordering: descending available CPU, ties
-// broken by node ID. It matches cluster.SortedByAvailable(cluster.CPU) and
-// is a total order (IDs are unique), so any sort produces one canonical
+// compare is the §4.2 server order on node positions: descending available
+// CPU, ties broken by node ID. It matches cluster.SortedByAvailable(cluster.CPU)
+// and is a total order (IDs are unique), so any sort produces one canonical
 // sequence.
-func nodeLess(a, b *cluster.Node) bool {
-	aa, ab := a.Available()[cluster.CPU], b.Available()[cluster.CPU]
-	if aa != ab {
-		return aa > ab
+func (st *PlaceState) compare(a, b int32) int {
+	if ca, cb := st.cpu[a], st.cpu[b]; ca != cb {
+		return cmp.Compare(cb, ca)
 	}
-	return a.ID < b.ID
-}
-
-// nodeCmp is nodeLess as a three-way comparison for the generic sorts, which
-// unlike sort.Slice do not box the slice and stay allocation-free — resift
-// sorts on every commit, so that per-call allocation was the placer's
-// dominant steady-state garbage.
-func nodeCmp(a, b *cluster.Node) int {
-	if nodeLess(a, b) {
-		return -1
-	}
-	if nodeLess(b, a) {
-		return 1
-	}
-	return 0
+	return int(st.rank[a] - st.rank[b])
 }
 
 // Place implements the §4.2 placement scheme. Servers are sorted in
@@ -171,17 +161,9 @@ func (st *PlaceState) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[in
 		st.ordered = append(st.ordered, orderedReq{req: r, share: share})
 	}
 	slices.SortStableFunc(st.ordered, func(a, b orderedReq) int {
-		if a.share != b.share {
-			if a.share < b.share {
-				return -1
-			}
-			return 1
-		}
-		return a.req.JobID - b.req.JobID
+		return cmp.Or(cmp.Compare(a.share, b.share), a.req.JobID-b.req.JobID)
 	})
-	// One full sort of the node index per call; commits re-sift it.
-	st.index = append(st.index[:0], c.Nodes()...)
-	slices.SortFunc(st.index, nodeCmp)
+	st.sortIndex(c)
 	st.recNodes, st.recPS, st.recW, st.recs = st.recNodes[:0], st.recPS[:0], st.recW[:0], st.recs[:0]
 
 	var unplaced []int
@@ -192,6 +174,34 @@ func (st *PlaceState) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[in
 		}
 	}
 	return st.materialize(len(reqs)), unplaced
+}
+
+// sortIndex brings the node index up to date with c. The ID ranks are
+// rebuilt for a new cluster, or one that grew (nodes are never removed, and
+// an ID never changes once added); every node's CPU key is read afresh; and
+// the index is sorted only if it is not already. Since the order is total, a
+// sorted permutation of the nodes is the one a fresh sort would give.
+func (st *PlaceState) sortIndex(c *cluster.Cluster) {
+	nodes := c.Nodes()
+	if c != st.cl || len(st.rank) != len(nodes) {
+		st.cl = c
+		st.index = slices.Grow(st.index[:0], len(nodes))
+		for i := range nodes {
+			st.index = append(st.index, int32(i))
+		}
+		slices.SortFunc(st.index, func(a, b int32) int { return strings.Compare(nodes[a].ID, nodes[b].ID) })
+		st.rank = slices.Grow(st.rank[:0], len(nodes))[:len(nodes)]
+		for r, i := range st.index {
+			st.rank[i] = int32(r)
+		}
+	}
+	st.cpu = slices.Grow(st.cpu[:0], len(nodes))
+	for _, n := range nodes {
+		st.cpu = append(st.cpu, n.Available()[cluster.CPU])
+	}
+	if !slices.IsSortedFunc(st.index, st.compare) {
+		slices.SortFunc(st.index, st.compare)
+	}
 }
 
 // placeStep searches, stages, and commits one request against the current
@@ -317,21 +327,20 @@ func (h Headroom) Admits(a Allocation) bool {
 // availability. A node that lost capacity can only sink toward the tail of
 // the descending-availability order, and the staged positions (recorded by
 // the search as it walked the index) are ascending — so processing them from
-// the right, each node binary-searches its insertion point in the
-// already-sorted suffix and sinks there with one memmove. The comparator is a
-// total order, so the result is exactly what a full re-sort would produce.
-// (The previous implementation partitioned the touched nodes out by ID and
-// re-merged the full index after every commit; that per-commit O(nodes) pass
-// of string hashing and comparisons dominated placement on large clusters.)
+// the right, each node rereads its CPU key, binary-searches its insertion
+// point in the already-sorted suffix and sinks there with one memmove of
+// int32 positions. The comparator is a total order, so the result is exactly
+// what a full re-sort would produce.
 func (st *PlaceState) resift() {
-	index := st.index
+	index, nodes := st.index, st.cl.Nodes()
 	for t := len(st.touched) - 1; t >= 0; t-- {
 		i := st.touched[t]
 		n := index[i]
+		st.cpu[n] = nodes[n].Available()[cluster.CPU]
 		lo, hi := i+1, len(index)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if nodeLess(index[mid], n) {
+			if st.compare(index[mid], n) < 0 {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -355,51 +364,61 @@ func (st *PlaceState) resift() {
 // (Placement.Even).
 func (st *PlaceState) placeOne(req PlacementRequest) (even, ok bool) {
 	p, w := req.Alloc.PS, req.Alloc.Workers
-	nodes := st.index
+	nodes := st.cl.Nodes()
 	// Searching every prefix is O(N²) per job on a full cluster. Beyond
 	// k = p+w each server hosts at most one task of each kind, so growing k
 	// further only helps by swapping in different servers — territory the
-	// greedy fallback covers directly. Bounding the scan keeps a scheduling
+	// greedy fallback covers directly. Bounding the search keeps a scheduling
 	// cycle near-linear in cluster size (the Fig-12 scalability property).
-	maxK := p + w + 16
-	bound := maxK
-	if bound > len(nodes) {
-		bound = len(nodes)
-	}
-	for k := 1; k <= bound; k++ {
-		if evenSplitFits(req, nodes[:k], p, w) {
-			st.stageEvenSplit(nodes[:k], p, w)
-			return true, true
+	top := min(p+w+16, len(st.index))
+	if k, ok := st.evenPrefix(req, nodes, top, p, w); ok {
+		// Every one of the k nodes is staged, like the reference
+		// construction, even one that receives no task of a kind.
+		for i, pos := range st.index[:k] {
+			ps, workers := evenSplit(i, k, p, w)
+			st.recNodes = append(st.recNodes, nodes[pos])
+			st.recPS = append(st.recPS, ps)
+			st.recW = append(st.recW, workers)
+			st.touched = append(st.touched, i)
 		}
+		return true, true
 	}
-	top := nodes
-	if maxK < len(top) {
-		top = top[:maxK]
+	st.view = st.view[:0]
+	for _, i := range st.index[:top] {
+		st.view = append(st.view, nodes[i])
 	}
-	if st.greedyBalanced(req, top, p, w) {
+	if st.greedyBalanced(req, st.view, p, w) {
 		return false, true
 	}
-	if len(top) < len(nodes) {
+	if top < len(st.index) {
 		// The top-K slice may just have been unlucky with fragmentation; try
 		// the complete ordering before pausing the job.
-		return false, st.greedyBalanced(req, nodes, p, w)
+		for _, i := range st.index[top:] {
+			st.view = append(st.view, nodes[i])
+		}
+		return false, st.greedyBalanced(req, st.view, p, w)
 	}
 	return false, false
 }
 
-// stageEvenSplit appends the even-split placement evenSplitFits accepted to
-// the record arrays, recording each node's index position for resift. Like
-// the reference construction, every one of the k nodes is included even if it
-// receives zero tasks of one kind.
-func (st *PlaceState) stageEvenSplit(nodes []*cluster.Node, p, w int) {
-	k := len(nodes)
-	for i, n := range nodes {
-		ps, workers := evenSplit(i, k, p, w)
-		st.recNodes = append(st.recNodes, n)
-		st.recPS = append(st.recPS, ps)
-		st.recW = append(st.recW, workers)
-		st.touched = append(st.touched, i)
+// evenPrefix returns the smallest k ≤ bound such that the first k index
+// nodes fit an even split of p PS and w workers (Theorem 1). Node i's share,
+// ⌈(p−i)/k⌉ PS and ⌈(w−i)/k⌉ workers, only shrinks as k grows, so with
+// non-negative demands a node that fits at k fits at every larger k. The walk
+// advances i while node i fits at k, else k: at most 2·bound fit checks.
+func (st *PlaceState) evenPrefix(req PlacementRequest, nodes []*cluster.Node, bound, p, w int) (int, bool) {
+	for i, k := 0, 1; k <= bound; {
+		pi, wi := evenSplit(i, k, p, w)
+		need := req.PSRes.Scale(float64(pi)).Add(req.WorkerRes.Scale(float64(wi)))
+		if !need.Fits(nodes[st.index[i]].Available()) {
+			k++
+			continue
+		}
+		if i++; i == k {
+			return k, true
+		}
 	}
+	return 0, false
 }
 
 // greedyBalanced assigns tasks one at a time to the fitting node currently
@@ -416,10 +435,8 @@ func (st *PlaceState) stageEvenSplit(nodes []*cluster.Node, p, w int) {
 func (st *PlaceState) greedyBalanced(req PlacementRequest, nodes []*cluster.Node, p, w int) bool {
 	k := len(nodes)
 	h := greedyHeap{psOn: resizeInts(&st.psOn, k), wOn: resizeInts(&st.wOn, k)}
-	if cap(st.spare) < k {
-		st.spare = make([]cluster.Resources, k)
-	}
-	h.spare = st.spare[:k]
+	st.spare = slices.Grow(st.spare[:0], k)[:k]
+	h.spare = st.spare
 	for i, n := range nodes {
 		h.spare[i] = n.Available()
 	}
@@ -508,15 +525,9 @@ func (h *greedyHeap) down(i int) {
 // resizeInts returns *s resized to n elements, all zero, growing the backing
 // array only when needed.
 func resizeInts(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
-		return *s
-	}
-	out := (*s)[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	return out
+	*s = slices.Grow((*s)[:0], n)[:n]
+	clear(*s)
+	return *s
 }
 
 // evenSplit returns the PS and worker counts node i receives when p PS and
@@ -532,19 +543,4 @@ func evenSplit(i, k, p, w int) (ps, workers int) {
 		workers++
 	}
 	return ps, workers
-}
-
-// evenSplitFits checks whether an even split of p PS and w workers over the
-// given servers fits, without materializing the placement.
-func evenSplitFits(req PlacementRequest, nodes []*cluster.Node, p, w int) bool {
-	k := len(nodes)
-	for i, n := range nodes {
-		pi, wi := evenSplit(i, k, p, w)
-		need := req.PSRes.Scale(float64(pi)).
-			Add(req.WorkerRes.Scale(float64(wi)))
-		if !need.Fits(n.Available()) {
-			return false
-		}
-	}
-	return true
 }

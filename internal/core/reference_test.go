@@ -339,3 +339,30 @@ func commitPlacement(req PlacementRequest, pl Placement, c *cluster.Cluster) {
 		}
 	}
 }
+
+// refEvenPrefix is the Theorem-1 prefix search PlaceState.evenPrefix
+// replaced: every k from 1 to bound, each k-node prefix of the sorted nodes
+// tested whole. It returns the smallest k whose even split fits.
+func refEvenPrefix(req PlacementRequest, nodes []*cluster.Node, bound, p, w int) (int, bool) {
+	for k := 1; k <= bound; k++ {
+		if evenSplitFits(req, nodes[:k], p, w) {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// evenSplitFits checks whether an even split of p PS and w workers over the
+// given servers fits, without materializing the placement.
+func evenSplitFits(req PlacementRequest, nodes []*cluster.Node, p, w int) bool {
+	k := len(nodes)
+	for i, n := range nodes {
+		pi, wi := evenSplit(i, k, p, w)
+		need := req.PSRes.Scale(float64(pi)).
+			Add(req.WorkerRes.Scale(float64(wi)))
+		if !need.Fits(n.Available()) {
+			return false
+		}
+	}
+	return true
+}
