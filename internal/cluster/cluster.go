@@ -136,9 +136,6 @@ type Node struct {
 	ID       string
 	Capacity Resources
 	used     Resources
-	// taskCount tracks how many scheduled tasks the node currently hosts,
-	// used by placement to reason about colocations.
-	taskCount int
 }
 
 // NewNode creates a node with the given capacity.
@@ -152,9 +149,6 @@ func (n *Node) Used() Resources { return n.used }
 // Available returns Capacity − Used.
 func (n *Node) Available() Resources { return n.Capacity.Sub(n.used) }
 
-// TaskCount returns the number of tasks currently placed on the node.
-func (n *Node) TaskCount() int { return n.taskCount }
-
 // CanFit reports whether req fits in the node's available resources.
 func (n *Node) CanFit(req Resources) bool { return req.Fits(n.Available()) }
 
@@ -166,7 +160,6 @@ func (n *Node) Allocate(req Resources) error {
 			n.ID, req, n.Available())
 	}
 	n.used = n.used.Add(req)
-	n.taskCount++
 	return nil
 }
 
@@ -184,16 +177,12 @@ func (n *Node) Release(req Resources) error {
 			n.used[i] = 0
 		}
 	}
-	if n.taskCount > 0 {
-		n.taskCount--
-	}
 	return nil
 }
 
 // Reset clears all allocations on the node.
 func (n *Node) Reset() {
 	n.used = Resources{}
-	n.taskCount = 0
 }
 
 // Cluster is a collection of nodes.

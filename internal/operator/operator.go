@@ -167,13 +167,7 @@ func newManagedJob(req JobRequest) (*managedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	var data psys.Batch
-	switch model.(type) {
-	case psys.LogisticRegression:
-		data, _, err = psys.SyntheticClassification(req.Examples, featureDim(model), req.Noise, req.Seed)
-	default:
-		data, _, err = psys.SyntheticRegression(req.Examples, featureDim(model), req.Noise, req.Seed)
-	}
+	data, err := psys.SyntheticData(model, req.Examples, req.Noise, req.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -182,19 +176,6 @@ func newManagedJob(req JobRequest) (*managedJob, error) {
 		fitter:   lossfit.NewFitter(),
 		speedEst: speedfit.NewEstimator(req.Mode, float64(req.BatchSize)),
 	}, nil
-}
-
-func featureDim(m psys.Model) int {
-	switch mm := m.(type) {
-	case psys.LinearRegression:
-		return mm.Features
-	case psys.LogisticRegression:
-		return mm.Features
-	case psys.MLP:
-		return mm.In
-	default:
-		return m.Dim()
-	}
 }
 
 // startIncarnation launches (or relaunches) the psys job at the given shape

@@ -77,13 +77,6 @@ func (cs *ChunkStore) Assign(workerIDs []int) error {
 	return nil
 }
 
-// ChunksOf returns the chunk indices assigned to a worker.
-func (cs *ChunkStore) ChunksOf(workerID int) []int {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return append([]int(nil), cs.owner[workerID]...)
-}
-
 // Shard materializes a worker's assigned examples as one Batch. The returned
 // slices alias the store's underlying data; callers must not mutate them.
 func (cs *ChunkStore) Shard(workerID int) Batch {

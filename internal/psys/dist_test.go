@@ -1,6 +1,7 @@
 package psys
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -217,19 +218,22 @@ func TestCoordinatorCloseUnblocksWaiters(t *testing.T) {
 }
 
 func TestDistributedMatchesLocalJob(t *testing.T) {
-	// The distributed run and the in-process job must implement the same
-	// math: with identical spec the parameter trajectories agree.
+	// The distributed run and the in-process job implement the same math
+	// from the same plan: with an identical spec every worker's per-step
+	// losses agree bit for bit. With two workers each sync round sums two
+	// gradients, which does not depend on their arrival order.
 	spec := DistSpec{
 		ModelSpec: "linreg:8", Mode: speedfit.Sync,
 		Workers: 2, Servers: 2, BatchSize: 100, LR: 0.1,
 		Seed: 9, Examples: 200, Noise: 0,
 	}
+	const steps = 60
 	coord, err := StartCoordinator(spec, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < spec.Servers; i++ {
 		s, err := RunDistServer(coord.Addr(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -237,9 +241,10 @@ func TestDistributedMatchesLocalJob(t *testing.T) {
 		defer s.Close()
 	}
 	var wg sync.WaitGroup
-	var distLoss [2]float64
-	var derr [2]error
-	for i := 0; i < 2; i++ {
+	var mu sync.Mutex
+	dist := make(map[int][]float64) // worker ID → per-step losses
+	derr := make([]error, spec.Workers)
+	for i := 0; i < spec.Workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -249,7 +254,16 @@ func TestDistributedMatchesLocalJob(t *testing.T) {
 				return
 			}
 			defer w.Close()
-			distLoss[i], derr[i] = w.Steps(60)
+			losses := make([]float64, steps)
+			for s := range losses {
+				if losses[s], err = w.Steps(1); err != nil {
+					derr[i] = err
+					return
+				}
+			}
+			mu.Lock()
+			dist[w.ID] = losses
+			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
@@ -258,9 +272,42 @@ func TestDistributedMatchesLocalJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Loss must be substantially reduced — a proxy for agreement, since the
-	// local job uses different seeded init.
-	if distLoss[0] > 0.1 || distLoss[1] > 0.1 {
-		t.Errorf("distributed losses %v, want < 0.1", distLoss)
+
+	model, err := ModelFromSpec(spec.ModelSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := SyntheticData(model, spec.Examples, spec.Noise, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := StartJob(JobConfig{
+		Model: model, Data: data, Mode: spec.Mode,
+		Workers: spec.Workers, Servers: spec.Servers,
+		BatchSize: spec.BatchSize, LR: spec.LR, Seed: spec.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	stats, err := job.RunSteps(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != spec.Workers*steps {
+		t.Fatalf("local job returned %d step stats, want %d", len(stats), spec.Workers*steps)
+	}
+	for _, st := range stats {
+		losses, ok := dist[st.Worker]
+		if !ok {
+			t.Fatalf("no distributed worker %d", st.Worker)
+		}
+		if got := losses[st.Step-1]; math.Float64bits(got) != math.Float64bits(st.Loss) {
+			t.Errorf("worker %d step %d: distributed loss %v, local %v",
+				st.Worker, st.Step, got, st.Loss)
+		}
+	}
+	if last := dist[0][steps-1]; last > 0.1 {
+		t.Errorf("worker 0 final loss %g, want < 0.1", last)
 	}
 }

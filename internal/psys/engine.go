@@ -90,13 +90,11 @@ type StepStat struct {
 
 // Job is a running training job: servers, workers and the data layer.
 type Job struct {
-	cfg     JobConfig
-	layout  BlockLayout
-	owner   []int // block → server index
+	cfg JobConfig
+	plan
 	servers []*Server
 	tcp     []*TCPServer
 	workers []*Worker
-	chunks  *ChunkStore
 
 	mu       sync.Mutex
 	stopped  bool
@@ -104,19 +102,20 @@ type Job struct {
 	ckptFail bool // next SaveCheckpoint fails (armed by FailNextCheckpoint)
 }
 
-// StartJob builds and wires up a job: parameter layout, §5.3 block
-// assignment, servers, transports, §5.1 chunk assignment and workers.
-func StartJob(cfg JobConfig) (*Job, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Assignment == "" {
-		cfg.Assignment = AssignPAA
-	}
-	if cfg.Transport == "" {
-		cfg.Transport = TransportLocal
-	}
+// plan is everything about a job that does not depend on where its tasks
+// run: the parameter layout, the §5.3 block owners, the initial parameters
+// and the §5.1 chunk store with each worker's chunks assigned. StartJob
+// wires it into in-process servers and workers; a Coordinator hands it out
+// to server and worker processes.
+type plan struct {
+	layout BlockLayout
+	owner  []int // block → server index
+	init   []float64
+	chunks *ChunkStore
+}
 
+// newPlan derives a job's plan from a validated config with defaults set.
+func newPlan(cfg JobConfig) (plan, error) {
 	dim := cfg.Model.Dim()
 	var layout BlockLayout
 	var err error
@@ -129,14 +128,14 @@ func StartJob(cfg JobConfig) (*Job, error) {
 		layout, err = EvenLayout(dim, 2*cfg.Servers)
 	}
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 
 	// §5.3: distribute blocks over servers. Unlike the offline psassign
 	// study, a live block cannot be sliced across processes, so ownership is
 	// decided at block granularity with the same greedy rules.
 	if cfg.Assignment != AssignPAA && cfg.Assignment != AssignMXNet {
-		return nil, fmt.Errorf("psys: unknown assignment %q", cfg.Assignment)
+		return plan{}, fmt.Errorf("psys: unknown assignment %q", cfg.Assignment)
 	}
 	sizes64 := make([]int64, len(layout.Sizes))
 	for i, s := range layout.Sizes {
@@ -144,7 +143,6 @@ func StartJob(cfg JobConfig) (*Job, error) {
 	}
 	owner := assignOwners(sizes64, cfg.Servers, cfg.Assignment, cfg.Seed)
 
-	// Initial parameters.
 	init := cfg.InitParams
 	if init == nil {
 		r := rand.New(rand.NewSource(cfg.Seed + 101))
@@ -154,7 +152,41 @@ func StartJob(cfg JobConfig) (*Job, error) {
 		}
 	}
 
-	j := &Job{cfg: cfg, layout: layout, owner: owner}
+	chunkSize := cfg.ChunkSize
+	if chunkSize <= 0 {
+		chunkSize = max(1, cfg.Data.Len()/(4*cfg.Workers))
+	}
+	chunks, err := NewChunkStore(cfg.Data, chunkSize)
+	if err != nil {
+		return plan{}, err
+	}
+	ids := make([]int, cfg.Workers)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := chunks.Assign(ids); err != nil {
+		return plan{}, err
+	}
+	return plan{layout: layout, owner: owner, init: init, chunks: chunks}, nil
+}
+
+// StartJob plans a job, then wires it up in this process: servers hosting
+// their blocks, transports, and workers on their shards.
+func StartJob(cfg JobConfig) (*Job, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Assignment == "" {
+		cfg.Assignment = AssignPAA
+	}
+	if cfg.Transport == "" {
+		cfg.Transport = TransportLocal
+	}
+	p, err := newPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{cfg: cfg, plan: p}
 
 	// Servers host their blocks.
 	for s := 0; s < cfg.Servers; s++ {
@@ -169,8 +201,8 @@ func StartJob(cfg JobConfig) (*Job, error) {
 		}
 		j.servers = append(j.servers, srv)
 	}
-	for b, off := range layout.Offsets {
-		if err := j.servers[owner[b]].Host(b, init[off:off+layout.Sizes[b]]); err != nil {
+	for b, off := range p.layout.Offsets {
+		if err := j.servers[p.owner[b]].Host(b, p.init[off:off+p.layout.Sizes[b]]); err != nil {
 			j.Stop()
 			return nil, err
 		}
@@ -190,28 +222,6 @@ func StartJob(cfg JobConfig) (*Job, error) {
 		dial = func(s int) (ServerConn, error) { return DialServer(j.tcp[s].Addr()) }
 	}
 
-	// §5.1 data chunks.
-	chunkSize := cfg.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = cfg.Data.Len() / (4 * cfg.Workers)
-		if chunkSize < 1 {
-			chunkSize = 1
-		}
-	}
-	j.chunks, err = NewChunkStore(cfg.Data, chunkSize)
-	if err != nil {
-		j.Stop()
-		return nil, err
-	}
-	ids := make([]int, cfg.Workers)
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := j.chunks.Assign(ids); err != nil {
-		j.Stop()
-		return nil, err
-	}
-
 	// Workers.
 	for i := 0; i < cfg.Workers; i++ {
 		conns := make([]ServerConn, cfg.Servers)
@@ -223,7 +233,7 @@ func StartJob(cfg JobConfig) (*Job, error) {
 			}
 			conns[s] = c
 		}
-		w := newWorker(i, cfg.Model, layout, owner, conns, j.chunks.Shard(i),
+		w := newWorker(i, cfg.Model, p.layout, p.owner, conns, p.chunks.Shard(i),
 			cfg.BatchSize, cfg.Mode == speedfit.Sync)
 		if d, ok := cfg.WorkerDelays[i]; ok {
 			w.SetDelay(d)

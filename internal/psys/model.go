@@ -172,6 +172,24 @@ func SyntheticRegression(n, features int, noise float64, seed int64) (Batch, []f
 	return b, theta, nil
 }
 
+// SyntheticData generates the seeded dataset a model trains on: labelled
+// classes with label-flip rate noise for logistic regression, regression
+// targets with Gaussian noise otherwise. The features match the model's
+// input width.
+func SyntheticData(m Model, n int, noise float64, seed int64) (data Batch, err error) {
+	switch mm := m.(type) {
+	case LogisticRegression:
+		data, _, err = SyntheticClassification(n, mm.Features, noise, seed)
+	case LinearRegression:
+		data, _, err = SyntheticRegression(n, mm.Features, noise, seed)
+	case MLP:
+		data, _, err = SyntheticRegression(n, mm.In, noise, seed)
+	default:
+		err = fmt.Errorf("psys: no synthetic dataset for model %s", m.Name())
+	}
+	return data, err
+}
+
 // SyntheticClassification generates a linearly separable-ish logistic
 // dataset with the given label noise.
 func SyntheticClassification(n, features int, flip float64, seed int64) (Batch, []float64, error) {

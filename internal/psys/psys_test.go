@@ -515,9 +515,6 @@ func TestServerErrors(t *testing.T) {
 	if _, _, err := s.Pull(9, 0); err == nil {
 		t.Error("pull of unknown block accepted")
 	}
-	if err := s.SetWorkers(0); err == nil {
-		t.Error("SetWorkers(0) accepted")
-	}
 	s.Close()
 	if err := s.Push(0, []float64{1, 1}); err != ErrClosed {
 		t.Errorf("push after close = %v, want ErrClosed", err)

@@ -225,35 +225,6 @@ func (s *Server) applyLocked(b *blockState, grad []float64, scale float64) {
 	}
 }
 
-// SetWorkers adjusts the sync barrier width, used by elastic scaling. Any
-// partially accumulated round is preserved; if the new width is already
-// satisfied the round completes immediately.
-func (s *Server) SetWorkers(workers int) error {
-	if workers <= 0 {
-		return fmt.Errorf("psys: invalid worker count %d", workers)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.workers = workers
-	if s.mode == speedfit.Sync {
-		for _, b := range s.blocks {
-			if b.pushes >= s.workers {
-				s.applyLocked(b, b.accum, 1/float64(s.workers))
-				for i := range b.accum {
-					b.accum[i] = 0
-				}
-				b.pushes = 0
-				b.version++
-			}
-		}
-		s.cond.Broadcast()
-	}
-	return nil
-}
-
 // Blocks returns the sorted IDs this server hosts.
 func (s *Server) Blocks() []int {
 	s.mu.Lock()
