@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadJobs -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 15s ./internal/chaos/
 	$(GO) test -fuzz FuzzDecodeSubmit -fuzztime 15s ./internal/serve/
+	$(GO) test -fuzz FuzzWALPayload -fuzztime 15s ./internal/serve/
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 15s ./internal/obs/
 	$(GO) test -fuzz FuzzHeadroom -fuzztime 15s ./internal/core/
 	$(GO) test -fuzz FuzzPlaceMatchesReference -fuzztime 15s ./internal/core/

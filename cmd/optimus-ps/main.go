@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -170,13 +171,14 @@ func runDistributed(role, coordAddr, listen, modelSpec, modeStr string,
 		defer coord.Close()
 		lg.Infof("coordinator on %s: expecting %d servers, %d workers",
 			coord.Addr(), servers, workers)
-		// Report progress until every worker has finished its steps.
+		// Report progress until every worker has reported done. Closing
+		// then waits for the servers, which see the same status and exit.
 		want := workers * steps
 		for {
 			st := coord.Status()
 			lg.Infof("servers=%d workers=%d reports=%d/%d last-loss=%.6f",
 				st.ServersReady, st.WorkersJoined, st.Reports, want, st.LastLoss)
-			if st.Reports >= want {
+			if st.Done {
 				lg.Infof("all workers done")
 				return
 			}
@@ -187,8 +189,13 @@ func runDistributed(role, coordAddr, listen, modelSpec, modeStr string,
 		if err != nil {
 			lg.Fatalf("%v", err)
 		}
-		lg.Infof("parameter server %d serving on %s (ctrl-c to stop)", s.Index, s.Addr())
-		select {} // serve until killed
+		lg.Infof("parameter server %d serving on %s until every worker is done", s.Index, s.Addr())
+		err = s.Wait(context.Background())
+		s.Close()
+		if err != nil {
+			lg.Fatalf("%v", err)
+		}
+		lg.Infof("parameter server %d done", s.Index)
 	case "worker":
 		w, err := psys.RunDistWorker(coordAddr)
 		if err != nil {

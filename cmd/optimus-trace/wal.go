@@ -28,7 +28,7 @@ func cmdWAL(args []string) {
 	dir := args[0]
 	fs := flag.NewFlagSet("wal", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
-	raw := fs.Bool("raw", false, "emit payloads as raw logged JSON instead of decoding")
+	raw := fs.Bool("raw", false, "emit payloads as logged (JSON verbatim, binary as base64) instead of decoding")
 	if err := fs.Parse(args[1:]); err != nil {
 		lg.Fatalf("%v", err)
 	}
@@ -46,11 +46,11 @@ func cmdWAL(args []string) {
 	res, err := wal.Scan(dir, func(r wal.Record) error {
 		line := walLine{Seq: r.Seq, Type: r.Type.String()}
 		if *raw {
-			line.Payload = json.RawMessage(r.Payload)
+			line.Payload = rawPayload(r.Payload)
 		} else if p, err := serve.WALDecodePayload(r); err != nil {
 			// Unknown or malformed payloads still dump (the frame CRC
-			// already vouched for the bytes); fall back to the raw JSON.
-			line.Payload = json.RawMessage(r.Payload)
+			// already vouched for the bytes); fall back to the raw bytes.
+			line.Payload = rawPayload(r.Payload)
 		} else {
 			line.Payload = p
 		}
@@ -70,4 +70,13 @@ func cmdWAL(args []string) {
 	if ckpt, err := wal.LastCheckpoint(dir); err == nil && ckpt > 0 {
 		lg.Infof("latest checkpoint anchor: seq %d", ckpt)
 	}
+}
+
+// rawPayload is a payload as logged: JSON verbatim, anything else (the
+// binary observe and deploy layouts) as a base64 string.
+func rawPayload(b []byte) any {
+	if json.Valid(b) {
+		return json.RawMessage(b)
+	}
+	return b
 }

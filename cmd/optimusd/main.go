@@ -19,7 +19,8 @@
 // after a crash (kill -9 included) the daemon replays the log and resumes
 // with byte-identical job state. -fsync picks the durability/latency trade:
 // "each" (fsync per record), "group" (concurrent acks share one fsync — the
-// default) or "off" (benchmarks only).
+// default) or "off" (benchmarks only: no fsync; records reach the file at
+// 64 KiB of pending appends, at a segment roll, at Sync or at Close).
 //
 // High availability (-follow): a second optimusd pointed at the same
 // -wal-dir runs as a warm standby — it tails the leader's log into a live
@@ -84,7 +85,7 @@ func main() {
 		restore  = flag.Bool("restore", false, "resume from the -snapshot file at startup (missing/empty file starts fresh)")
 
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory; enables crash-consistent durability")
-		fsyncMode  = flag.String("fsync", "group", "WAL fsync policy: each, group or off")
+		fsyncMode  = flag.String("fsync", "group", "WAL fsync policy: each, group or off (off never fsyncs; records reach the file at 64 KiB pending, a segment roll, Sync or Close)")
 		follow     = flag.Bool("follow", false, "run as a warm-standby follower tailing -wal-dir; takes over when the leader's lease expires")
 		leaseTTL   = flag.Duration("lease-ttl", 5*time.Second, "leader lease validity window")
 		haID       = flag.String("ha-id", "", "identity in the leader lease (default host:pid)")

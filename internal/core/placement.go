@@ -68,14 +68,6 @@ func (r PlacementRequest) demand() cluster.Resources {
 		Add(r.PSRes.Scale(float64(r.Alloc.PS)))
 }
 
-// orderedReq is one entry of the placer's smallest-dominant-share-first
-// ordering, carrying the precomputed share so the sort comparator never
-// re-derives it.
-type orderedReq struct {
-	req   PlacementRequest
-	share float64
-}
-
 // placeRec is one committed placement expressed as a segment of the state's
 // record arrays: recNodes/recPS/recW[off : off+n]. Placements are
 // materialized from the records in a single pass at the end of Place, so the
@@ -105,7 +97,11 @@ type PlaceState struct {
 	// It defaults to nil; the nil path performs no extra work.
 	Trace *obs.Tracer
 
-	ordered []orderedReq
+	// The placer's smallest-dominant-share-first ordering: order is a
+	// permutation of the request indices, sorted by their precomputed
+	// shares, so the sort moves int32s, not requests.
+	order   []int32
+	share   []float64
 	cl      *cluster.Cluster // the cluster rank was built for
 	index   []int32          // positions into cl.Nodes(): available CPU desc, node ID asc
 	cpu     []float64        // by position: Available()[cluster.CPU]
@@ -153,23 +149,26 @@ func (st *PlaceState) compare(a, b int32) int {
 func (st *PlaceState) Place(reqs []PlacementRequest, c *cluster.Cluster) (map[int]Placement, []int) {
 	sp := st.Trace.Begin("place-kernel")
 	defer st.Trace.End(sp)
-	// Smallest demand first: a stable sort on dominant share, job ID tiebreak.
+	// Smallest demand first: dominant share, then job ID, then request
+	// index, which is the order a stable sort on (share, job ID) gives.
 	capacity := c.Capacity()
-	st.ordered = st.ordered[:0]
-	for _, r := range reqs {
+	st.order, st.share = st.order[:0], st.share[:0]
+	for i, r := range reqs {
 		share, _ := r.demand().DominantShare(capacity)
-		st.ordered = append(st.ordered, orderedReq{req: r, share: share})
+		st.order = append(st.order, int32(i))
+		st.share = append(st.share, share)
 	}
-	slices.SortStableFunc(st.ordered, func(a, b orderedReq) int {
-		return cmp.Or(cmp.Compare(a.share, b.share), a.req.JobID-b.req.JobID)
+	slices.SortFunc(st.order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(st.share[a], st.share[b]),
+			reqs[a].JobID-reqs[b].JobID, int(a-b))
 	})
 	st.sortIndex(c)
 	st.recNodes, st.recPS, st.recW, st.recs = st.recNodes[:0], st.recPS[:0], st.recW[:0], st.recs[:0]
 
 	var unplaced []int
-	for i := range st.ordered {
-		req := st.ordered[i].req
-		if req.Alloc.PS <= 0 || req.Alloc.Workers <= 0 || !st.placeStep(req, c) {
+	for _, k := range st.order {
+		req := &reqs[k]
+		if req.Alloc.PS <= 0 || req.Alloc.Workers <= 0 || !st.placeStep(*req, c) {
 			unplaced = append(unplaced, req.JobID)
 		}
 	}

@@ -1,7 +1,9 @@
 package psys
 
 import (
+	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -64,10 +66,14 @@ func (c *coordClient) Close() error { return c.conn.Close() }
 
 // DistServer is one parameter-server process.
 type DistServer struct {
-	Index int
-	srv   *Server
-	tcp   *TCPServer
+	Index     int
+	srv       *Server
+	tcp       *TCPServer
+	coordAddr string
 }
+
+// donePoll is how often DistServer.Wait asks the coordinator for its status.
+const donePoll = 100 * time.Millisecond
 
 // RunDistServer registers with the coordinator, hosts the assigned blocks
 // and serves them over TCP on serveAddr (use "127.0.0.1:0").
@@ -121,7 +127,34 @@ func RunDistServer(coordAddr, serveAddr string) (*DistServer, error) {
 			return nil, err
 		}
 	}
-	return &DistServer{Index: asn.Index, srv: srv, tcp: ts}, nil
+	return &DistServer{Index: asn.Index, srv: srv, tcp: ts, coordAddr: coordAddr}, nil
+}
+
+// Wait blocks until the job is over: it polls the coordinator's status op
+// until every worker has reported done (or the coordinator is closing), or
+// until ctx ends. The server keeps serving meanwhile; Close it afterwards.
+func (s *DistServer) Wait(ctx context.Context) error {
+	cc, err := DialCoordinator(s.coordAddr)
+	if err != nil {
+		return err
+	}
+	defer cc.Close()
+	tick := time.NewTicker(donePoll)
+	defer tick.Stop()
+	for {
+		st, err := cc.Status()
+		if err != nil {
+			return err
+		}
+		if st.Done {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
 }
 
 // Addr is the server's transport address.
@@ -201,8 +234,9 @@ func (w *DistWorker) Steps(n int) (lastLoss float64, err error) {
 	return lastLoss, nil
 }
 
-// Close tears the worker down.
+// Close reports the worker done to the coordinator and tears it down.
 func (w *DistWorker) Close() error {
 	w.worker.closeConns()
-	return w.coord.Close()
+	_, err := w.coord.call(distRequest{Op: "worker-done", WorkerID: w.ID})
+	return errors.Join(err, w.coord.Close())
 }

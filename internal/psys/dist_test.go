@@ -1,6 +1,7 @@
 package psys
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -309,5 +310,97 @@ func TestDistributedMatchesLocalJob(t *testing.T) {
 	}
 	if last := dist[0][steps-1]; last > 0.1 {
 		t.Errorf("worker 0 final loss %g, want < 0.1", last)
+	}
+}
+
+// TestDistServersExitWhenWorkersDone runs a coordinator, two servers and two
+// workers: the servers' Wait returns once the last worker has reported done,
+// and not before; the coordinator then closes without waiting on anyone.
+func TestDistServersExitWhenWorkersDone(t *testing.T) {
+	coord, err := StartCoordinator(DistSpec{
+		ModelSpec: "linreg:8", Mode: speedfit.Sync,
+		Workers: 2, Servers: 2, BatchSize: 8, LR: 0.1,
+		Seed: 3, Examples: 200, Noise: 0.01,
+	}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	stopped := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		s, err := RunDistServer(coord.Addr(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		go func() { stopped <- s.Wait(context.Background()) }()
+	}
+
+	workers := make([]*DistWorker, 2)
+	// Close each worker once, and on a failure path before the coordinator,
+	// whose Close waits for every connected worker to hang up.
+	var once [2]sync.Once
+	closeWorker := func(i int) (err error) {
+		once[i].Do(func() { err = workers[i].Close() })
+		return err
+	}
+	defer func() {
+		for i := range workers {
+			if workers[i] != nil {
+				closeWorker(i)
+			}
+		}
+	}()
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if workers[i], errs[i] = RunDistWorker(coord.Addr()); errs[i] == nil {
+				_, errs[i] = workers[i].Steps(10)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+
+	if err := closeWorker(0); err != nil {
+		t.Fatal(err)
+	}
+	if coord.Status().Done {
+		t.Fatal("Done with one worker still open")
+	}
+	select {
+	case err := <-stopped:
+		t.Fatalf("a server stopped (err %v) before the last worker was done", err)
+	default:
+	}
+	if err := closeWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); !st.Done || st.Reports != 20 {
+		t.Fatalf("after the last worker: Done=%v Reports=%d, want true, 20", st.Done, st.Reports)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-stopped:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a server still waiting after every worker reported done")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- coord.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator Close hung after the servers stopped")
 	}
 }

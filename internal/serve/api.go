@@ -307,6 +307,27 @@ func resourceMap(r cluster.Resources) map[string]float64 {
 	return out
 }
 
+// resourceMaps keeps the last resourceMap built for each node position, so
+// a node whose value did not change between publishes shares its map with
+// the previous snapshot (snapshot maps are never written after publish).
+// Engine-guarded, like the publish that uses it.
+type resourceMaps []struct {
+	r cluster.Resources
+	m map[string]float64
+}
+
+// get returns node i's map for r, building it only when r changed.
+func (c *resourceMaps) get(i int, r cluster.Resources) map[string]float64 {
+	if i >= len(*c) {
+		*c = append(*c, make(resourceMaps, i+1-len(*c))...)
+	}
+	e := &(*c)[i]
+	if e.m == nil || e.r != r {
+		e.r, e.m = r, resourceMap(r)
+	}
+	return e.m
+}
+
 // publishClusterLocked rebuilds the /v1/cluster snapshot from the live
 // cluster and swaps it in. Callers hold d.mu; readers never do.
 func (d *Daemon) publishClusterLocked() {
@@ -325,11 +346,13 @@ func (d *Daemon) publishClusterLocked() {
 	build := obs.Build()
 	st.Build = &build
 	var used, capacity cluster.Resources
-	for _, n := range d.cfg.Cluster.Nodes() {
+	nodes := d.cfg.Cluster.Nodes()
+	st.Nodes = make([]NodeStatus, 0, len(nodes))
+	for i, n := range nodes {
 		st.Nodes = append(st.Nodes, NodeStatus{
 			ID:       n.ID,
-			Capacity: resourceMap(n.Capacity),
-			Used:     resourceMap(n.Used()),
+			Capacity: d.capMaps.get(i, n.Capacity),
+			Used:     d.usedMaps.get(i, n.Used()),
 		})
 		used = used.Add(n.Used())
 		capacity = capacity.Add(n.Capacity)

@@ -307,3 +307,69 @@ func TestHTTPEventsCursor(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterNodeMapsCached checks publishClusterLocked's per-node map
+// cache: /v1/cluster serves exactly the JSON that building every node's
+// maps afresh gives, a node whose Capacity is unchanged keeps its map from
+// round to round, and a node whose Capacity changes between rounds shows
+// the new map while the snapshot published before it keeps the old one.
+func TestClusterNodeMapsCached(t *testing.T) {
+	d := testDaemon(t)
+	for i := 0; i < 6; i++ {
+		submit(t, d, SubmitRequest{Model: "resnet-50", Mode: "async"})
+	}
+	served := func() []byte {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cluster", nil))
+		return rec.Body.Bytes()
+	}
+	// rebuilt is the snapshot's JSON with every node map built anew.
+	rebuilt := func() []byte {
+		st := d.Cluster()
+		st.Nodes = nil
+		for _, n := range d.cfg.Cluster.Nodes() {
+			st.Nodes = append(st.Nodes, NodeStatus{ID: n.ID,
+				Capacity: resourceMap(n.Capacity), Used: resourceMap(n.Used())})
+		}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	mapID := func(m map[string]float64) string { return fmt.Sprintf("%p", m) }
+	cpu := cluster.CPU.String()
+
+	d.Step()
+	first := d.Cluster()
+	for r := 0; r < 3; r++ {
+		if got, want := served(), rebuilt(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: /v1/cluster differs from rebuilt maps:\n%s\n%s", r, got, want)
+		}
+		d.Step()
+	}
+	now := d.Cluster()
+	for i := range now.Nodes {
+		if mapID(now.Nodes[i].Capacity) != mapID(first.Nodes[i].Capacity) {
+			t.Fatalf("node %s: capacity map rebuilt with its capacity unchanged", now.Nodes[i].ID)
+		}
+	}
+
+	node := d.cfg.Cluster.Nodes()[1]
+	old := node.Capacity[cluster.CPU]
+	node.Capacity[cluster.CPU] = old + 4
+	d.Step()
+	after := d.Cluster()
+	if got := after.Nodes[1].Capacity[cpu]; got != old+4 {
+		t.Fatalf("changed node shows capacity cpu=%g, want %g", got, old+4)
+	}
+	if got := now.Nodes[1].Capacity[cpu]; got != old {
+		t.Fatalf("earlier snapshot's capacity changed to cpu=%g, want %g", got, old)
+	}
+	if mapID(after.Nodes[0].Capacity) != mapID(now.Nodes[0].Capacity) {
+		t.Fatal("an unchanged node's capacity map was rebuilt")
+	}
+	if got, want := served(), rebuilt(); !bytes.Equal(got, want) {
+		t.Fatalf("after the change: /v1/cluster differs from rebuilt maps:\n%s\n%s", got, want)
+	}
+}

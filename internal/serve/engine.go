@@ -123,7 +123,7 @@ func (d *Daemon) stepLocked() {
 			j.Undeploy()
 			j.state = StateWaiting
 			if moved && d.walOn() {
-				d.walAppend(wal.TypeDeploy, walDeploy{ID: id, State: StateWaiting})
+				d.walAppendDeploy(walDeploy{ID: id, State: StateWaiting})
 			}
 			sh.mu.Unlock()
 			continue
@@ -143,7 +143,7 @@ func (d *Daemon) stepLocked() {
 					old.PS, old.Workers, newAlloc.PS, newAlloc.Workers)})
 		}
 		if (fresh || changed) && d.walOn() {
-			d.walAppend(wal.TypeDeploy, walDeploy{ID: id, State: StateRunning,
+			d.walAppendDeploy(walDeploy{ID: id, State: StateRunning,
 				PS: newAlloc.PS, W: newAlloc.Workers, Nodes: pl.NodeIDs})
 		}
 		sh.mu.Unlock()
@@ -301,6 +301,6 @@ func (d *Daemon) observe(j *job, alloc core.Allocation, stepsPerSec float64) {
 		if loss > 0 {
 			rec.K, rec.Loss = j.Progress, loss
 		}
-		d.walAppend(wal.TypeObserve, rec)
+		d.walAppendObserve(rec)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -40,6 +41,36 @@ func FuzzDecodeSubmit(f *testing.F) {
 		}
 		if spec.Downscale <= 0 || spec.Downscale > 1 {
 			t.Fatalf("accepted downscale %g out of range (%q)", spec.Downscale, data)
+		}
+	})
+}
+
+// FuzzWALPayload fuzzes the binary observe and deploy decoders: arbitrary
+// bytes never panic either one, and every payload that decodes re-encodes
+// to the same bytes (so no two payloads decode to the same record).
+func FuzzWALPayload(f *testing.F) {
+	for _, p := range observeCases {
+		f.Add(p.appendTo(nil))
+	}
+	for _, p := range deployCases[:2] {
+		b, _ := p.appendTo(nil)
+		f.Add(b)
+	}
+	f.Add([]byte(`{"id":1,"prog":0.5}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var o walObserve
+		if o.decode(data) == nil {
+			if b := o.appendTo(nil); !bytes.Equal(b, data) {
+				t.Fatalf("observe % x re-encodes to % x", data, b)
+			}
+		}
+		var d walDeploy
+		if d.decode(data) == nil {
+			b, err := d.appendTo(nil)
+			if err != nil || !bytes.Equal(b, data) {
+				t.Fatalf("deploy % x re-encodes to % x (%v)", data, b, err)
+			}
 		}
 	})
 }

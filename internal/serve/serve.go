@@ -273,6 +273,11 @@ type Daemon struct {
 	incr  *core.Incremental
 	bus   *eventBus
 	fits  []*lossfit.Fitter // refitLocked's engine-guarded buffer
+	// walBuf is the engine-guarded scratch the binary observe and deploy
+	// WAL payloads are encoded in (the log copies what it appends).
+	walBuf []byte
+	// capMaps and usedMaps are publishClusterLocked's per-node map caches.
+	capMaps, usedMaps resourceMaps
 	// tracer/audit are non-nil only when cfg.Trace is set; every use is
 	// nil-receiver-safe, so the disabled daemon skips the whole layer.
 	tracer *obs.Tracer

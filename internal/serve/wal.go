@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"optimus/internal/core"
@@ -41,8 +43,10 @@ import (
 // follower; clients should retry against the current leader.
 var ErrNotLeader = errors.New("serve: not the leader (read-only follower)")
 
-// WAL record payloads. Field names are compact on purpose: observe records
-// dominate log volume (one per placed job per round).
+// WAL record payloads. Observe and deploy records are the log's volume (one
+// per placed job per round, one per moved job), so they are binary (below);
+// every other type is JSON. The JSON tags of walObserve and walDeploy are
+// what optimus-trace wal prints for them.
 
 type walSubmit struct {
 	ID        int       `json:"id"`
@@ -105,6 +109,137 @@ type walMembership struct {
 	Role   string `json:"role"`
 }
 
+// Binary layouts of the observe and deploy payloads, big endian, float64s
+// as math.Float64bits:
+//
+//	observe (49 bytes): 0xB1 | id u64 | prog f64 | ps u32 | w u32 | speed f64 | k f64 | loss f64
+//	deploy:             0xB1 | id u64 | state u8 | ps u32 | w u32 |
+//	                    nodes u16 | nodes × (len u16 | node ID bytes)
+//
+// The deploy state byte is 1 for waiting and 2 for running, the only states
+// a deploy record carries. The leading tag is a byte no JSON text starts
+// with, so a payload written before the layout existed is rejected, never
+// misread. Decoding is strict (exact length, known state), so every payload
+// that decodes re-encodes to the same bytes.
+const (
+	walBinaryTag   = 0xB1
+	walObserveSize = 1 + 8 + 8 + 4 + 4 + 8 + 8 + 8
+	walDeployHead  = 1 + 8 + 1 + 4 + 4 + 2
+)
+
+// walLayoutError explains why a payload of type t did not decode.
+func walLayoutError(t wal.Type, b []byte) error {
+	if len(b) > 0 && b[0] == '{' {
+		return fmt.Errorf("serve: %s payload is JSON, from a build before the binary %s layout; such logs do not replay", t, t)
+	}
+	return fmt.Errorf("serve: malformed %s payload (%d bytes)", t, len(b))
+}
+
+// appendTo appends p's binary layout to b.
+func (p walObserve) appendTo(b []byte) []byte {
+	b = append(b, walBinaryTag)
+	b = binary.BigEndian.AppendUint64(b, uint64(p.ID))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Progress))
+	b = binary.BigEndian.AppendUint32(b, uint32(p.PS))
+	b = binary.BigEndian.AppendUint32(b, uint32(p.W))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Speed))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.K))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(p.Loss))
+}
+
+// decode reads p from its binary layout.
+func (p *walObserve) decode(b []byte) error {
+	if len(b) != walObserveSize || b[0] != walBinaryTag {
+		return walLayoutError(wal.TypeObserve, b)
+	}
+	be := binary.BigEndian
+	*p = walObserve{
+		ID:       int(be.Uint64(b[1:])),
+		Progress: math.Float64frombits(be.Uint64(b[9:])),
+		PS:       int(be.Uint32(b[17:])),
+		W:        int(be.Uint32(b[21:])),
+		Speed:    math.Float64frombits(be.Uint64(b[25:])),
+		K:        math.Float64frombits(be.Uint64(b[33:])),
+		Loss:     math.Float64frombits(be.Uint64(b[41:])),
+	}
+	return nil
+}
+
+// appendTo appends p's binary layout to b. It fails only on a state other
+// than waiting or running, or on more node IDs, or a longer one, than the
+// layout's u16 fields hold.
+func (p walDeploy) appendTo(b []byte) ([]byte, error) {
+	var state byte
+	switch p.State {
+	case StateWaiting:
+		state = 1
+	case StateRunning:
+		state = 2
+	default:
+		return b, fmt.Errorf("serve: deploy record in state %q", p.State)
+	}
+	if len(p.Nodes) > math.MaxUint16 {
+		return b, fmt.Errorf("serve: deploy record with %d nodes", len(p.Nodes))
+	}
+	b = append(b, walBinaryTag)
+	b = binary.BigEndian.AppendUint64(b, uint64(p.ID))
+	b = append(b, state)
+	b = binary.BigEndian.AppendUint32(b, uint32(p.PS))
+	b = binary.BigEndian.AppendUint32(b, uint32(p.W))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Nodes)))
+	for _, n := range p.Nodes {
+		if len(n) > math.MaxUint16 {
+			return b, fmt.Errorf("serve: deploy record with a %d-byte node ID", len(n))
+		}
+		b = binary.BigEndian.AppendUint16(b, uint16(len(n)))
+		b = append(b, n...)
+	}
+	return b, nil
+}
+
+// decode reads p from its binary layout. The node IDs are fresh strings.
+func (p *walDeploy) decode(b []byte) error {
+	if len(b) < walDeployHead || b[0] != walBinaryTag {
+		return walLayoutError(wal.TypeDeploy, b)
+	}
+	be := binary.BigEndian
+	*p = walDeploy{
+		ID: int(be.Uint64(b[1:])),
+		PS: int(be.Uint32(b[10:])),
+		W:  int(be.Uint32(b[14:])),
+	}
+	switch b[9] {
+	case 1:
+		p.State = StateWaiting
+	case 2:
+		p.State = StateRunning
+	default:
+		return walLayoutError(wal.TypeDeploy, b)
+	}
+	n := int(be.Uint16(b[18:]))
+	rest := b[walDeployHead:]
+	if len(rest) < 2*n { // each node ID has a 2-byte length
+		return walLayoutError(wal.TypeDeploy, b)
+	}
+	if n > 0 {
+		p.Nodes = make([]string, n)
+	}
+	for i := range p.Nodes {
+		if len(rest) < 2 {
+			return walLayoutError(wal.TypeDeploy, b)
+		}
+		k := int(be.Uint16(rest))
+		if rest = rest[2:]; len(rest) < k {
+			return walLayoutError(wal.TypeDeploy, b)
+		}
+		p.Nodes[i], rest = string(rest[:k]), rest[k:]
+	}
+	if len(rest) != 0 {
+		return walLayoutError(wal.TypeDeploy, b)
+	}
+	return nil
+}
+
 // AttachWAL connects an open log to the daemon: every subsequent
 // state-changing operation appends a record before (submissions) or as
 // (engine mutations) it takes effect. Attach before serving traffic.
@@ -123,15 +258,36 @@ func (d *Daemon) WALStats() (wal.Stats, bool) {
 // building a payload so the WAL-less daemon pays nothing.
 func (d *Daemon) walOn() bool { return d.wlog.Load() != nil }
 
-// walAppend buffers one record (durable at the next group flush — the round
-// commit at the latest). Engine-path errors are counted, not propagated: the
-// log's sticky error will surface on the next durable ack append.
+// walAppend buffers one JSON record (durable at the next group flush — the
+// round commit at the latest). Engine-path errors are counted, not
+// propagated: the log's sticky error will surface on the next durable ack
+// append.
 func (d *Daemon) walAppend(t wal.Type, v any) {
+	b, err := json.Marshal(v)
+	d.walBuffer(t, b, err)
+}
+
+// walAppendObserve buffers one binary observe record, encoded in the
+// engine-owned d.walBuf. Callers hold d.mu.
+func (d *Daemon) walAppendObserve(p walObserve) {
+	d.walBuf = p.appendTo(d.walBuf[:0])
+	d.walBuffer(wal.TypeObserve, d.walBuf, nil)
+}
+
+// walAppendDeploy buffers one binary deploy record, like walAppendObserve.
+func (d *Daemon) walAppendDeploy(p walDeploy) {
+	var err error
+	d.walBuf, err = p.appendTo(d.walBuf[:0])
+	d.walBuffer(wal.TypeDeploy, d.walBuf, err)
+}
+
+// walBuffer appends an encoded payload, or counts the error that encoding
+// it returned, the way walAppend documents.
+func (d *Daemon) walBuffer(t wal.Type, b []byte, err error) {
 	l := d.wlog.Load()
 	if l == nil {
 		return
 	}
-	b, err := json.Marshal(v)
 	if err == nil {
 		_, err = l.Append(t, b)
 	}
@@ -376,7 +532,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		a.dirty[p.ID] = j
 	case wal.TypeObserve:
 		var p walObserve
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
 		a.started = true
@@ -397,7 +553,7 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		a.dirty[p.ID] = j
 	case wal.TypeDeploy:
 		var p walDeploy
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
 		a.started = true
@@ -548,20 +704,24 @@ func (d *Daemon) ReplayWAL(dir string) (WALReplayStats, error) {
 }
 
 // WALDecodePayload renders one record payload for optimus-trace. It lives
-// here (not in the trace tool) so the payload schemas stay private.
+// here (not in the trace tool) so the payload schemas stay private. Binary
+// observe and deploy payloads decode to the structs JSON-era logs held, so
+// they print as the same JSON.
 func WALDecodePayload(rec wal.Record) (any, error) {
 	var v any
 	switch rec.Type {
+	case wal.TypeObserve:
+		var p walObserve
+		return &p, p.decode(rec.Payload)
+	case wal.TypeDeploy:
+		var p walDeploy
+		return &p, p.decode(rec.Payload)
 	case wal.TypeSubmit:
 		v = &walSubmit{}
 	case wal.TypeCancel:
 		v = &walCancel{}
 	case wal.TypeProfile:
 		v = &walProfile{}
-	case wal.TypeObserve:
-		v = &walObserve{}
-	case wal.TypeDeploy:
-		v = &walDeploy{}
 	case wal.TypeComplete:
 		v = &walComplete{}
 	case wal.TypeFault:

@@ -116,8 +116,11 @@ const (
 	FsyncGroup FsyncPolicy = iota
 	// FsyncEach flushes and fsyncs after every single append.
 	FsyncEach
-	// FsyncOff never fsyncs (the OS flushes whenever it likes); AppendSync
-	// degrades to Append. For benchmarks and tests only.
+	// FsyncOff never fsyncs; AppendSync degrades to Append. Records reach
+	// the segment file (the OS page cache, which flushes whenever it likes)
+	// once 64 KiB are pending, at a segment roll, at Sync or at Close, so a
+	// process crash loses at most the unwritten tail. For benchmarks and
+	// tests only.
 	FsyncOff
 )
 
@@ -169,6 +172,10 @@ const (
 	// a corrupt length prefix can never drive a giant allocation.
 	maxFrameBody = 1 << 26
 	segSuffix    = ".wal"
+	// flushBytes bounds the pending buffer: an append that leaves this many
+	// bytes pending writes them to the segment file. The buffer holds whole
+	// frames only, so every write ends on a frame boundary.
+	flushBytes = 64 << 10
 )
 
 // ErrClosed is returned by appends on a closed log.
@@ -279,8 +286,13 @@ func Open(opts Options) (*Log, error) {
 }
 
 // newSegmentLocked closes the current segment (if any) and starts a new one
-// whose first record will carry sequence base. Callers hold l.mu.
+// whose first record will carry sequence base. An empty current segment
+// already named for base is kept: its file exists, and a fresh Open of an
+// empty directory leaves one. Callers hold l.mu.
 func (l *Log) newSegmentLocked(base uint64) error {
+	if l.f != nil && l.curSize == 0 && l.curBase == base {
+		return nil
+	}
 	if l.f != nil {
 		if err := l.flushLocked(); err != nil {
 			return err
@@ -323,12 +335,17 @@ func (l *Log) flushLocked() error {
 			obs.KU("base", l.curBase), obs.KS("err", err.Error()))
 		return err
 	}
-	l.buf = l.buf[:0]
+	if cap(l.buf) > 4*flushBytes {
+		l.buf = nil // a checkpoint-sized frame passed through; don't keep it
+	} else {
+		l.buf = l.buf[:0]
+	}
 	return nil
 }
 
 // appendLocked frames one record into the pending buffer, rolling segments
-// as needed, and returns its sequence.
+// as needed, writes the buffer out once flushBytes are pending, and returns
+// the record's sequence.
 func (l *Log) appendLocked(t Type, payload []byte) (uint64, error) {
 	switch {
 	case l.closed:
@@ -346,19 +363,25 @@ func (l *Log) appendLocked(t Type, payload []byte) (uint64, error) {
 		}
 	}
 	l.seq++
-	var meta [frameHeader + frameMeta]byte
+	// The frame is built in place: a header array on the stack would escape
+	// through the CRC call and cost an allocation per record.
 	body := frameMeta + len(payload)
-	binary.BigEndian.PutUint32(meta[0:4], uint32(body))
-	meta[8] = byte(t)
-	binary.BigEndian.PutUint64(meta[9:17], l.seq)
-	crc := crc32.ChecksumIEEE(meta[8:17])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.BigEndian.PutUint32(meta[4:8], crc)
-	l.buf = append(l.buf, meta[:]...)
+	start := len(l.buf)
+	l.buf = append(l.buf, make([]byte, frameHeader+frameMeta)...)
 	l.buf = append(l.buf, payload...)
+	frame := l.buf[start:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(body))
+	frame[8] = byte(t)
+	binary.BigEndian.PutUint64(frame[9:17], l.seq)
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[frameHeader:]))
 	l.curSize += int64(frameHeader + body)
 	l.appends.Add(1)
 	l.bytes.Add(uint64(frameHeader + body))
+	if len(l.buf) >= flushBytes {
+		if err := l.flushLocked(); err != nil {
+			return 0, err
+		}
+	}
 	return l.seq, nil
 }
 

@@ -381,3 +381,102 @@ func TestOversizePayloadRejected(t *testing.T) {
 		t.Fatal("oversize payload accepted")
 	}
 }
+
+// TestFsyncOffWritesAtFlushBytes checks the pending buffer's bound: under
+// FsyncOff (no fsync, no roll in sight) appended frames reach the segment
+// file, where Scan sees them before Close, once flushBytes are pending; the
+// file ends on a frame boundary; and the buffer's capacity stays bounded
+// over many rounds' worth of appends.
+func TestFsyncOffWritesAtFlushBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0xB1}, 49) // an observe-sized record
+	frame := frameHeader + frameMeta + len(payload)
+	perFlush := (flushBytes + frame - 1) / frame // appends that reach the bound
+
+	for i := 1; i < perFlush; i++ {
+		if _, err := l.Append(TypeObserve, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, res := collect(t, dir); len(recs) != 0 || res.Torn {
+		t.Fatalf("%d records on disk (torn=%v) below the flush bound", len(recs), res.Torn)
+	}
+	if _, err := l.Append(TypeObserve, payload); err != nil {
+		t.Fatal(err)
+	}
+	recs, res := collect(t, dir)
+	if len(recs) != perFlush || res.Torn || res.LastSeq != uint64(perFlush) {
+		t.Fatalf("after %d appends: %d records on disk, torn=%v, last seq %d",
+			perFlush, len(recs), res.Torn, res.LastSeq)
+	}
+
+	const rounds = 200 // each round: 150 observes
+	for i := 0; i < rounds*150; i++ {
+		if _, err := l.Append(TypeObserve, payload); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(l.buf); c > 2*(flushBytes+frame) {
+			t.Fatalf("append %d: pending buffer capacity %d", i, c)
+		}
+	}
+	if _, res := collect(t, dir); res.Torn || res.LastSeq+uint64(len(l.buf)/frame) != l.LastSeq() {
+		t.Fatalf("disk holds through seq %d (torn=%v), %d frames pending, log at %d",
+			res.LastSeq, res.Torn, len(l.buf)/frame, l.LastSeq())
+	}
+}
+
+// TestCheckpointBufferReleased checks that a checkpoint-sized frame does not
+// leave its capacity behind in the pending buffer. The log is fresh, so the
+// checkpoint also opens the empty segment Open created.
+func TestCheckpointBufferReleased(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Checkpoint(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.buf); c > 4*flushBytes {
+		t.Fatalf("pending buffer kept %d bytes of capacity after a checkpoint", c)
+	}
+}
+
+// TestCheckpointOnEmptyLog checks that the first record of a log can be a
+// checkpoint, as when a daemon restores a snapshot into a new WAL directory:
+// here a log opened and closed without records, whose empty segment the
+// checkpoint must reuse, and which keeps appending after it.
+func TestCheckpointOnEmptyLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Fsync: FsyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(Options{Dir: dir, Fsync: FsyncGroup}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := l.Checkpoint([]byte("snap")); err != nil || seq != 1 {
+		t.Fatalf("checkpoint: seq %d, %v", seq, err)
+	}
+	if _, err := l.AppendSync(TypeSubmit, []byte("x")); err != nil {
+		t.Fatalf("append after checkpoint: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, res := collect(t, dir)
+	if res.Torn || len(recs) != 2 || recs[0].Type != TypeCheckpoint || recs[1].Type != TypeSubmit {
+		t.Fatalf("log holds %+v (torn=%v)", recs, res.Torn)
+	}
+	if ckpt, err := LastCheckpoint(dir); err != nil || ckpt != 1 {
+		t.Fatalf("last checkpoint %d (%v), want 1", ckpt, err)
+	}
+}
