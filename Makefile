@@ -52,7 +52,7 @@ failover-smoke:
 quick:
 	$(GO) run ./cmd/optimus-sim -quick all
 
-# Paper-scale reproduction of every exhibit (several minutes).
+# Paper-scale reproduction of every exhibit (under a second on 2 cores).
 full:
 	$(GO) run ./cmd/optimus-sim all
 
@@ -76,8 +76,8 @@ serve:
 load:
 	$(GO) run ./cmd/optimusd-load -url http://localhost:8080 -duration 10s -rate 500
 
-# End-to-end daemon smoke: boot on a random port, submit, poll, snapshot,
-# restore. Used by CI.
+# End-to-end daemon smoke: boot with -wal-dir on a random port, submit,
+# poll, stop with SIGTERM, restart from the WAL. Used by CI.
 smoke:
 	./scripts/smoke_optimusd.sh
 

@@ -7,7 +7,6 @@
 //
 //	optimusd -addr :8080                         # paper testbed cluster
 //	optimusd -nodes 20 -interval 600 -tick 1s    # 20 uniform nodes, 600x time
-//	optimusd -snapshot state.json -restore       # resume a previous run
 //	optimusd -wal-dir ./wal -fsync group         # durable write-ahead log
 //	optimusd -wal-dir ./wal -follow              # warm-standby follower
 //	optimusd -trace=false                        # disable decision tracing
@@ -16,11 +15,13 @@
 //
 // Durability (-wal-dir): every acked submission, cancellation and scheduling
 // round is framed into a segmented write-ahead log before it takes effect;
-// after a crash (kill -9 included) the daemon replays the log and resumes
-// with byte-identical job state. -fsync picks the durability/latency trade:
-// "each" (fsync per record), "group" (concurrent acks share one fsync — the
-// default) or "off" (benchmarks only: no fsync; records reach the file at
-// 64 KiB of pending appends, at a segment roll, at Sync or at Close).
+// on restart (after a crash, kill -9 included, or a graceful stop) the
+// daemon replays the log and resumes with byte-identical job state. The log
+// is the only restore path: without -wal-dir nothing outlives the process.
+// -fsync picks the durability/latency trade: "each" (fsync per record),
+// "group" (concurrent acks share one fsync — the default) or "off"
+// (benchmarks only: no fsync; records reach the file at 64 KiB of pending
+// appends, at a segment roll, at Sync or at Close).
 //
 // High availability (-follow): a second optimusd pointed at the same
 // -wal-dir runs as a warm standby — it tails the leader's log into a live
@@ -45,10 +46,10 @@
 // to disk next to the WAL on fail-stop (a lost leader lease) and on SIGQUIT,
 // so a dead daemon leaves its black box behind.
 //
-// A graceful shutdown (SIGINT/SIGTERM) drains in-flight requests, writes a
-// WAL checkpoint when -wal-dir is set, and, when -snapshot is set, writes
-// the full job state so a later -restore resumes every job with its fitted
-// model state and progress intact.
+// A graceful shutdown (SIGINT/SIGTERM) drains in-flight requests and, when
+// -wal-dir is set, writes a WAL checkpoint, so a restart on the same
+// -wal-dir resumes every job with its fitted model state and progress
+// intact.
 package main
 
 import (
@@ -81,8 +82,6 @@ func main() {
 		tick     = flag.Duration("tick", time.Second, "wall-clock period between rounds (tick < interval·1s runs faster than real time)")
 		seed     = flag.Int64("seed", 1, "PRNG seed for observation noise and stragglers")
 		maxJobs  = flag.Int("max-jobs", 4096, "admission-control cap on live jobs")
-		snapshot = flag.String("snapshot", "", "write a JSON state snapshot here on shutdown")
-		restore  = flag.Bool("restore", false, "resume from the -snapshot file at startup (missing/empty file starts fresh)")
 
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory; enables crash-consistent durability")
 		fsyncMode  = flag.String("fsync", "group", "WAL fsync policy: each, group or off (off never fsyncs; records reach the file at 64 KiB pending, a segment roll, Sync or Close)")
@@ -128,7 +127,7 @@ func main() {
 		id = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	opts := options{
-		addr: *addr, portfile: *portfile, snapshot: *snapshot, restore: *restore,
+		addr: *addr, portfile: *portfile,
 		pprofAddr: *pprofAddr,
 		nodes:     *nodes,
 		walDir:    *walDir, fsync: fsync, follow: *follow,
@@ -154,12 +153,9 @@ func main() {
 }
 
 // options is everything main parses from flags: the daemon Config plus the
-// process-level concerns (listeners, snapshot files, the WAL/HA role) that
-// wrap it.
+// process-level concerns (listeners, the WAL/HA role) that wrap it.
 type options struct {
 	addr, portfile string
-	snapshot       string
-	restore        bool
 	pprofAddr      string
 	nodes          int
 	walDir         string
@@ -242,7 +238,7 @@ func run(opts options, lg *obs.Logger) error {
 	}
 
 	// Leader (or plain single-node) startup: claim the lease first, then
-	// rebuild state — WAL history when present, else the -restore snapshot.
+	// rebuild state from the WAL history.
 	var term uint64 = 1
 	var wlog *wal.Log
 	if !opts.follow {
@@ -258,11 +254,10 @@ func run(opts options, lg *obs.Logger) error {
 			term = st.Term
 			defer lease.Release()
 		}
-		restored, err := recoverState(opts, d, lg)
-		if err != nil {
-			return err
-		}
 		if opts.walDir != "" {
+			if err := recoverState(opts.walDir, d, lg); err != nil {
+				return err
+			}
 			wlog, err = wal.Open(wal.Options{Dir: opts.walDir, Fsync: opts.fsync,
 				Flight: flight})
 			if err != nil {
@@ -270,13 +265,6 @@ func run(opts options, lg *obs.Logger) error {
 			}
 			defer wlog.Close()
 			d.AttachWAL(wlog)
-			if restored {
-				// Anchor the snapshot-restored state so the log is
-				// self-contained from record one.
-				if err := d.WALCheckpoint(); err != nil {
-					return fmt.Errorf("anchoring restored state: %w", err)
-				}
-			}
 		}
 	}
 
@@ -391,21 +379,6 @@ func run(opts options, lg *obs.Logger) error {
 			lg.Errorf("wal checkpoint: %v", err)
 		}
 	}
-	if opts.snapshot != "" {
-		f, err := os.Create(opts.snapshot)
-		if err != nil {
-			return fmt.Errorf("creating snapshot: %w", err)
-		}
-		if err := d.WriteSnapshot(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing snapshot: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		lg.Infof("state saved to %s (sim time %.0fs, %d rounds)",
-			opts.snapshot, d.Now(), d.Rounds())
-	}
 	return nil
 }
 
@@ -417,55 +390,21 @@ func shutdownHTTP(srv *http.Server, lg *obs.Logger) {
 	}
 }
 
-// recoverState rebuilds the daemon at leader startup: WAL replay when the
-// log has history, else the -restore snapshot (which then gets anchored as
-// the log's first checkpoint). Mixing both is refused — the log already
-// supersedes any older snapshot. Returns whether a snapshot was restored.
-func recoverState(opts options, d *serve.Daemon, lg *obs.Logger) (bool, error) {
-	var replayed serve.WALReplayStats
-	if opts.walDir != "" {
-		var err error
-		replayed, err = d.ReplayWAL(opts.walDir)
-		if err != nil {
-			return false, fmt.Errorf("wal replay: %w", err)
-		}
-		if replayed.Records > 0 {
-			lg.Infof("replayed %d wal records (last seq %d, checkpoint %d, torn tail: %v): sim time %.0fs, %d rounds",
-				replayed.Records, replayed.AppliedSeq, replayed.Checkpoint,
-				replayed.Torn, d.Now(), d.Rounds())
-		}
-		if replayed.Duplicates > 0 {
-			return false, fmt.Errorf("wal replay: %d duplicate admissions — log corrupt", replayed.Duplicates)
-		}
-	}
-	if !opts.restore {
-		return false, nil
-	}
-	if opts.snapshot == "" {
-		return false, errors.New("-restore requires -snapshot")
+// recoverState rebuilds the daemon from the WAL in dir at leader startup.
+func recoverState(dir string, d *serve.Daemon, lg *obs.Logger) error {
+	replayed, err := d.ReplayWAL(dir)
+	if err != nil {
+		return err
 	}
 	if replayed.Records > 0 {
-		return false, errors.New("-restore refused: -wal-dir already has history (the log supersedes the snapshot; drop one)")
+		lg.Infof("replayed %d wal records (last seq %d, checkpoint %d, torn tail: %v): sim time %.0fs, %d rounds",
+			replayed.Records, replayed.AppliedSeq, replayed.Checkpoint,
+			replayed.Torn, d.Now(), d.Rounds())
 	}
-	f, err := os.Open(opts.snapshot)
-	if errors.Is(err, os.ErrNotExist) {
-		lg.Warnf("-restore: snapshot %s does not exist; starting fresh", opts.snapshot)
-		return false, nil
+	if replayed.Duplicates > 0 {
+		return fmt.Errorf("wal replay: %d duplicate admissions — log corrupt", replayed.Duplicates)
 	}
-	if err != nil {
-		return false, fmt.Errorf("opening snapshot: %w", err)
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() == 0 {
-		lg.Warnf("-restore: snapshot %s is empty; starting fresh", opts.snapshot)
-		return false, nil
-	}
-	if err := d.Restore(f); err != nil {
-		return false, err
-	}
-	lg.Infof("restored state from %s (sim time %.0fs, %d rounds)",
-		opts.snapshot, d.Now(), d.Rounds())
-	return true, nil
+	return nil
 }
 
 // followLoop tails the leader's log into the warm standby until the leader

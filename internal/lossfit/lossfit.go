@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,6 +186,11 @@ func (f *Fitter) Generation() uint64 { return f.gen + 1 }
 
 // Len reports the number of retained samples.
 func (f *Fitter) Len() int { return len(f.points) }
+
+// Points returns a copy of the retained samples, compacted ones included.
+// Adding them in order to a fresh Fitter with the same settings rebuilds
+// this one: the same samples, so the same Fit.
+func (f *Fitter) Points() []Point { return slices.Clone(f.points) }
 
 // compact halves the sample count by averaging adjacent pairs.
 func (f *Fitter) compact() {

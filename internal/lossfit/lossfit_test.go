@@ -318,3 +318,68 @@ func TestFitCacheInvalidatedByWindowChange(t *testing.T) {
 		t.Errorf("after window change: cached %+v != fresh %+v", got, want)
 	}
 }
+
+// TestPointsRoundTrip checks that a fitter that has compacted past
+// MaxPoints is rebuilt exactly by adding its Points to a fresh fitter: the
+// same Fit bits, and the same bits again after both take more samples and
+// compact once more.
+func TestPointsRoundTrip(t *testing.T) {
+	pts := synth(0.02, 1.0, 0.05, 6000, 0.01, 11)
+	f := NewFitter()
+	f.MaxPoints = 1000
+	for i, p := range pts[:2500] {
+		if err := f.Add(p.K, p.Loss); err != nil {
+			t.Fatal(err)
+		}
+		if i%97 == 0 {
+			_, _ = f.Fit() // the original refits incrementally along the way
+		}
+	}
+	if f.Len() >= 2500 {
+		t.Fatalf("precondition: %d samples retained, want a compacted fitter", f.Len())
+	}
+	saved := f.Points()
+	if len(saved) != f.Len() {
+		t.Fatalf("Points() returned %d samples, Len() = %d", len(saved), f.Len())
+	}
+	g := NewFitter()
+	g.MaxPoints = f.MaxPoints
+	for _, p := range saved {
+		if err := g.Add(p.K, p.Loss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameFit := func(stage string) {
+		t.Helper()
+		want, wantErr := f.Fit()
+		got, gotErr := g.Fit()
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%s: fit errors %v, %v", stage, wantErr, gotErr)
+		}
+		w := [...]float64{want.B0, want.B1, want.B2, want.MaxLoss, want.Residual}
+		r := [...]float64{got.B0, got.B1, got.B2, got.MaxLoss, got.Residual}
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(r[i]) {
+				t.Fatalf("%s: rebuilt fit %+v, original %+v", stage, got, want)
+			}
+		}
+	}
+	sameFit("after round trip")
+	saved[0].Loss = -1 // the copy is the caller's
+	if f.Points()[0].Loss == -1 {
+		t.Fatal("Points() aliases the fitter's samples")
+	}
+	n := f.Len()
+	for _, p := range pts[2500:] {
+		if err := f.Add(p.K, p.Loss); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Add(p.K, p.Loss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Len() != g.Len() || f.Len() >= n+3500 {
+		t.Fatalf("after more samples: %d and %d retained from %d, want one more compaction", f.Len(), g.Len(), n)
+	}
+	sameFit("after a further compaction")
+}

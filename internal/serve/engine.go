@@ -282,15 +282,11 @@ func (d *Daemon) refitLocked(jobs []*job) {
 	lossfit.FitAll(d.fits, d.rec.ObserveRefitDuration)
 }
 
-// observe feeds the running job's interval measurements to its estimators,
-// retaining the loss points for snapshot/restore. alloc is the caller's
-// shard-lock-consistent copy of the job's deployment.
+// observe feeds the running job's interval measurements to its estimators.
+// alloc is the caller's shard-lock-consistent copy of the job's deployment.
 func (d *Daemon) observe(j *job, alloc core.Allocation, stepsPerSec float64) {
 	speed, loss := j.Observe(alloc.PS, alloc.Workers, stepsPerSec,
 		d.cfg.SpeedNoise, d.cfg.LossNoise, d.rng)
-	if loss > 0 {
-		j.keepLossObs(j.Progress, loss)
-	}
 	// The WAL record carries exactly the accepted raw measurements, so
 	// replaying it performs the same Observe/Add calls byte-identically.
 	if d.walOn() {

@@ -32,9 +32,10 @@
 // broker never blocks on slow subscribers. The engine mutex serializes
 // scheduling rounds only; it is not on any request path.
 //
-// Graceful shutdown writes a JSON snapshot of all job state (snapshot.go);
-// a daemon started with -restore resumes every job with its fitted model
-// state and progress intact.
+// Durability is the write-ahead log (wal.go): every state change is a
+// record, and a checkpoint record holds a JSON snapshot of all job state
+// (snapshot.go). ReplayWAL resumes every job with its fitted model state
+// and progress intact, after a crash or a graceful stop alike.
 package serve
 
 import (
@@ -224,10 +225,9 @@ func (s JobState) terminal() bool { return s == StateDone || s == StateCancelled
 //   - state and the deployment fields Placed, Alloc, Spread and Nodes are
 //     guarded by the job's registry shard lock; both the engine and Cancel
 //     mutate them under it.
-//   - Progress, DoneAt, Straggling, Pause, LossFit, SpeedEst, profiled and
-//     lossObs are estimation/physics state owned by the engine, guarded by
-//     the engine mutex (Daemon.mu); the serving path never reads them
-//     directly.
+//   - Progress, DoneAt, Straggling, Pause, LossFit, SpeedEst and profiled
+//     are estimation/physics state owned by the engine, guarded by the
+//     engine mutex (Daemon.mu); the serving path never reads them directly.
 //   - status is the job's read-mostly snapshot: an immutable JobStatus (plus
 //     a lazily cached JSON encoding) republished on every state change. All
 //     reads go through it, lock-free.
@@ -236,23 +236,9 @@ type job struct {
 	submittedWall time.Time
 	state         JobState // shard-guarded
 	profiled      bool
-	// lossObs retains the observations fed to LossFit so snapshots can
-	// rebuild the fitter exactly; capped at maxLossObs.
-	lossObs []lossfit.Point
 
 	// status is the atomically swapped read-mostly view (api.go).
 	status atomic.Pointer[statusSnap]
-}
-
-const maxLossObs = 512
-
-// keepLossObs retains one observation accepted by LossFit, dropping the
-// oldest beyond maxLossObs.
-func (j *job) keepLossObs(k, loss float64) {
-	j.lossObs = append(j.lossObs, lossfit.Point{K: k, Loss: loss})
-	if len(j.lossObs) > maxLossObs {
-		j.lossObs = j.lossObs[len(j.lossObs)-maxLossObs:]
-	}
 }
 
 // arrival is one queued Submit→engine handoff: the metrics recorder is not

@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"optimus/internal/core"
-	"optimus/internal/lossfit"
 	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/workload"
 )
 
-// SnapshotVersion is the format version of the daemon's state snapshot.
-// Version 2 added SpeedAcc (exact estimator accumulators); version-1
-// snapshots (averaged SpeedObs) still restore.
+// SnapshotVersion is the format version of the daemon's state snapshot, the
+// payload of every WAL checkpoint. Version 2 stores the speed estimator's
+// exact accumulators (SpeedAcc); it is the only version read.
 const SnapshotVersion = 2
 
 // Snapshot is the daemon's durable state: everything needed to resume every
@@ -35,29 +34,28 @@ type Snapshot struct {
 	Jobs      []JobSnapshot `json:"jobs"`
 }
 
-// JobSnapshot is one job's durable state. The loss fitter is persisted as
-// its raw observations and replayed into a fresh fitter on restore; the
-// speed estimator is persisted as its exact per-configuration accumulators
-// (p, w, sum, weight), so the estimator after restore is byte-identical to
-// the estimator before shutdown — including how future observations will be
-// averaged in. SpeedObs is the version-1 averaged form, still read.
+// JobSnapshot is one job's durable state, each estimator's own: the loss
+// fitter's retained samples (lossfit.Fitter.Points, compacted ones
+// included), added back in order to a fresh fitter on restore, and the
+// speed estimator's exact per-configuration accumulators (p, w, sum,
+// weight). Both estimators after restore equal the ones before shutdown,
+// including how future observations fold in.
 type JobSnapshot struct {
-	ID            int               `json:"id"`
-	Model         string            `json:"model"`
-	Mode          string            `json:"mode"`
-	Threshold     float64           `json:"threshold"`
-	Downscale     float64           `json:"downscale,omitempty"`
-	ArrivalSim    float64           `json:"arrivalSim"`
-	SubmittedWall time.Time         `json:"submittedWall"`
-	State         JobState          `json:"state"`
-	Progress      float64           `json:"progressEpochs"`
-	DoneAtSim     float64           `json:"doneAtSim,omitempty"`
-	Alloc         core.Allocation   `json:"alloc"`
-	Profiled      bool              `json:"profiled,omitempty"`
-	Straggling    bool              `json:"straggling,omitempty"`
-	LossObs       [][2]float64      `json:"lossObs,omitempty"`
-	SpeedObs      []speedfit.Sample `json:"speedObs,omitempty"`
-	SpeedAcc      [][4]float64      `json:"speedAcc,omitempty"`
+	ID            int             `json:"id"`
+	Model         string          `json:"model"`
+	Mode          string          `json:"mode"`
+	Threshold     float64         `json:"threshold"`
+	Downscale     float64         `json:"downscale,omitempty"`
+	ArrivalSim    float64         `json:"arrivalSim"`
+	SubmittedWall time.Time       `json:"submittedWall"`
+	State         JobState        `json:"state"`
+	Progress      float64         `json:"progressEpochs"`
+	DoneAtSim     float64         `json:"doneAtSim,omitempty"`
+	Alloc         core.Allocation `json:"alloc"`
+	Profiled      bool            `json:"profiled,omitempty"`
+	Straggling    bool            `json:"straggling,omitempty"`
+	LossObs       [][2]float64    `json:"lossObs,omitempty"`
+	SpeedAcc      [][4]float64    `json:"speedAcc,omitempty"`
 }
 
 // WriteSnapshot serializes the daemon's state as indented JSON. The engine
@@ -103,7 +101,7 @@ func (d *Daemon) snapshotLocked() Snapshot {
 				Profiled:      j.profiled,
 				Straggling:    j.Straggling,
 			}
-			for _, p := range j.lossObs {
+			for _, p := range j.LossFit.Points() {
 				js.LossObs = append(js.LossObs, [2]float64{p.K, p.Loss})
 			}
 			if j.profiled {
@@ -133,7 +131,7 @@ func (d *Daemon) Restore(r io.Reader) error {
 // restoreSnapLocked loads a decoded snapshot. Callers hold d.mu; the WAL
 // replay applier (wal.go) shares it with Restore for checkpoint records.
 func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
-	if snap.Version != 1 && snap.Version != SnapshotVersion {
+	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("serve: snapshot version %d, want %d", snap.Version, SnapshotVersion)
 	}
 	if d.reg.len() != 0 || d.rounds != 0 {
@@ -172,7 +170,7 @@ func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 	return nil
 }
 
-// restoreJob rebuilds one job, replaying the persisted observations into
+// restoreJob rebuilds one job, loading the persisted estimator state into
 // fresh estimators.
 func restoreJob(js JobSnapshot) (*job, error) {
 	model := workload.ZooByName(js.Model)
@@ -205,17 +203,13 @@ func restoreJob(js JobSnapshot) (*job, error) {
 		j.state = StateWaiting
 		j.Undeploy()
 	}
+	// The live fitter accepted every point, so Add accepts each again; it
+	// drops only an invalid one from an edited file.
 	for _, p := range js.LossObs {
-		if err := j.LossFit.Add(p[0], p[1]); err == nil {
-			j.lossObs = append(j.lossObs, lossfit.Point{K: p[0], Loss: p[1]})
-		}
+		_ = j.LossFit.Add(p[0], p[1])
 	}
 	if len(js.SpeedAcc) > 0 {
 		j.SpeedEst.SetAccum(js.SpeedAcc)
-	} else {
-		for _, s := range js.SpeedObs {
-			_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
-		}
 	}
 	return j, nil
 }

@@ -134,17 +134,80 @@ func TestRestoreRejectsLiveState(t *testing.T) {
 }
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	cases := map[string]string{
-		"bad version":   `{"version":99,"jobs":[]}`,
-		"not json":      `nope`,
-		"unknown model": `{"version":1,"jobs":[{"id":1,"model":"no-such","mode":"async"}]}`,
-		"bad mode":      `{"version":1,"jobs":[{"id":1,"model":"resnet-50","mode":"batch"}]}`,
-		"bad state":     `{"version":1,"jobs":[{"id":1,"model":"resnet-50","mode":"async","state":"exploded"}]}`,
+	cases := map[string]struct{ body, want string }{
+		"bad version":   {`{"version":99,"jobs":[]}`, "version 99"},
+		"version 1":     {`{"version":1,"jobs":[]}`, "version 1"},
+		"not json":      {`nope`, "reading snapshot"},
+		"unknown model": {`{"version":2,"jobs":[{"id":1,"model":"no-such","mode":"async"}]}`, "unknown model"},
+		"bad mode":      {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"batch"}]}`, "bad mode"},
+		"bad state":     {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"async","state":"exploded"}]}`, "bad state"},
 	}
-	for name, body := range cases {
+	for name, c := range cases {
 		d := testDaemon(t)
-		if err := d.Restore(strings.NewReader(body)); err == nil {
-			t.Errorf("%s: restore accepted %q", name, body)
+		if err := d.Restore(strings.NewReader(c.body)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore of %q: err %v, want %q", name, c.body, err, c.want)
 		}
 	}
+}
+
+// TestLongJobRestoreKeepsLossFit checks both restore paths on a job with
+// more loss samples than the old 512-point snapshot cap: WriteSnapshot →
+// Restore, and a WAL whose checkpoint already held > 512 samples replayed
+// into a fresh daemon, must each bring back the fitter the live daemon
+// holds, so the same LossFit status and EstTotalEpochs.
+func TestLongJobRestoreKeepsLossFit(t *testing.T) {
+	const rounds, ckpt = 650, 600
+	dir := t.TempDir()
+	d, l := walTestDaemon(t, dir, 7, ckpt)
+	id := submit(t, d, SubmitRequest{Model: "resnet-50", Mode: "async",
+		Threshold: 1e-4, Downscale: 1})
+	for i := 0; i < rounds; i++ {
+		d.Step()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := d.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := d.reg.get(id).LossFit.Len(); before.State == StateDone || before.LossFit == nil || n <= 600 {
+		t.Fatalf("precondition: job %+v with %d loss samples", before, n)
+	}
+	same := func(path string, r *Daemon) {
+		t.Helper()
+		after, err := r.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, want := r.reg.get(id).LossFit.Len(), d.reg.get(id).LossFit.Len(); n != want {
+			t.Errorf("%s: %d loss samples, want %d", path, n, want)
+		}
+		if after.LossFit == nil || *after.LossFit != *before.LossFit {
+			t.Errorf("%s: loss fit %+v, want %+v", path, after.LossFit, *before.LossFit)
+		}
+		if after.EstTotalEpochs != before.EstTotalEpochs {
+			t.Errorf("%s: estimated epochs %v, want %v", path, after.EstTotalEpochs, before.EstTotalEpochs)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := d.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := freshDaemon(t, 7)
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	same("snapshot restore", restored)
+
+	replayed := freshDaemon(t, 7)
+	stats, err := replayed.ReplayWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Checkpoint == 0 {
+		t.Fatal("expected a checkpoint anchor in the log")
+	}
+	same("checkpoint + replay", replayed)
 }

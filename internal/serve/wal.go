@@ -434,13 +434,14 @@ func (a *WALApplier) Duplicates() uint64 { return a.duplicates }
 func (a *WALApplier) Records() uint64 { return a.records }
 
 // Apply replays one record. Records are applied in sequence order; the
-// caller (Scan/ScanFrom or a tailer) guarantees contiguity.
+// caller (Scan/ScanFrom or a tailer) guarantees contiguity. An error names
+// the record; ReplayWAL adds the one "wal replay:" prefix.
 func (a *WALApplier) Apply(rec wal.Record) error {
 	d := a.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := a.applyLocked(rec); err != nil {
-		return fmt.Errorf("wal replay: record %d (%s): %w", rec.Seq, rec.Type, err)
+		return fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
 	}
 	a.applied = rec.Seq
 	a.records++
@@ -547,8 +548,8 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		if p.Speed > 0 {
 			_ = j.SpeedEst.Observe(p.PS, p.W, p.Speed)
 		}
-		if p.Loss > 0 && j.LossFit.Add(p.K, p.Loss) == nil {
-			j.keepLossObs(p.K, p.Loss)
+		if p.Loss > 0 {
+			_ = j.LossFit.Add(p.K, p.Loss)
 		}
 		a.dirty[p.ID] = j
 	case wal.TypeDeploy:
@@ -682,7 +683,7 @@ type WALReplayStats struct {
 func (d *Daemon) ReplayWAL(dir string) (WALReplayStats, error) {
 	ckpt, err := wal.LastCheckpoint(dir)
 	if err != nil {
-		return WALReplayStats{}, err
+		return WALReplayStats{}, fmt.Errorf("wal replay: %w", err)
 	}
 	var after uint64
 	if ckpt > 0 {
@@ -691,7 +692,7 @@ func (d *Daemon) ReplayWAL(dir string) (WALReplayStats, error) {
 	a := d.NewWALApplier()
 	res, err := wal.ScanFrom(dir, after, a.Apply)
 	if err != nil {
-		return WALReplayStats{}, err
+		return WALReplayStats{}, fmt.Errorf("wal replay: %w", err)
 	}
 	a.Finish()
 	return WALReplayStats{

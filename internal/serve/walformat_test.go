@@ -104,8 +104,9 @@ func TestWALBinaryRoundTrip(t *testing.T) {
 
 // TestWALBinaryRejectsMalformed checks that a JSON-era observe or deploy
 // payload is refused with its type named (by the replay applier and by
-// WALDecodePayload alike), and that truncated, padded or unknown-state
-// binary payloads are refused too.
+// WALDecodePayload alike), that ReplayWAL of a log holding one reports it
+// under exactly one "wal replay:" prefix, and that truncated, padded or
+// unknown-state binary payloads are refused too.
 func TestWALBinaryRejectsMalformed(t *testing.T) {
 	jsonEra := []wal.Record{
 		{Seq: 1, Type: wal.TypeObserve, Payload: []byte(`{"id":1,"prog":0.5,"ps":1,"w":2,"speed":0.25}`)},
@@ -126,6 +127,23 @@ func TestWALBinaryRejectsMalformed(t *testing.T) {
 		a := d.NewWALApplier()
 		if err := a.Apply(rec); err == nil || !strings.Contains(err.Error(), name+" payload is JSON") {
 			t.Errorf("Apply(%s %s): err %v", name, rec.Payload, err)
+		}
+
+		dir := t.TempDir()
+		l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(rec.Type, rec.Payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = freshDaemon(t, 1).ReplayWAL(dir)
+		if want := "wal replay: record 1 (" + name + "): "; err == nil ||
+			!strings.HasPrefix(err.Error(), want) || strings.Count(err.Error(), "wal replay:") != 1 {
+			t.Errorf("ReplayWAL of a %s %s: err %v, want one %q prefix", name, rec.Payload, err, want)
 		}
 	}
 

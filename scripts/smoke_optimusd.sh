@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the optimusd daemon: boot on a random port,
-# submit a job over HTTP, poll it to a running allocation, take a graceful
-# shutdown snapshot, restart with -restore, and verify the job survived.
+# submit a job over HTTP, poll it to a running allocation, stop it gracefully
+# (SIGTERM writes a WAL checkpoint), restart on the same -wal-dir, and verify
+# the job survived.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,7 +14,7 @@ go build -o "$workdir/optimusd-load" ./cmd/optimusd-load
 go build -o "$workdir/optimus-trace" ./cmd/optimus-trace
 
 "$workdir/optimusd" -addr 127.0.0.1:0 -portfile "$workdir/port" \
-    -tick 100ms -snapshot "$workdir/state.json" >"$workdir/d1.log" 2>&1 &
+    -tick 100ms -wal-dir "$workdir/wal" >"$workdir/d1.log" 2>&1 &
 pid=$!
 
 for i in $(seq 1 50); do
@@ -111,14 +112,17 @@ grep -q '^optimus_build_info{' "$workdir/metrics.txt" ||
 
 "$workdir/optimusd-load" -url "http://$addr" -duration 2s -rate 100 -mix submit=100 -max-error-rate 0
 
-# Graceful shutdown writes the snapshot.
+# Graceful shutdown writes a WAL checkpoint as the log's last record.
 kill -TERM $pid
 wait $pid
-[ -s "$workdir/state.json" ] || { echo "no snapshot written"; exit 1; }
+"$workdir/optimus-trace" wal "$workdir/wal" >"$workdir/wal.txt" 2>"$workdir/walscan.txt"
+tail -n 1 "$workdir/wal.txt" >"$workdir/last.txt"
+grep -q '"type":"checkpoint"' "$workdir/last.txt" ||
+    { echo "log does not end in a checkpoint:"; head -c 400 "$workdir/last.txt"; exit 1; }
 
-# Restart from the snapshot: the job must come back with its progress.
+# Restart on the same WAL: the job must come back with its progress.
 "$workdir/optimusd" -addr 127.0.0.1:0 -portfile "$workdir/port2" \
-    -tick 100ms -snapshot "$workdir/state.json" -restore >"$workdir/d2.log" 2>&1 &
+    -tick 100ms -wal-dir "$workdir/wal" >"$workdir/d2.log" 2>&1 &
 pid=$!
 for i in $(seq 1 50); do
     [ -s "$workdir/port2" ] && break
@@ -127,7 +131,7 @@ done
 addr2=$(cat "$workdir/port2")
 curl -s "http://$addr2/v1/jobs/1" >"$workdir/restored.json"
 grep -Eq '"state":"(running|waiting|done)"' "$workdir/restored.json" ||
-    { echo "job lost in restore:"; cat "$workdir/restored.json"; exit 1; }
+    { echo "job lost in restart:"; cat "$workdir/restored.json"; exit 1; }
 grep -q '"progressEpochs":0,' "$workdir/restored.json" &&
     { echo "restored job lost its progress:"; cat "$workdir/restored.json"; exit 1; }
 kill -TERM $pid
