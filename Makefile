@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-all load-smoke failover-smoke quick full fuzz serve load smoke clean
+.PHONY: all build vet test race bench bench-test bench-all load-smoke failover-smoke full fuzz serve load smoke clean
 
 all: build vet test
 
@@ -47,10 +47,6 @@ load-smoke:
 # exactly-once admission across the cutover. Runs under -race. CI gate.
 failover-smoke:
 	./scripts/smoke_failover.sh
-
-# Fast smoke reproduction of every exhibit.
-quick:
-	$(GO) run ./cmd/optimus-sim -quick all
 
 # Paper-scale reproduction of every exhibit (under a second on 2 cores).
 full:

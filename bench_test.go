@@ -36,7 +36,7 @@ var printOnce sync.Map // experiment id → *sync.Once
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id, experiments.Options{Quick: true, Seed: 1})
+		tbl, err := experiments.Run(id, experiments.Options{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

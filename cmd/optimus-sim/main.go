@@ -1,10 +1,11 @@
 // Command optimus-sim regenerates the paper's tables and figures from the
 // reproduction: pass one or more experiment IDs (fig11, table2, ...) or
-// "all". Use -quick for a fast smoke run and -seed to vary randomness.
+// "all". Every exhibit runs at the paper's scale (all 28 in under a second
+// on 2 cores); -seed varies randomness.
 //
 // Usage:
 //
-//	optimus-sim [-quick] [-seed N] [-parallel N] all
+//	optimus-sim [-seed N] [-parallel N] all
 //	optimus-sim fig11 table3
 //	optimus-sim -faults faults.txt failures
 //	optimus-sim -cpuprofile cpu.pprof -memprofile mem.pprof fig11
@@ -32,7 +33,6 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	seed := flag.Int64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	parallel := flag.Int("parallel", 0,
@@ -48,7 +48,7 @@ func main() {
 	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: optimus-sim [-quick] [-seed N] [-parallel N] <experiment-id>... | all")
+		fmt.Fprintln(os.Stderr, "usage: optimus-sim [-seed N] [-parallel N] <experiment-id>... | all")
 		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.IDs(), " "))
 		os.Exit(2)
 	}
@@ -56,7 +56,7 @@ func main() {
 	if len(args) == 1 && args[0] == "all" {
 		ids = experiments.IDs()
 	}
-	opt := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel}
+	opt := experiments.Options{Seed: *seed, Parallel: *parallel}
 	if *faultsFile != "" {
 		f, err := os.Open(*faultsFile)
 		if err != nil {

@@ -13,7 +13,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tbl, err := Run(id, Options{Quick: true, Seed: 1})
+			tbl, err := Run(id, Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func num(t *testing.T, s string) float64 {
 
 // Fig 11's headline shape: DRF and Tetris normalized JCT > 1 (Optimus wins).
 func TestFig11Shape(t *testing.T) {
-	tbl, err := Run("fig11", Options{Quick: true, Seed: 2})
+	tbl, err := Run("fig11", Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFig11Shape(t *testing.T) {
 
 // Table 3's shape: PAA strictly better on all three metrics.
 func TestTable3Shape(t *testing.T) {
-	tbl, err := Run("table3", Options{Quick: true, Seed: 3})
+	tbl, err := Run("table3", Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTable3Shape(t *testing.T) {
 
 // Fig 20's shape: PAA speedup at the largest PS count exceeds the smallest.
 func TestFig20Shape(t *testing.T) {
-	tbl, err := Run("fig20", Options{Quick: true, Seed: 4})
+	tbl, err := Run("fig20", Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFig20Shape(t *testing.T) {
 
 // Fig 15's shape: error-free row is 1.00 and the largest error is ≥ it.
 func TestFig15Shape(t *testing.T) {
-	tbl, err := Run("fig15", Options{Quick: true, Seed: 5})
+	tbl, err := Run("fig15", Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,12 +110,8 @@ func mixedWorkloads(opt Options) (Table, error) {
 			return 1.0
 		}},
 	}
-	n := 15
-	if opt.Quick {
-		n = 6
-	}
 	jobs := workload.Generate(workload.GenConfig{
-		N: n, Horizon: 4000, Seed: opt.Seed + 300, Downscale: 0.03,
+		N: 15, Horizon: 4000, Seed: opt.Seed + 300, Downscale: 0.03,
 	})
 	policies := []sim.Policy{sim.OptimusPolicy(), sim.DRFPolicy()}
 	var cfgs []sim.Config

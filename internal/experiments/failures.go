@@ -28,12 +28,8 @@ func failureSweep(opt Options) (Table, error) {
 			"faults", "restarts", "wasted(s)", "recovery(s)"},
 		Notes: "crashes roll jobs back to their last checkpoint; Optimus also replaces injected stragglers (§5.2, §5.4)",
 	}
-	n := 15
-	if opt.Quick {
-		n = 6
-	}
 	jobs := workload.Generate(workload.GenConfig{
-		N: n, Horizon: 4000, Seed: opt.Seed + 400, Downscale: 0.03,
+		N: 15, Horizon: 4000, Seed: opt.Seed + 400, Downscale: 0.03,
 	})
 
 	sched := opt.Faults

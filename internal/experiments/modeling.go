@@ -32,10 +32,7 @@ func init() {
 func fig1TrainingCurves(opt Options) (Table, error) {
 	m := workload.ZooByName("resnext-110")
 	total := m.EpochsToConverge(0.002, 3)
-	points := 20
-	if opt.Quick {
-		points = 8
-	}
+	const points = 20
 	t := Table{
 		ID:      "fig1",
 		Title:   "Training curves of ResNext-110 on CIFAR10",
@@ -253,10 +250,7 @@ func fig8SampleEfficiency(opt Options) (Table, error) {
 		}
 	}
 	counts := []int{6, 8, 10, 12, 16, 24}
-	trials := 30
-	if opt.Quick {
-		trials = 8
-	}
+	const trials = 30
 	for _, n := range counts {
 		var meanErr float64
 		ok := 0

@@ -119,9 +119,6 @@ type policyStats struct {
 // through the parallel engine in a single fan-out, and returns per-case mean
 // JCT/makespan plus the per-rep samples.
 func testbedSweep(opt Options, cases []testbedCase, reps int) ([]policyStats, error) {
-	if opt.Quick {
-		reps = 1
-	}
 	// Repetition workloads are shared across cases and never mutated by the
 	// simulator, so generating each once is safe under the pool.
 	repJobs := make([][]workload.JobSpec, reps)

@@ -30,8 +30,8 @@ func TestSerialParallelIdentical(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			serial := render(t, id, Options{Quick: true, Seed: 7, Parallel: 1})
-			wide := render(t, id, Options{Quick: true, Seed: 7, Parallel: 8})
+			serial := render(t, id, Options{Seed: 7, Parallel: 1})
+			wide := render(t, id, Options{Seed: 7, Parallel: 8})
 			if !bytes.Equal(serial, wide) {
 				t.Errorf("serial and parallel output differ:\n--- serial ---\n%s\n--- parallel ---\n%s",
 					serial, wide)
@@ -95,7 +95,7 @@ func TestForEachEmpty(t *testing.T) {
 // must raise the process-wide simulator-run counter.
 func TestRunCountAdvances(t *testing.T) {
 	before := RunCount()
-	if _, err := Run("overhead", Options{Quick: true, Seed: 1}); err != nil {
+	if _, err := Run("overhead", Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := RunCount() - before; got < 1 {
@@ -120,13 +120,13 @@ func TestWorkersDefault(t *testing.T) {
 // direct path: a one-case sweep must reproduce exactly what hand-rolled
 // serial sim.Run calls produce for the same seeds.
 func TestTestbedSweepMatchesSingleRuns(t *testing.T) {
-	opt := Options{Quick: true, Seed: 11, Parallel: 4}
+	opt := Options{Seed: 11, Parallel: 4}
 	cases := []testbedCase{{policy: comparisonPolicies()[0]}}
 	a, err := testbedSweep(opt, cases, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := testbedSweep(Options{Quick: true, Seed: 11, Parallel: 1}, cases, 3)
+	b, err := testbedSweep(Options{Seed: 11, Parallel: 1}, cases, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

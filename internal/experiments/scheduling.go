@@ -30,12 +30,6 @@ func init() {
 // modes and thresholds in [1%,5%], arriving over the window, datasets
 // downscaled so a run lasts hours rather than weeks.
 func mixFor(opt Options, n int, arrivals workload.ArrivalProcess) []workload.JobSpec {
-	if opt.Quick {
-		n = n / 3
-		if n < 6 {
-			n = 6
-		}
-	}
 	return workload.Generate(workload.GenConfig{
 		N: n, Horizon: 8000, Seed: opt.Seed + 100, Downscale: 0.03,
 		Arrivals: arrivals,
@@ -115,10 +109,6 @@ func fig12Scalability(opt Options) (Table, error) {
 	}
 	jobCounts := []int{1000, 4000}
 	nodeCounts := []int{1000, 4000, 16000}
-	if opt.Quick {
-		jobCounts = []int{200}
-		nodeCounts = []int{500, 1000}
-	}
 	// This exhibit measures the scheduler's own wall-clock, so its sweep
 	// points run serially on purpose: timing them concurrently would measure
 	// pool contention, not scheduling time.
@@ -173,17 +163,13 @@ func fig12Scalability(opt Options) (Table, error) {
 // fig13Stats regenerates Fig. 13: mean and standard deviation of JCT and
 // makespan over repeated runs (the paper uses 3 repetitions).
 func fig13Stats(opt Options) (Table, error) {
-	reps := 3
-	if opt.Quick {
-		reps = 2
-	}
 	t := Table{
 		ID:      "fig13",
 		Title:   "JCT and makespan, mean ± stddev over repetitions",
 		Columns: []string{"scheduler", "avg-JCT(s)", "sd-JCT", "makespan(s)", "sd-makespan"},
 	}
 	policies := comparisonPolicies()
-	stats, err := testbedSweep(opt, policyCases(policies, nil), reps)
+	stats, err := testbedSweep(opt, policyCases(policies, nil), 3)
 	if err != nil {
 		return Table{}, err
 	}
@@ -237,13 +223,7 @@ func fig14Timelines(opt Options) (Table, error) {
 func fig15ErrorSensitivity(opt Options) (Table, error) {
 	jobs := mixFor(opt, 12, nil)
 	levels := []float64{0, 0.15, 0.30, 0.45}
-	if opt.Quick {
-		levels = []float64{0, 0.45}
-	}
-	reps := 3
-	if opt.Quick {
-		reps = 1
-	}
+	const reps = 3
 	t := Table{
 		ID:      "fig15",
 		Title:   "Sensitivity to prediction errors (Optimus)",
@@ -321,12 +301,8 @@ func fig16TrainingModes(opt Options) (Table, error) {
 	var cfgs []sim.Config
 	for _, mode := range modes {
 		m := mode
-		n := 36
-		if opt.Quick {
-			n = 12
-		}
 		jobs := workload.Generate(workload.GenConfig{
-			N: n, Horizon: 8000, Seed: opt.Seed + 200, Downscale: 0.03, ForceMode: &m,
+			N: 36, Horizon: 8000, Seed: opt.Seed + 200, Downscale: 0.03, ForceMode: &m,
 		})
 		for _, policy := range policies {
 			cfgs = append(cfgs, simConfig(policy, jobs, opt.Seed))

@@ -85,12 +85,10 @@ func printRow(w io.Writer, cells []string, widths []int) {
 	fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
 }
 
-// Options tunes experiment cost. Quick mode shrinks sweeps so the whole
-// suite runs in seconds (used by tests and -bench smoke runs); full mode
-// reproduces the paper-scale sweeps.
+// Options seeds an experiment and sets how it runs; every exhibit runs at
+// the paper's scale.
 type Options struct {
-	Quick bool
-	Seed  int64
+	Seed int64
 	// Parallel is the worker-pool width for independent simulator runs.
 	// Zero means GOMAXPROCS; 1 forces serial execution. Any width produces
 	// byte-identical tables for the same seed (see internal/experiments/

@@ -8,7 +8,7 @@ import (
 )
 
 // fitPointsUnpruned is fitPoints' β2 grid as it was before the residual sum
-// stopped early: every candidate is solved through the full SolveWith (norm
+// stopped early: every candidate is solved through the full Solve (norm
 // included) and its loss-space residual summed over every row. It is the
 // reference TestEarlyExitMatchesFullGrid holds the pruned grid to.
 func (s *fitScratch) fitPointsUnpruned(points []Point, window int) (Model, error) {

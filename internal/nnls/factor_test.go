@@ -13,7 +13,7 @@ import (
 func solveBoth(t *testing.T, label string, ws *Workspace, ref *refWorkspace, a *Matrix, b []float64) {
 	t.Helper()
 	x, res, err := ws.Solve(a, b)
-	rx, rres, rerr := ref.SolveWith(a, b, Options{})
+	rx, rres, rerr := ref.Solve(a, b)
 	if (err == nil) != (rerr == nil) {
 		t.Fatalf("%s: err %v, reference err %v", label, err, rerr)
 	}
@@ -201,25 +201,25 @@ func TestLeastSquaresMatchesReference(t *testing.T) {
 }
 
 // TestCoefMatchesSolve drives one workspace through Coef and another through
-// SolveWith over the same seeded sequences (lossfit's β2 sweep on a growing
+// Solve over the same seeded sequences (lossfit's β2 sweep on a growing
 // design matrix, unrelated well-posed problems, rank-deficient ones and
 // speedfit-shaped ones), and requires the same x bits and error outcomes at
-// every solve: Coef is SolveWith minus the norm, with the same solver state.
+// every solve: Coef is Solve minus the norm, with the same solver state.
 func TestCoefMatchesSolve(t *testing.T) {
 	coef, solve := NewWorkspace(), NewWorkspace()
 	check := func(label string, a *Matrix, b []float64) {
 		t.Helper()
 		x, err := coef.Coef(a, b)
-		sx, _, serr := solve.SolveWith(a, b, Options{})
+		sx, _, serr := solve.Solve(a, b)
 		if (err == nil) != (serr == nil) {
-			t.Fatalf("%s: Coef err %v, SolveWith err %v", label, err, serr)
+			t.Fatalf("%s: Coef err %v, Solve err %v", label, err, serr)
 		}
 		if len(x) != len(sx) {
-			t.Fatalf("%s: Coef returned %d coefficients, SolveWith %d", label, len(x), len(sx))
+			t.Fatalf("%s: Coef returned %d coefficients, Solve %d", label, len(x), len(sx))
 		}
 		for j := range sx {
 			if math.Float64bits(x[j]) != math.Float64bits(sx[j]) {
-				t.Fatalf("%s: Coef x[%d] = %v, SolveWith %v", label, j, x[j], sx[j])
+				t.Fatalf("%s: Coef x[%d] = %v, Solve %v", label, j, x[j], sx[j])
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func FuzzSolve(f *testing.F) {
 		if _, _, err := ws.Solve(a, b); err != nil {
 			return
 		}
-		_, _, _ = ref.SolveWith(a, b, Options{})
+		_, _, _ = ref.Solve(a, b)
 		rows2 := rows + r.Intn(3)
 		a2 := NewMatrix(rows2, cols)
 		copy(a2.Data, a.Data)
@@ -69,7 +69,7 @@ func FuzzSolve(f *testing.F) {
 				b2[i] = r.NormFloat64()
 			}
 		}
-		_, _, _ = ref.SolveWith(a2, b2, Options{})
+		_, _, _ = ref.Solve(a2, b2)
 		wx, wres, werr := ws.Solve(a2, b2)
 		cx, cres, cerr := Solve(a2, b2)
 		if (werr == nil) != (cerr == nil) {
@@ -96,7 +96,7 @@ func FuzzSolve(f *testing.F) {
 			b2[i] = r.NormFloat64()
 		}
 		sx, sres, serr := ws.Solve(a2, b2)
-		rx, rres, rerr := ref.SolveWith(a2, b2, Options{})
+		rx, rres, rerr := ref.Solve(a2, b2)
 		if (serr == nil) != (rerr == nil) {
 			t.Fatalf("new-rhs err %v, reference err %v", serr, rerr)
 		}
@@ -141,7 +141,7 @@ func sweepMatchesReference(t *testing.T, r *rand.Rand, a *Matrix) {
 		}
 		x, res, err := ws.Solve(a, b)
 		tx, terr := wt.CoefTracked(a, b, s == 0)
-		rx, rres, rerr := ref.SolveWith(a, b, Options{})
+		rx, rres, rerr := ref.Solve(a, b)
 		if (err == nil) != (rerr == nil) || (terr == nil) != (rerr == nil) {
 			t.Fatalf("sweep %d: err %v, tracked err %v, reference err %v", s, err, terr, rerr)
 		}

@@ -1,14 +1,5 @@
 package nnls
 
-// Options configures the NNLS solver.
-type Options struct {
-	// Tol is the dual-feasibility tolerance. Zero means an automatic value
-	// scaled from the problem data.
-	Tol float64
-	// MaxIter bounds the number of outer iterations. Zero means 3·Cols+30.
-	MaxIter int
-}
-
 // Solve finds x ≥ 0 minimizing ‖A·x − b‖₂ using the Lawson–Hanson active-set
 // algorithm. It returns the solution and its residual norm.
 //
@@ -17,15 +8,10 @@ type Options struct {
 // related problems repeatedly should hold a Workspace and use its methods to
 // reuse scratch buffers and warm-start from the previous active set.
 func Solve(a *Matrix, b []float64) ([]float64, float64, error) {
-	return SolveWith(a, b, Options{})
-}
-
-// SolveWith is Solve with explicit options.
-func SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
 	// The throwaway workspace never sees a second matrix, so it skips
 	// copying the key.
 	var ws Workspace
-	return ws.solveWith(a, b, opt, keyRebuilt)
+	return ws.solve(a, b, keyRebuilt)
 }
 
 func allPassive(passive []bool) bool {
@@ -54,11 +40,4 @@ func copyPassive(x, z []float64, passive []bool) {
 			x[k] = 0
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -107,7 +107,7 @@ type refWorkspace struct {
 	hasWarm  bool
 }
 
-func (ws *refWorkspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
+func (ws *refWorkspace) Solve(a *Matrix, b []float64) ([]float64, float64, error) {
 	if len(b) != a.Rows {
 		return nil, 0, errors.New("nnls: rhs length mismatch")
 	}
@@ -117,24 +117,18 @@ func (ws *refWorkspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float6
 	}
 	ws.ensure(a.Rows, n)
 
-	tol := opt.Tol
+	// Scale-aware tolerance, mirroring the classical implementation.
+	var amax float64
+	for _, v := range a.Data[:a.Rows*a.Cols] {
+		if av := math.Abs(v); av > amax {
+			amax = av
+		}
+	}
+	tol := 10 * 2.2e-16 * amax * float64(max(a.Rows, a.Cols))
 	if tol == 0 {
-		// Scale-aware tolerance, mirroring the classical implementation.
-		var amax float64
-		for _, v := range a.Data[:a.Rows*a.Cols] {
-			if av := math.Abs(v); av > amax {
-				amax = av
-			}
-		}
-		tol = 10 * 2.2e-16 * amax * float64(maxInt(a.Rows, a.Cols))
-		if tol == 0 {
-			tol = 1e-12
-		}
+		tol = 1e-12
 	}
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 3*n + 30
-	}
+	maxIter := 3*n + 30
 
 	x := ws.x[:n]
 	passive := ws.passive[:n]

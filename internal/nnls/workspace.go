@@ -87,24 +87,19 @@ func (ws *Workspace) Factorings() int { return ws.factorings }
 // it is keyed by the matrix, so it never serves a different one.
 func (ws *Workspace) Reset() { ws.hasWarm = false }
 
-// Solve is SolveWith with default options.
-func (ws *Workspace) Solve(a *Matrix, b []float64) ([]float64, float64, error) {
-	return ws.SolveWith(a, b, Options{})
-}
-
-// SolveWith finds x ≥ 0 minimizing ‖A·x − b‖₂, reusing the workspace's
+// Solve finds x ≥ 0 minimizing ‖A·x − b‖₂, reusing the workspace's
 // buffers and warm-starting from the previous solve's passive set when the
 // column counts match (row counts may differ — the passive set is a column
 // property), and returns x with its residual norm. The returned solution
 // slice is owned by the workspace and is only valid until the next solve;
 // callers that retain it must copy.
-func (ws *Workspace) SolveWith(a *Matrix, b []float64, opt Options) ([]float64, float64, error) {
-	return ws.solveWith(a, b, opt, keyByValue)
+func (ws *Workspace) Solve(a *Matrix, b []float64) ([]float64, float64, error) {
+	return ws.solve(a, b, keyByValue)
 }
 
-// solveWith is SolveWith with the cache keyed as key says.
-func (ws *Workspace) solveWith(a *Matrix, b []float64, opt Options, key matrixKey) ([]float64, float64, error) {
-	x, err := ws.coef(a, b, opt, key)
+// solve is Solve with the cache keyed as key says.
+func (ws *Workspace) solve(a *Matrix, b []float64, key matrixKey) ([]float64, float64, error) {
+	x, err := ws.coef(a, b, key)
 	if err != nil {
 		if err == errEmpty {
 			return nil, Norm2(b), err
@@ -119,7 +114,7 @@ func (ws *Workspace) solveWith(a *Matrix, b []float64, opt Options, key matrixKe
 // that never read the norm (lossfit's β2 grid measures its own residual in
 // loss space) skip its O(rows) pass and per-row division.
 func (ws *Workspace) Coef(a *Matrix, b []float64) ([]float64, error) {
-	return ws.coef(a, b, Options{}, keyByValue)
+	return ws.coef(a, b, keyByValue)
 }
 
 // CoefTracked is Coef for a caller that tracks its matrix's changes itself.
@@ -134,13 +129,15 @@ func (ws *Workspace) CoefTracked(a *Matrix, b []float64, rebuilt bool) ([]float6
 	if rebuilt {
 		key = keyRebuilt
 	}
-	return ws.coef(a, b, Options{}, key)
+	return ws.coef(a, b, key)
 }
 
 var errEmpty = errors.New("nnls: empty matrix")
 
-// coef is the one solver body behind SolveWith, Coef and CoefTracked.
-func (ws *Workspace) coef(a *Matrix, b []float64, opt Options, key matrixKey) ([]float64, error) {
+// coef is the one solver body behind Solve, Coef and CoefTracked. Its
+// dual-feasibility tolerance is autoTol's, and it stops after 3n+30 outer
+// iterations.
+func (ws *Workspace) coef(a *Matrix, b []float64, key matrixKey) ([]float64, error) {
 	if len(b) != a.Rows {
 		return nil, errors.New("nnls: rhs length mismatch")
 	}
@@ -151,17 +148,11 @@ func (ws *Workspace) coef(a *Matrix, b []float64, opt Options, key matrixKey) ([
 	ws.ensure(a.Rows, n)
 	ws.rekey(a, key)
 
-	tol := opt.Tol
-	if tol == 0 {
-		if ws.keyTol == 0 { // not yet computed for this matrix
-			ws.keyTol = autoTol(a)
-		}
-		tol = ws.keyTol
+	if ws.keyTol == 0 { // not yet computed for this matrix
+		ws.keyTol = autoTol(a)
 	}
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 3*n + 30
-	}
+	tol := ws.keyTol
+	maxIter := 3*n + 30
 
 	x := ws.x[:n]
 	passive := ws.passive[:n]
@@ -296,7 +287,7 @@ func autoTol(a *Matrix) float64 {
 			amax = av
 		}
 	}
-	tol := 10 * 2.2e-16 * amax * float64(maxInt(a.Rows, a.Cols))
+	tol := 10 * 2.2e-16 * amax * float64(max(a.Rows, a.Cols))
 	if tol == 0 {
 		tol = 1e-12
 	}

@@ -17,6 +17,7 @@ import (
 	"optimus/internal/core"
 	"optimus/internal/metrics"
 	"optimus/internal/obs"
+	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/workload"
 )
@@ -196,7 +197,7 @@ func (d *Daemon) buildStatus(j *job) JobStatus {
 	}
 	// The scheduler's remaining-work estimate, exactly as the allocator
 	// sees it (§3.1 fit with the beginning-state prior as fallback).
-	est := d.cfg.PriorEpochs
+	est := sim.PriorEpochs
 	if j.LossFit.Len() >= 5 {
 		if m, err := j.LossFit.Fit(); err == nil {
 			st.LossFit = &LossFitStatus{

@@ -72,7 +72,7 @@ func (d *Daemon) stepLocked() {
 	fitSpan := d.tracer.Begin("fit")
 	for _, j := range active {
 		if !j.profiled {
-			samples := sim.PreRunProfile(j.SpeedEst, j.Spec, d.cfg.PreRunSamples,
+			samples := sim.PreRunProfile(j.SpeedEst, j.Spec, preRunSamples,
 				d.cfg.SpeedNoise, d.rng)
 			j.profiled = true
 			if d.walOn() {
@@ -84,7 +84,7 @@ func (d *Daemon) stepLocked() {
 	infos := make([]*core.JobInfo, len(active))
 	for i, j := range active {
 		infos[i] = sim.EstimatedView(d.cfg.Cluster, j.Spec, j.Progress,
-			j.LossFit, j.SpeedEst, d.cfg.PriorEpochs, d.cfg.PriorityFactor)
+			j.LossFit, j.SpeedEst, sim.PriorEpochs, priorityFactor)
 	}
 	d.tracer.End(fitSpan)
 
@@ -148,7 +148,7 @@ func (d *Daemon) stepLocked() {
 		}
 		sh.mu.Unlock()
 		if fresh || changed {
-			j.Pause = min(d.cfg.ScalingBase+d.cfg.ScalingPerTask*float64(newAlloc.Tasks()), d.cfg.Interval)
+			j.Pause = min(d.cfg.ScalingBase, d.cfg.Interval)
 			if changed { // §6.2 counts reconfiguration, not first launch
 				d.rec.AddScalingTime(j.Pause)
 			}
@@ -170,7 +170,7 @@ func (d *Daemon) stepLocked() {
 			j.Straggling = true
 			d.rec.AddFault()
 			d.publish(Event{Type: EventFault, Job: id,
-				Detail: fmt.Sprintf("straggler x%.2f", d.cfg.StragglerSlowdown)})
+				Detail: fmt.Sprintf("straggler x%.2f", stragglerSlowdown)})
 			if d.walOn() {
 				d.walAppend(wal.TypeFault, walFault{ID: id, Straggling: true})
 			}
@@ -194,7 +194,7 @@ func (d *Daemon) stepLocked() {
 
 		stepsPerSec := j.Spec.Model.PlacedSpeed(j.Spec.Mode, spread)
 		if j.Straggling {
-			stepsPerSec *= d.cfg.StragglerSlowdown
+			stepsPerSec *= stragglerSlowdown
 		}
 		w := j.Advance(d.now, intervalEnd, stepsPerSec)
 		if !w.Trained {

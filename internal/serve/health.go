@@ -53,16 +53,16 @@ func (d *Daemon) Readiness() ReadyStatus {
 		if ha != nil {
 			lag = ha.LagRecords
 		}
-		add("ha", lag <= d.cfg.MaxFollowerLag,
-			fmt.Sprintf("follower lag=%d records (bound %d)", lag, d.cfg.MaxFollowerLag))
+		add("ha", lag <= maxFollowerLag,
+			fmt.Sprintf("follower lag=%d records (bound %d)", lag, maxFollowerLag))
 	} else {
 		if ha != nil {
 			add("ha", true, "leader term="+fmt.Sprint(ha.Term))
 		}
 		age := time.Since(time.Unix(0, d.lastRoundWall.Load()))
-		add("engine", age <= d.cfg.EngineStaleAfter,
-			fmt.Sprintf("last round %s ago (bound %s)",
-				age.Round(time.Millisecond), d.cfg.EngineStaleAfter))
+		bound := engineStaleTicks * d.cfg.Tick
+		add("engine", age <= bound,
+			fmt.Sprintf("last round %s ago (bound %s)", age.Round(time.Millisecond), bound))
 	}
 
 	if l := d.wlog.Load(); l != nil {

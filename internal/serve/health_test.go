@@ -62,14 +62,14 @@ func TestReadyzLeaderFresh(t *testing.T) {
 }
 
 func TestReadyzEngineStale(t *testing.T) {
-	d, err := New(Config{Cluster: cluster.Testbed(),
-		EngineStaleAfter: time.Nanosecond})
+	// The engine goes stale after engineStaleTicks Ticks: 10 ns here.
+	d, err := New(Config{Cluster: cluster.Testbed(), Tick: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Step()
 	// Staleness is measured on the wall clock.
-	// sleep: outlast the 1 ns bound by more than any clock granularity.
+	// sleep: outlast the 10 ns bound by more than any clock granularity.
 	time.Sleep(2 * time.Millisecond)
 	w := get(t, d, "/readyz")
 	st := decodeReady(t, w)
@@ -79,9 +79,9 @@ func TestReadyzEngineStale(t *testing.T) {
 	if c := st.Components["engine"]; c.OK {
 		t.Fatalf("engine component should fail when stale: %+v", c)
 	}
-	// The next round refreshes the bound's anchor, but the 1ns bound keeps it
-	// failing — flip the config bound instead to see recovery.
-	d.cfg.EngineStaleAfter = time.Hour
+	// The next round refreshes the bound's anchor, but the 10ns bound keeps
+	// it failing — lengthen the Tick instead to see recovery.
+	d.cfg.Tick = time.Hour
 	d.Step()
 	if st := d.Readiness(); !st.Ready {
 		t.Fatalf("after a fresh round, want ready: %+v", st)
@@ -89,7 +89,7 @@ func TestReadyzEngineStale(t *testing.T) {
 }
 
 func TestReadyzFollowerLag(t *testing.T) {
-	d, err := New(Config{Cluster: cluster.Testbed(), MaxFollowerLag: 10})
+	d, err := New(Config{Cluster: cluster.Testbed()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestReadyzFollowerLag(t *testing.T) {
 	w := get(t, d, "/readyz")
 	st := decodeReady(t, w)
 	if w.Code != 200 || !st.Ready {
-		t.Fatalf("follower lag=3 (bound 10): GET /readyz = %d ready=%v, want ready: %+v",
-			w.Code, st.Ready, st)
+		t.Fatalf("follower lag=3 (bound %d): GET /readyz = %d ready=%v, want ready: %+v",
+			maxFollowerLag, w.Code, st.Ready, st)
 	}
 	if _, ok := st.Components["engine"]; ok {
 		t.Fatalf("follower readiness must not check engine freshness: %+v", st.Components)
@@ -108,8 +108,8 @@ func TestReadyzFollowerLag(t *testing.T) {
 	w = get(t, d, "/readyz")
 	st = decodeReady(t, w)
 	if w.Code != 503 || st.Ready {
-		t.Fatalf("follower lag=100 (bound 10): GET /readyz = %d ready=%v, want not-ready",
-			w.Code, st.Ready)
+		t.Fatalf("follower lag=100 (bound %d): GET /readyz = %d ready=%v, want not-ready",
+			maxFollowerLag, w.Code, st.Ready)
 	}
 	if c := st.Components["ha"]; c.OK {
 		t.Fatalf("ha component should fail on excess lag: %+v", c)

@@ -71,29 +71,23 @@ type Config struct {
 
 	Seed int64 // default 1
 
-	// Estimation behaviour, mirroring sim.Config.
-	PreRunSamples         int     // §3.2 profiling runs per job (default 5)
-	SpeedNoise, LossNoise float64 // relative observation noise (default 0.03)
-	PriorEpochs           float64 // beginning-state convergence prior (default 80)
-	PriorityFactor        float64 // §4.1 damping (default 0.95)
+	// Relative observation noise of the speed and loss estimators
+	// (default 0.03).
+	SpeedNoise, LossNoise float64
 
-	// Scaling overhead charged when a running job's configuration changes
-	// (§5.4): a fixed pause plus a per-task term, in simulated seconds.
-	ScalingBase, ScalingPerTask float64
+	// ScalingBase is the checkpoint/restart pause, in simulated seconds and
+	// capped at one Interval, of a job launched or reconfigured this round
+	// (§5.4). Only a reconfiguration counts toward scaling time (§6.2).
+	ScalingBase float64
 
 	// Stragglers: per running job per round, probability that one worker
-	// degrades to StragglerSlowdown speed (§5.2). The Optimus policy
+	// degrades to stragglerSlowdown speed (§5.2). The Optimus policy
 	// replaces the straggler after one detection round. Zero disables.
-	StragglerProb     float64
-	StragglerSlowdown float64 // default 0.5
+	StragglerProb float64
 
 	// MaxJobs is the admission-control cap on live (non-terminal) jobs;
 	// submissions beyond it are rejected with 429. Default 4096.
 	MaxJobs int
-
-	// EventBuffer is the SSE ring size: how many past scheduler decisions a
-	// late subscriber can replay. Default 4096.
-	EventBuffer int
 
 	// WALCheckpointRounds is how many scheduling rounds pass between
 	// snapshot checkpoints on an attached WAL (wal.go): each checkpoint
@@ -120,24 +114,36 @@ type Config struct {
 	// lease renewer, the follower tailer) land in the same ring.
 	Flight *obs.FlightRecorder
 
-	// EngineStaleAfter bounds the engine readiness check in GET /readyz: a
-	// leader whose last scheduling round is older than this is not ready.
-	// Default 10×Tick.
-	EngineStaleAfter time.Duration
-	// MaxFollowerLag bounds the follower readiness check: a follower more
-	// than this many WAL records behind the leader is not ready. Default 64.
-	MaxFollowerLag uint64
-
-	// SLO targets behind the optimus_slo_* burn-rate gauges and the "slo"
-	// block of GET /v1/cluster. SLOOverrunTarget is the tolerated fraction
-	// of scheduling rounds that outlast the tick (default 0.01);
-	// SLOAPILatencyTarget is the per-request latency objective (default
-	// 100ms); SLOAPIErrorBudget is the tolerated fraction of requests that
-	// are slow or 5xx (default 0.01).
-	SLOOverrunTarget    float64
+	// SLOAPILatencyTarget is the per-request latency objective behind the
+	// optimus_slo_* burn-rate gauges and the "slo" block of GET /v1/cluster
+	// (default 100ms).
 	SLOAPILatencyTarget time.Duration
-	SLOAPIErrorBudget   float64
 }
+
+// The paper's fixed estimation and straggler settings, and the daemon's
+// readiness, event and SLO bounds.
+const (
+	preRunSamples     = 5    // §3.2 profiling runs per job
+	priorityFactor    = 0.95 // §4.1 damping of beginning-state jobs
+	stragglerSlowdown = 0.5  // §5.2 speed of a job with a straggling worker
+
+	// eventBuffer is the SSE ring size: how many past scheduler decisions a
+	// late subscriber can replay.
+	eventBuffer = 4096
+	// engineStaleTicks bounds the engine readiness check in GET /readyz: a
+	// leader whose last scheduling round is more than this many Ticks old
+	// is not ready.
+	engineStaleTicks = 10
+	// maxFollowerLag bounds the follower readiness check: a follower more
+	// than this many WAL records behind the leader is not ready.
+	maxFollowerLag = 64
+
+	// sloOverrunTarget is the tolerated fraction of scheduling rounds that
+	// outlast the tick; sloAPIErrorBudget the tolerated fraction of
+	// requests that are slow (over SLOAPILatencyTarget) or 5xx.
+	sloOverrunTarget  = 0.01
+	sloAPIErrorBudget = 0.01
+)
 
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
@@ -149,23 +155,11 @@ func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.PreRunSamples <= 0 {
-		c.PreRunSamples = 5
-	}
 	if c.SpeedNoise == 0 {
 		c.SpeedNoise = 0.03
 	}
 	if c.LossNoise == 0 {
 		c.LossNoise = 0.03
-	}
-	if c.PriorEpochs <= 0 {
-		c.PriorEpochs = 80
-	}
-	if c.PriorityFactor <= 0 {
-		c.PriorityFactor = 0.95
-	}
-	if c.StragglerSlowdown <= 0 || c.StragglerSlowdown > 1 {
-		c.StragglerSlowdown = 0.5
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 4096
@@ -173,26 +167,11 @@ func (c *Config) fillDefaults() {
 	if c.WALCheckpointRounds == 0 {
 		c.WALCheckpointRounds = 512
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 4096
-	}
 	if c.TraceBuffer <= 0 {
 		c.TraceBuffer = obs.DefaultSpanBuffer
 	}
-	if c.EngineStaleAfter <= 0 {
-		c.EngineStaleAfter = 10 * c.Tick
-	}
-	if c.MaxFollowerLag == 0 {
-		c.MaxFollowerLag = 64
-	}
-	if c.SLOOverrunTarget <= 0 {
-		c.SLOOverrunTarget = 0.01
-	}
 	if c.SLOAPILatencyTarget <= 0 {
 		c.SLOAPILatencyTarget = 100 * time.Millisecond
-	}
-	if c.SLOAPIErrorBudget <= 0 {
-		c.SLOAPIErrorBudget = 0.01
 	}
 }
 
@@ -333,7 +312,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:       cfg,
 		incr:      policy.Incr,
-		bus:       newEventBus(cfg.EventBuffer, flight),
+		bus:       newEventBus(eventBuffer, flight),
 		flight:    flight,
 		rec:       metrics.NewRecorder(),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),

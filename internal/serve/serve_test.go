@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -317,5 +318,85 @@ func TestEmptyRegistryTicksAdvanceClock(t *testing.T) {
 	}
 	if d.Rounds() != 2 {
 		t.Fatalf("Rounds() = %d, want 2", d.Rounds())
+	}
+}
+
+// scalingSeconds reads the daemon's scaling-time counter from GET /metrics.
+func scalingSeconds(t *testing.T, d *Daemon) float64 {
+	t.Helper()
+	const name = "optimus_scaling_time_seconds_total "
+	for _, line := range strings.Split(get(t, d, "/metrics").Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s%s: %v", name, v, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("GET /metrics has no %s sample", strings.TrimSpace(name))
+	return 0
+}
+
+// TestScalingPauseCharged pins the daemon's §5.4 pause: a launch and a
+// reconfiguration each pause the job for min(ScalingBase, Interval)
+// simulated seconds, and only a reconfiguration adds that pause to the
+// scaling time (§6.2). A job that kept its configuration has no pause.
+func TestScalingPauseCharged(t *testing.T) {
+	for _, base := range []float64{0, 12, 900} { // 900 > the 600 s Interval
+		t.Run(fmt.Sprint(base), func(t *testing.T) {
+			d, err := New(Config{
+				Cluster:     cluster.Uniform(12, cluster.Resources{cluster.CPU: 16, cluster.Memory: 64}),
+				Seed:        3,
+				ScalingBase: base,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(base, d.cfg.Interval)
+			var ids []int
+			var seen int64
+			launches, reconfigs := 0, 0
+			before := scalingSeconds(t, d)
+			for r := 0; r < 20; r++ {
+				if r < len(pinnedSubmits) {
+					ids = append(ids, submit(t, d, pinnedSubmits[r]))
+				}
+				d.Step()
+				head := d.bus.ring.Head()
+				evs, _ := d.bus.window(seen+1, head)
+				seen = head
+				moved, scaled := map[int]bool{}, 0
+				for _, ev := range evs {
+					switch ev.Type {
+					case EventPlaced:
+						launches++
+						moved[ev.Job] = true
+					case EventScaled:
+						reconfigs++
+						scaled++
+						moved[ev.Job] = true
+					}
+				}
+				for _, id := range ids {
+					j := d.reg.get(id)
+					switch {
+					case moved[id] && j.Pause != want:
+						t.Fatalf("round %d: job %d deployed with pause %v, want %v", r, id, j.Pause, want)
+					case !moved[id] && j.Placed && j.Pause != 0:
+						t.Fatalf("round %d: job %d kept its configuration but paused %v", r, id, j.Pause)
+					}
+				}
+				after := scalingSeconds(t, d)
+				if after-before != want*float64(scaled) {
+					t.Fatalf("round %d: scaling time grew %v over %d reconfigurations, want %v each",
+						r, after-before, scaled, want)
+				}
+				before = after
+			}
+			if launches == 0 || reconfigs == 0 {
+				t.Fatalf("%d launches and %d reconfigurations: the scenario must make both", launches, reconfigs)
+			}
+		})
 	}
 }

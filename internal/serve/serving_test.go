@@ -183,7 +183,7 @@ func TestSSESlowSubscriber(t *testing.T) {
 // healthy subscriber, and the daemon's dropped-event counter must surface
 // on /metrics.
 func TestSSESlowSubscriberHTTP(t *testing.T) {
-	d, err := New(Config{Cluster: cluster.Testbed(), Seed: 5, EventBuffer: 64})
+	d, err := New(Config{Cluster: cluster.Testbed(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

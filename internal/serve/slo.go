@@ -27,19 +27,19 @@ type SLOStatus struct {
 // histogram are atomics.
 func (d *Daemon) SLO() SLOStatus {
 	s := SLOStatus{
-		OverrunTarget:           d.cfg.SLOOverrunTarget,
+		OverrunTarget:           sloOverrunTarget,
 		APILatencyTargetSeconds: d.cfg.SLOAPILatencyTarget.Seconds(),
 	}
 	if rounds := d.roundsN.Load(); rounds > 0 {
 		s.OverrunRate = float64(d.overruns.Load()) / float64(rounds)
-		s.OverrunBurn = s.OverrunRate / d.cfg.SLOOverrunTarget
+		s.OverrunBurn = s.OverrunRate / sloOverrunTarget
 	}
 	if n := d.apiHist.Count(); n > 0 {
 		s.APIP99Seconds = d.apiHist.Quantile(0.99)
 		s.APISlowRate = float64(d.apiSlow.Load()) / float64(n)
-		s.APISlowBurn = s.APISlowRate / d.cfg.SLOAPIErrorBudget
+		s.APISlowBurn = s.APISlowRate / sloAPIErrorBudget
 		s.APIErrorRate = float64(d.apiErrs.Load()) / float64(n)
-		s.APIErrorBurn = s.APIErrorRate / d.cfg.SLOAPIErrorBudget
+		s.APIErrorBurn = s.APIErrorRate / sloAPIErrorBudget
 	}
 	return s
 }

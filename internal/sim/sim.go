@@ -51,6 +51,13 @@ type Policy struct {
 	Session func() Policy
 }
 
+// PriorEpochs is the convergence guess used before the loss fitter has
+// enough data (the "beginning state" of §4.1), by Run and by the daemon.
+const PriorEpochs float64 = 80
+
+// maxTime is Run's hard stop in simulated seconds: 40 days.
+const maxTime = 40 * 24 * 3600
+
 // Config parameterizes one simulation run.
 type Config struct {
 	Cluster *cluster.Cluster
@@ -58,7 +65,6 @@ type Config struct {
 	Policy  Policy
 
 	Interval float64 // scheduling interval, seconds (paper: 600)
-	MaxTime  float64 // hard stop, seconds (0 → 40 days)
 	Seed     int64
 
 	// --- estimation behaviour ---
@@ -71,9 +77,6 @@ type Config struct {
 	PreRunSamples int
 	// SpeedNoise / LossNoise are relative observation noises (e.g. 0.03).
 	SpeedNoise, LossNoise float64
-	// PriorEpochs is the convergence guess used before the loss fitter has
-	// enough data (the "beginning state" of §4.1).
-	PriorEpochs float64
 	// PriorityFactor dampens the marginal gain of beginning-state jobs
 	// (paper: 0.95; 1.0 disables). Only meaningful for the Optimus policy.
 	PriorityFactor float64
@@ -128,14 +131,8 @@ func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 600
 	}
-	if c.MaxTime <= 0 {
-		c.MaxTime = 40 * 24 * 3600
-	}
 	if c.PreRunSamples <= 0 {
 		c.PreRunSamples = 5
-	}
-	if c.PriorEpochs <= 0 {
-		c.PriorEpochs = 80
 	}
 	if c.PriorityFactor <= 0 {
 		c.PriorityFactor = 1.0
@@ -154,7 +151,7 @@ type Result struct {
 	Timeline []metrics.IntervalStats
 	// JCTs maps job ID → completion time − arrival (completed jobs only).
 	JCTs map[int]float64
-	// Unfinished lists jobs that did not converge before MaxTime.
+	// Unfinished lists jobs that did not converge within 40 simulated days.
 	Unfinished []int
 	// Intervals is the number of scheduling rounds executed.
 	Intervals int
@@ -275,7 +272,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	round := NewRound(cfg.Policy, cfg.Cluster, preparePlacement, cfg.Trace, cfg.Audit, rec)
-	for now < cfg.MaxTime {
+	for now < maxTime {
 		active := activeJobs(states, now)
 		if len(active) == 0 {
 			if allDone(states) {
@@ -606,7 +603,7 @@ func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model)
 	case cfg.UseTrueModels:
 		totalEst = js.TotalEpochs
 	default:
-		totalEst = estimatedEpochs(js.LossFit, spec.Threshold, cfg.PriorEpochs)
+		totalEst = estimatedEpochs(js.LossFit, spec.Threshold, PriorEpochs)
 	}
 	remaining := totalEst - js.Progress
 	if remaining < 0.1 {

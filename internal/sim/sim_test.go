@@ -55,8 +55,8 @@ func TestRunCompletesAllJobs(t *testing.T) {
 		if res.Summary.AvgJCT <= 0 || res.Summary.Makespan <= 0 {
 			t.Errorf("%s: degenerate summary %+v", policy.Name, res.Summary)
 		}
-		if res.Summary.Makespan > 40*24*3600 {
-			t.Errorf("%s: makespan exceeds MaxTime", policy.Name)
+		if res.Summary.Makespan > maxTime {
+			t.Errorf("%s: makespan exceeds maxTime", policy.Name)
 		}
 	}
 }

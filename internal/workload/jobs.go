@@ -44,15 +44,18 @@ func (j JobSpec) TotalSteps(w int) float64 {
 // to run it using asynchronous or synchronous training randomly. We vary the
 // convergence threshold of jobs between 1% and 5%."
 type GenConfig struct {
-	N            int     // number of jobs
-	Horizon      float64 // arrival window length in seconds (paper: 12000)
-	Seed         int64
-	Downscale    float64        // dataset downscale (paper: "so one run ≈ 6h")
-	ForceMode    *speedfit.Mode // non-nil → all jobs use this mode (Fig 16)
-	MinThreshold float64        // default 0.01
-	MaxThreshold float64        // default 0.05
-	Arrivals     ArrivalProcess // default UniformArrivals
+	N         int     // number of jobs
+	Horizon   float64 // arrival window length in seconds (paper: 12000)
+	Seed      int64
+	Downscale float64        // dataset downscale (paper: "so one run ≈ 6h")
+	ForceMode *speedfit.Mode // non-nil → all jobs use this mode (Fig 16)
+	Arrivals  ArrivalProcess // default UniformArrivals
 }
+
+// Every generated job's convergence threshold lies in [minThreshold,
+// maxThreshold) (§6.1). Typed float64, so Generate's maxThreshold −
+// minThreshold rounds as a float64 subtraction, bit for bit as before.
+const minThreshold, maxThreshold float64 = 0.01, 0.05
 
 // ArrivalProcess generates n sorted arrival times within [0, horizon].
 type ArrivalProcess func(r *rand.Rand, n int, horizon float64) []float64
@@ -132,12 +135,6 @@ func Generate(cfg GenConfig) []JobSpec {
 	if cfg.Downscale <= 0 || cfg.Downscale > 1 {
 		cfg.Downscale = 1
 	}
-	if cfg.MinThreshold <= 0 {
-		cfg.MinThreshold = 0.01
-	}
-	if cfg.MaxThreshold < cfg.MinThreshold {
-		cfg.MaxThreshold = 0.05
-	}
 	arrivalsFn := cfg.Arrivals
 	if arrivalsFn == nil {
 		arrivalsFn = UniformArrivals
@@ -156,7 +153,7 @@ func Generate(cfg GenConfig) []JobSpec {
 			ID:        i,
 			Model:     zoo[r.Intn(len(zoo))],
 			Mode:      mode,
-			Threshold: cfg.MinThreshold + r.Float64()*(cfg.MaxThreshold-cfg.MinThreshold),
+			Threshold: minThreshold + r.Float64()*(maxThreshold-minThreshold),
 			Arrival:   arrivals[i],
 			Downscale: cfg.Downscale,
 		}
