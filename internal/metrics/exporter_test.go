@@ -15,21 +15,21 @@ import (
 // than once per response must emit each family's # HELP/# TYPE exactly once.
 func TestExporterIdempotentPreamble(t *testing.T) {
 	r := NewRecorder()
-	r.Arrive(1, 0)
+	r.AddFault()
 	r.ObserveAllocateDuration(3e-5)
 
 	var buf bytes.Buffer
 	e := NewExporter(&buf)
 	r.WritePrometheus(e)
 	r.WritePrometheus(e)
-	e.Gauge("optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", 1)
+	e.Counter("optimus_faults_injected_total", "Faults injected into the run.", 1)
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, family := range []string{
-		"optimus_jobs_arrived_total",
-		"optimus_intervals_total",
+		"optimus_faults_injected_total",
+		"optimus_scaling_time_seconds_total",
 		"optimus_allocate_duration_seconds",
 	} {
 		for _, preamble := range []string{"# HELP " + family + " ", "# TYPE " + family + " "} {
@@ -39,7 +39,7 @@ func TestExporterIdempotentPreamble(t *testing.T) {
 		}
 	}
 	// Samples themselves are repeated — only the headers deduplicate.
-	if got := strings.Count(out, "optimus_jobs_arrived_total 1"); got != 3 {
+	if got := strings.Count(out, "optimus_faults_injected_total 1"); got != 3 {
 		t.Errorf("sample emitted %d times, want 3", got)
 	}
 }

@@ -97,15 +97,13 @@ func (e *Exporter) Histogram(name, help string, h *obs.Histogram) {
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WritePrometheus exports the recorder's counters, the latest interval
-// snapshot, and any non-empty latency histograms through e. The recorder's
-// counters are not synchronized; callers that mutate them concurrently (the
-// optimusd event loop) must hold their own lock around both the mutations
-// and this export.
+// WritePrometheus exports the recorder's counters, the scheduling session's
+// migration stats and any non-empty latency histograms through e. Job and
+// interval counts are not the recorder's to export: optimusd derives them
+// from its own job registry. The recorder's counters are not synchronized;
+// callers that mutate them concurrently (the optimusd event loop) must hold
+// their own lock around both the mutations and this export.
 func (r *Recorder) WritePrometheus(e *Exporter) {
-	e.Counter("optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", float64(len(r.arrivals)))
-	e.Counter("optimus_jobs_completed_total", "Jobs that reached convergence.", float64(len(r.completions)))
-	e.Counter("optimus_intervals_total", "Scheduling intervals recorded.", float64(len(r.timeline)))
 	e.Counter("optimus_scaling_time_seconds_total", "Job-seconds spent in checkpoint/restart rescaling pauses.", r.scalingTime)
 	e.Counter("optimus_faults_injected_total", "Faults injected into the run.", float64(r.faults))
 	e.Counter("optimus_tasks_restarted_total", "Tasks restarted by fault recovery.", float64(r.restarts))
@@ -116,15 +114,6 @@ func (r *Recorder) WritePrometheus(e *Exporter) {
 	if r.incrSet {
 		e.Counter("optimus_incr_tasks_migrated_total", "Previously-running tasks whose node assignment changed.", float64(r.incr.TasksMigrated))
 		e.Gauge("optimus_incr_last_tasks_migrated", "Tasks migrated in the last scheduling interval.", float64(r.incr.LastMigrated))
-	}
-	if n := len(r.timeline); n > 0 {
-		last := r.timeline[n-1]
-		e.Gauge("optimus_running_jobs", "Jobs with tasks deployed in the last interval.", float64(last.RunningJobs))
-		e.Gauge("optimus_waiting_jobs", "Admitted jobs without a deployment in the last interval.", float64(last.WaitingJobs))
-		e.Gauge("optimus_running_tasks", "PS + worker tasks deployed in the last interval.", float64(last.RunningTasks))
-		e.Gauge("optimus_worker_utilization", "Mean normalized worker CPU utilization in the last interval.", last.WorkerUtil)
-		e.Gauge("optimus_ps_utilization", "Mean normalized PS CPU utilization in the last interval.", last.PSUtil)
-		e.Gauge("optimus_cluster_share", "Fraction of total cluster CPU allocated in the last interval.", last.ClusterShare)
 	}
 	for _, hm := range []struct {
 		name, help string

@@ -79,7 +79,7 @@ func (r SubmitRequest) spec() (workload.JobSpec, error) {
 	}
 	mode, err := speedfit.ParseMode(r.Mode)
 	if err != nil {
-		return workload.JobSpec{}, fmt.Errorf("serve: mode must be \"async\" or \"sync\", got %q", r.Mode)
+		return workload.JobSpec{}, fmt.Errorf("serve: bad mode %q, want \"async\" or \"sync\"", r.Mode)
 	}
 	th := r.Threshold
 	if th == 0 {
@@ -195,9 +195,6 @@ func (d *Daemon) buildStatus(j *job) JobStatus {
 		st.DoneAtSim = j.DoneAt
 		st.JCT = j.DoneAt - j.Spec.Arrival
 	}
-	// The scheduler's remaining-work estimate, exactly as the allocator
-	// sees it (§3.1 fit with the beginning-state prior as fallback).
-	est := sim.PriorEpochs
 	if j.LossFit.Len() >= 5 {
 		if m, err := j.LossFit.Fit(); err == nil {
 			st.LossFit = &LossFitStatus{
@@ -205,11 +202,11 @@ func (d *Daemon) buildStatus(j *job) JobStatus {
 				MaxLoss: m.MaxLoss, Residual: m.Residual,
 				Samples: j.LossFit.Len(),
 			}
-			if steps, err := m.StepsToConverge(j.Spec.Threshold, 1, 3); err == nil {
-				est = steps
-			}
 		}
 	}
+	// The scheduler's remaining-work estimate, exactly as the allocator
+	// sees it (§3.1 fit with the beginning-state prior as fallback).
+	est := sim.EstimatedEpochs(j.LossFit, j.Spec.Threshold, sim.PriorEpochs)
 	st.EstTotalEpochs = est
 	if rem := est - j.Progress; rem > 0 {
 		st.EstRemainingEpochs = rem
@@ -474,30 +471,38 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // writeMetrics renders the full exposition to any writer — the /metrics
 // handler and the debug bundle (bundle.go) share it. Only the unsynchronized
-// recorder needs the engine mutex; everything else reads atomics and
-// snapshots.
+// recorder and the last round's digest need the engine mutex; everything
+// else reads atomics and snapshots. The job counters come from the registry,
+// so a restarted daemon reports what its WAL or snapshot restored.
 func (d *Daemon) writeMetrics(w io.Writer) {
 	e := metrics.NewExporter(w)
+	byState := map[JobState]int{}
+	d.reg.forEach(func(_ int, j *job) {
+		byState[j.status.Load().st.State]++
+	})
+	e.Counter("optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", float64(d.reg.len()))
+	e.Counter("optimus_jobs_completed_total", "Jobs that reached convergence.", float64(byState[StateDone]))
+	e.Counter("optimus_intervals_total", "Scheduling intervals run.", float64(d.roundsN.Load()))
 	d.mu.Lock()
-	d.drainArrivalsLocked()
 	d.rec.WritePrometheus(e)
+	last := d.last
 	d.mu.Unlock()
+	e.Gauge("optimus_running_jobs", "Jobs with tasks deployed in the last interval.", float64(last.RunningJobs))
+	e.Gauge("optimus_waiting_jobs", "Admitted jobs without a deployment in the last interval.", float64(last.WaitingJobs))
+	e.Gauge("optimus_running_tasks", "PS + worker tasks deployed in the last interval.", float64(last.RunningTasks))
+	e.Gauge("optimus_cluster_share", "Fraction of total cluster CPU allocated in the last interval.", last.ClusterShare)
 	// API latency is recorded lock-free by the middleware into the daemon's
 	// own histogram.
 	if d.apiHist.Count() > 0 {
 		e.Histogram("optimus_api_request_duration_seconds",
 			"Wall-clock latency of optimusd API requests.", &d.apiHist)
 	}
-	byState := map[JobState]int{}
-	d.reg.forEach(func(_ int, j *job) {
-		byState[j.status.Load().st.State]++
-	})
 	e.Counter("optimusd_rounds_total",
 		"Scheduling rounds executed by the event loop.", float64(d.roundsN.Load()))
 	e.Counter("optimusd_jobs_rejected_total",
 		"Submissions rejected by admission control.", float64(d.rejected.Load()))
 	e.Counter("optimusd_jobs_cancelled_total",
-		"Jobs cancelled by their owners.", float64(d.cancelledN.Load()))
+		"Jobs cancelled by their owners.", float64(byState[StateCancelled]))
 	e.Counter("optimusd_interval_overruns_total",
 		"Scheduling rounds that outlasted the wall-clock tick.", float64(d.overruns.Load()))
 	e.Counter("optimusd_sse_dropped_total",

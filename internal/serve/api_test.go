@@ -174,14 +174,70 @@ func TestHTTPMetrics(t *testing.T) {
 	out := string(body)
 	for _, want := range []string{
 		"optimus_jobs_arrived_total 1",
+		"optimus_jobs_completed_total 0",
+		"optimus_intervals_total 1",
 		"optimusd_rounds_total 1",
 		"optimusd_jobs_running 1",
+		"optimus_running_jobs 1",
+		"optimus_waiting_jobs 0",
 		"optimus_running_tasks",
+		"optimus_cluster_share",
 		"optimusd_sim_time_seconds 600",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
+	}
+	// The per-task utilization gauges had no source in the daemon.
+	for _, gone := range []string{"optimus_worker_utilization", "optimus_ps_utilization"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("metrics still export %s", gone)
+		}
+	}
+}
+
+// metricSamples renders d's exposition and returns each sample's value by
+// series name.
+func metricSamples(t *testing.T, d *Daemon) map[string]string {
+	t.Helper()
+	var b strings.Builder
+	d.writeMetrics(&b)
+	m := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			m[name] = v
+		}
+	}
+	return m
+}
+
+// TestMetricsLastRoundGauges checks that the last-round gauges describe the
+// last round, including one with no live job: after the only job is
+// cancelled they read zero, as optimusd_jobs_running does.
+func TestMetricsLastRoundGauges(t *testing.T) {
+	d := testDaemon(t)
+	id := submit(t, d, SubmitRequest{Model: "resnet-50", Mode: "async", Threshold: 0.01})
+	d.Step()
+	d.Step()
+	m := metricSamples(t, d)
+	if m["optimus_running_jobs"] != "1" || m["optimus_running_tasks"] == "0" || m["optimus_cluster_share"] == "0" {
+		t.Fatalf("precondition: running job, got running_jobs %s tasks %s share %s",
+			m["optimus_running_jobs"], m["optimus_running_tasks"], m["optimus_cluster_share"])
+	}
+	if err := d.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	d.Step()
+	d.Step()
+	m = metricSamples(t, d)
+	for _, name := range []string{"optimusd_jobs_running", "optimus_running_jobs",
+		"optimus_waiting_jobs", "optimus_running_tasks", "optimus_cluster_share"} {
+		if m[name] != "0" {
+			t.Errorf("%s = %q after the last job was cancelled, want 0", name, m[name])
+		}
+	}
+	if m["optimus_intervals_total"] != "4" || m["optimusd_rounds_total"] != "4" {
+		t.Errorf("intervals %s, rounds %s, want 4 each", m["optimus_intervals_total"], m["optimusd_rounds_total"])
 	}
 }
 

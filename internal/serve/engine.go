@@ -43,12 +43,12 @@ func (d *Daemon) active() []*job {
 }
 
 func (d *Daemon) stepLocked() {
-	d.drainArrivalsLocked()
 	active := d.active()
 	if len(active) == 0 {
 		// Still release whatever the previous round deployed: the last
 		// live job may have been cancelled since.
 		d.cfg.Cluster.ResetAll()
+		d.last = metrics.IntervalStats{}
 		d.advanceClockLocked(d.now + d.cfg.Interval)
 		d.rounds++
 		d.roundsN.Store(int64(d.rounds))
@@ -210,28 +210,23 @@ func (d *Daemon) stepLocked() {
 			sh.mu.Unlock()
 			continue
 		}
-		j.Progress = w.Progress
-		j.state = StateDone
-		j.DoneAt = w.DoneAt
-		j.Undeploy()
+		d.completeJob(j, w.DoneAt)
 		d.publish(Event{Type: EventCompleted, Job: id,
 			Detail: fmt.Sprintf("jct=%.0fs", w.DoneAt-j.Spec.Arrival)})
 		if d.walOn() {
 			d.walAppend(wal.TypeComplete, walComplete{ID: id, DoneAt: w.DoneAt})
 		}
 		sh.mu.Unlock()
-		d.live.Add(-1)
-		d.rec.Complete(id, w.DoneAt)
 	}
 
 	// Republish every active job's read-mostly status snapshot and digest the
-	// round for the metrics timeline in the same shard-lock pass. Jobs that
+	// round for the last-round gauges in the same shard-lock pass. Jobs that
 	// went terminal mid-round already republished in Cancel / the completion
 	// branch above, but rebuilding here is harmless (terminal state wins).
 	// The round's §3.1 refits run first, in parallel; next round's fit phase
 	// reads their caches.
 	d.refitLocked(active)
-	stats := metrics.IntervalStats{Time: d.now}
+	var stats metrics.IntervalStats
 	var usedCPU float64
 	for _, j := range active {
 		sh := d.reg.shard(j.Spec.ID)
@@ -251,7 +246,7 @@ func (d *Daemon) stepLocked() {
 	if total := d.cfg.Cluster.Capacity()[cluster.CPU]; total > 0 {
 		stats.ClusterShare = usedCPU / total
 	}
-	d.rec.Snapshot(stats)
+	d.last = stats
 
 	d.tracer.End(deploySpan)
 	d.rec.ObserveIntervalDuration(time.Since(ivStart).Seconds())

@@ -36,6 +36,11 @@
 // record, and a checkpoint record holds a JSON snapshot of all job state
 // (snapshot.go). ReplayWAL resumes every job with its fitted model state
 // and progress intact, after a crash or a graceful stop alike.
+//
+// Each job has one record, its registry entry. The live paths, the WAL
+// applier and Restore change it through the same code (SubmitRequest.spec,
+// cancelJob, completeJob, WALApplier.Finish), and the /metrics job counters
+// are read from it, so they survive a restart.
 package serve
 
 import (
@@ -220,14 +225,6 @@ type job struct {
 	status atomic.Pointer[statusSnap]
 }
 
-// arrival is one queued Submit→engine handoff: the metrics recorder is not
-// synchronized, so submissions enqueue here and the engine (or a /metrics
-// scrape, which holds the engine mutex anyway) drains into the recorder.
-type arrival struct {
-	id int
-	t  float64
-}
-
 // Daemon owns the job registry, the cluster state and the scheduling loop.
 // All methods are safe for concurrent use.
 type Daemon struct {
@@ -259,7 +256,6 @@ type Daemon struct {
 	nextID      atomic.Int64 // last assigned job ID
 	live        atomic.Int64 // non-terminal jobs, for admission control
 	rejected    atomic.Int64
-	cancelledN  atomic.Int64
 	simNow      atomic.Uint64 // Float64bits of the simulated clock
 	roundsN     atomic.Int64
 	overruns    atomic.Int64 // Run ticks whose Step outlasted cfg.Tick
@@ -281,18 +277,18 @@ type Daemon struct {
 	walErrs     atomic.Int64
 	walReplayed atomic.Int64
 
-	arrivalMu sync.Mutex
-	arrivalQ  []arrival
-
 	// mu is the engine mutex: it serializes scheduling rounds, snapshot and
 	// restore, and guards the fields below plus every job's engine-guarded
 	// fields. No HTTP read path takes it; /metrics takes it only around the
-	// unsynchronized recorder.
+	// unsynchronized recorder and the last round's digest.
 	mu     sync.Mutex
 	now    float64 // canonical simulated clock, mirrored into simNow
 	rounds int     // mirrored into roundsN
 	rec    *metrics.Recorder
 	rng    *rand.Rand
+	// last digests the last round's deployments for the optimus_running_*,
+	// optimus_waiting_jobs and optimus_cluster_share gauges.
+	last metrics.IntervalStats
 
 	startWall time.Time
 }
@@ -393,28 +389,7 @@ func (d *Daemon) Submit(req SubmitRequest) (int, error) {
 	d.publish(Event{Type: EventSubmitted, Job: id,
 		Detail: fmt.Sprintf("%s %s th=%g", spec.Model.Name, spec.Mode, spec.Threshold)})
 	d.reg.put(id, j)
-	d.queueArrival(id, now)
 	return id, nil
-}
-
-// queueArrival records one submission for the engine to drain into the
-// unsynchronized metrics recorder.
-func (d *Daemon) queueArrival(id int, t float64) {
-	d.arrivalMu.Lock()
-	d.arrivalQ = append(d.arrivalQ, arrival{id: id, t: t})
-	d.arrivalMu.Unlock()
-}
-
-// drainArrivalsLocked moves queued submissions into the metrics recorder.
-// Callers hold d.mu.
-func (d *Daemon) drainArrivalsLocked() {
-	d.arrivalMu.Lock()
-	q := d.arrivalQ
-	d.arrivalQ = nil
-	d.arrivalMu.Unlock()
-	for _, a := range q {
-		d.rec.Arrive(a.id, a.t)
-	}
 }
 
 // Cancel transitions a job to StateCancelled. Its resources are released at
@@ -435,20 +410,9 @@ func (d *Daemon) Cancel(id int) error {
 		sh.mu.Unlock()
 		return ErrTerminal
 	}
-	j.state = StateCancelled
-	j.Undeploy()
-	// Derive the new status from the previous snapshot rather than
-	// recomputing: the estimation fields belong to the engine and may be
-	// mid-mutation. The snapshot is immutable, so a copy-and-patch is safe.
-	st := j.status.Load().st
-	st.State = StateCancelled
-	st.Alloc = core.Allocation{}
-	st.Nodes = nil
-	j.status.Store(newStatusSnap(st))
+	d.cancelJob(j)
 	d.publish(Event{Type: EventCancelled, Job: id})
 	sh.mu.Unlock()
-	d.live.Add(-1)
-	d.cancelledN.Add(1)
 	// Durable after the shard-locked mutation: the engine re-checks terminal
 	// state under the shard lock before every mutation, so no state-changing
 	// record for this job can land after this one.
@@ -456,6 +420,33 @@ func (d *Daemon) Cancel(id int) error {
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	return nil
+}
+
+// cancelJob moves a live job to StateCancelled and releases its deployment.
+// Cancel and the WAL applier share it. The new status is patched from the
+// previous snapshot rather than rebuilt: the estimation fields belong to the
+// engine and may be mid-mutation, and the snapshot is immutable, so a
+// copy-and-patch is safe. Callers hold j's shard lock.
+func (d *Daemon) cancelJob(j *job) {
+	j.state = StateCancelled
+	j.Undeploy()
+	st := j.status.Load().st
+	st.State = StateCancelled
+	st.Alloc = core.Allocation{}
+	st.Nodes = nil
+	j.status.Store(newStatusSnap(st))
+	d.live.Add(-1)
+}
+
+// completeJob moves a live job to StateDone, converged at simulated time
+// doneAt, and releases its deployment. The engine's completion branch and
+// the WAL applier share it. Callers hold d.mu and j's shard lock.
+func (d *Daemon) completeJob(j *job, doneAt float64) {
+	j.Progress = j.TotalEpochs
+	j.state = StateDone
+	j.DoneAt = doneAt
+	j.Undeploy()
+	d.live.Add(-1)
 }
 
 // Run drives the scheduling loop until ctx is cancelled: one Step every

@@ -9,8 +9,6 @@ import (
 
 	"optimus/internal/core"
 	"optimus/internal/sim"
-	"optimus/internal/speedfit"
-	"optimus/internal/workload"
 )
 
 // SnapshotVersion is the format version of the daemon's state snapshot, the
@@ -30,7 +28,6 @@ type Snapshot struct {
 	Rounds    int           `json:"rounds"`
 	NextID    int           `json:"nextId"`
 	Rejected  int           `json:"rejected,omitempty"`
-	Cancelled int           `json:"cancelled,omitempty"`
 	Jobs      []JobSnapshot `json:"jobs"`
 }
 
@@ -81,7 +78,6 @@ func (d *Daemon) snapshotLocked() Snapshot {
 		Rounds:    d.rounds,
 		NextID:    int(d.nextID.Load()) + 1,
 		Rejected:  int(d.rejected.Load()),
-		Cancelled: int(d.cancelledN.Load()),
 	}
 	d.reg.lockAll()
 	for i := range d.reg.shards {
@@ -117,19 +113,26 @@ func (d *Daemon) snapshotLocked() Snapshot {
 
 // Restore loads a snapshot into a freshly constructed daemon. It must be
 // called before the first Step/Submit; restoring over live state is an
-// error.
+// error. It takes the path a WAL replay anchored at a checkpoint takes: the
+// checkpoint restore, then WALApplier.Finish.
 func (d *Daemon) Restore(r io.Reader) error {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("serve: reading snapshot: %w", err)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.restoreSnapLocked(snap)
+	err := d.restoreSnapLocked(snap)
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	d.NewWALApplier().Finish()
+	return nil
 }
 
-// restoreSnapLocked loads a decoded snapshot. Callers hold d.mu; the WAL
-// replay applier (wal.go) shares it with Restore for checkpoint records.
+// restoreSnapLocked loads a decoded snapshot as it was saved, running jobs
+// included. Callers hold d.mu; the WAL replay applier (wal.go) shares it
+// with Restore for checkpoint records.
 func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("serve: snapshot version %d, want %d", snap.Version, SnapshotVersion)
@@ -147,12 +150,8 @@ func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 		// is never findable without one.
 		j.status.Store(newStatusSnap(d.buildStatus(j)))
 		d.reg.put(js.ID, j)
-		d.rec.Arrive(js.ID, js.ArrivalSim)
 		if !j.state.terminal() {
 			live++
-		}
-		if j.state == StateDone {
-			d.rec.Complete(js.ID, js.DoneAtSim)
 		}
 	}
 	d.live.Store(live)
@@ -165,44 +164,33 @@ func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 	}
 	d.nextID.Store(last)
 	d.rejected.Store(int64(snap.Rejected))
-	d.cancelledN.Store(int64(snap.Cancelled))
 	d.publishClusterLocked()
 	return nil
 }
 
 // restoreJob rebuilds one job, loading the persisted estimator state into
-// fresh estimators.
+// fresh estimators. It admits exactly what Submit admits.
 func restoreJob(js JobSnapshot) (*job, error) {
-	model := workload.ZooByName(js.Model)
-	if model == nil {
-		return nil, fmt.Errorf("serve: snapshot job %d: unknown model %q", js.ID, js.Model)
-	}
-	mode, err := speedfit.ParseMode(js.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot job %d: bad mode %q", js.ID, js.Mode)
-	}
+	spec, err := SubmitRequest{Model: js.Model, Mode: js.Mode,
+		Threshold: js.Threshold, Downscale: js.Downscale}.spec()
 	switch js.State {
 	case StatePending, StateWaiting, StateRunning, StateDone, StateCancelled:
 	default:
-		return nil, fmt.Errorf("serve: snapshot job %d: bad state %q", js.ID, js.State)
+		if err == nil {
+			err = fmt.Errorf("bad state %q", js.State)
+		}
 	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: snapshot job %d: %w", js.ID, err)
+	}
+	spec.ID, spec.Arrival = js.ID, js.ArrivalSim
 	j := &job{
-		Job: sim.NewJob(workload.JobSpec{
-			ID: js.ID, Model: model, Mode: mode,
-			Threshold: js.Threshold, Arrival: js.ArrivalSim, Downscale: js.Downscale,
-		}),
+		Job:           sim.NewJob(spec),
 		submittedWall: js.SubmittedWall,
 		state:         js.State,
 		profiled:      js.Profiled,
 	}
 	j.Progress, j.DoneAt, j.Alloc, j.Straggling = js.Progress, js.DoneAtSim, js.Alloc, js.Straggling
-	// A restored running job has no deployment yet: the first round after
-	// restore re-places it (a fresh "placed" event), mirroring a §5.4
-	// checkpoint restore of the whole cluster.
-	if j.state == StateRunning {
-		j.state = StateWaiting
-		j.Undeploy()
-	}
 	// The live fitter accepted every point, so Add accepts each again; it
 	// drops only an invalid one from an edited file.
 	for _, p := range js.LossObs {

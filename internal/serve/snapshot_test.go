@@ -141,6 +141,8 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"unknown model": {`{"version":2,"jobs":[{"id":1,"model":"no-such","mode":"async"}]}`, "unknown model"},
 		"bad mode":      {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"batch"}]}`, "bad mode"},
 		"bad state":     {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"async","state":"exploded"}]}`, "bad state"},
+		"threshold 3":   {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"async","state":"waiting","threshold":3}]}`, "threshold must be in (0, 0.5]"},
+		"downscale 7":   {`{"version":2,"jobs":[{"id":1,"model":"resnet-50","mode":"async","state":"waiting","downscale":7}]}`, "downscale must be in (0, 1]"},
 	}
 	for name, c := range cases {
 		d := testDaemon(t)

@@ -14,7 +14,6 @@ import (
 	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/wal"
-	"optimus/internal/workload"
 )
 
 // This file is the daemon's durability and replication seam (DESIGN.md §17):
@@ -26,7 +25,9 @@ import (
 // (noisy speed/loss measurements, not their post-hoc averages), so replaying
 // the log performs the same Observe/Add calls the live engine performed and
 // a post-replay WriteSnapshot equals a graceful-shutdown snapshot, modulo
-// the savedWall timestamp. Two counters are deliberately outside the
+// the savedWall timestamp. The applier applies a record through the code the
+// live path ran: SubmitRequest.spec for a submit, cancelJob and completeJob
+// for a cancel or a completion, restoreSnapLocked for a checkpoint. Two counters are deliberately outside the
 // contract: admission rejections (telemetry, never acked as state) and IDs
 // burned by a failed WAL append (the submission was never acked).
 //
@@ -344,7 +345,7 @@ func (d *Daemon) walRoundLocked() {
 
 // walCheckpointLocked writes the full snapshot as a checkpoint record,
 // retiring every earlier segment. Callers hold d.mu.
-func (d *Daemon) walCheckpointLocked(l *wal.Log) {
+func (d *Daemon) walCheckpointLocked(l *wal.Log) error {
 	b, err := json.Marshal(d.snapshotLocked())
 	if err == nil {
 		_, err = l.Checkpoint(b)
@@ -352,6 +353,7 @@ func (d *Daemon) walCheckpointLocked(l *wal.Log) {
 	if err != nil {
 		d.walErrs.Add(1)
 	}
+	return err
 }
 
 // WALCheckpoint writes a snapshot checkpoint on demand (graceful shutdown,
@@ -362,14 +364,8 @@ func (d *Daemon) WALCheckpoint() error {
 		return nil
 	}
 	d.mu.Lock()
-	snap := d.snapshotLocked()
-	d.mu.Unlock()
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	_, err = l.Checkpoint(b)
-	return err
+	defer d.mu.Unlock()
+	return d.walCheckpointLocked(l)
 }
 
 // SetReadOnly flips the daemon's follower mode: when set, Submit and Cancel
@@ -475,21 +471,13 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			a.duplicates++
 			return nil
 		}
-		model := workload.ZooByName(p.Model)
-		if model == nil {
-			return fmt.Errorf("unknown model %q", p.Model)
-		}
-		mode, err := speedfit.ParseMode(p.Mode)
+		// Replay admits exactly what Submit admits.
+		spec, err := SubmitRequest{Model: p.Model, Mode: p.Mode,
+			Threshold: p.Threshold, Downscale: p.Downscale}.spec()
 		if err != nil {
-			return fmt.Errorf("bad mode %q", p.Mode)
+			return err
 		}
-		spec := workload.JobSpec{
-			ID: p.ID, Model: model, Mode: mode,
-			Threshold: p.Threshold, Arrival: p.Arrival, Downscale: p.Downscale,
-		}
-		if spec.Downscale == 0 {
-			spec.Downscale = 1
-		}
+		spec.ID, spec.Arrival = p.ID, p.Arrival
 		j := &job{Job: sim.NewJob(spec), submittedWall: p.Wall, state: StatePending}
 		j.status.Store(newStatusSnap(d.buildStatus(j)))
 		d.reg.put(p.ID, j)
@@ -497,49 +485,43 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			d.nextID.Store(int64(p.ID))
 		}
 		d.live.Add(1)
-		d.rec.Arrive(p.ID, p.Arrival)
 		a.dirty[p.ID] = j
 	case wal.TypeCancel:
 		var p walCancel
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("cancel of unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
-		if !j.state.terminal() {
-			d.live.Add(-1)
+		sh := d.reg.shard(p.ID)
+		sh.mu.Lock()
+		if !j.state.terminal() { // live Cancel refuses a terminal job
+			d.cancelJob(j)
 		}
-		j.state = StateCancelled
-		j.Undeploy()
-		d.cancelledN.Add(1)
-		a.dirty[p.ID] = j
+		sh.mu.Unlock()
 	case wal.TypeProfile:
 		var p walProfile
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("profile of unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
 		for _, s := range p.Samples {
 			_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
 		}
 		j.profiled = true
-		a.dirty[p.ID] = j
 	case wal.TypeObserve:
 		var p walObserve
 		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("observation of unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
 		// Observations may legitimately land on a job cancelled in the same
 		// round (the physics pass raced the cancel, exactly as live): apply
@@ -551,60 +533,53 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 		if p.Loss > 0 {
 			_ = j.LossFit.Add(p.K, p.Loss)
 		}
-		a.dirty[p.ID] = j
 	case wal.TypeDeploy:
 		var p walDeploy
 		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("deployment of unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
-		if j.state.terminal() {
-			return nil
+		sh := d.reg.shard(p.ID)
+		sh.mu.Lock()
+		if !j.state.terminal() {
+			j.state = p.State
+			if p.PS > 0 && p.W > 0 {
+				j.Alloc = core.Allocation{PS: p.PS, Workers: p.W}
+				j.Nodes = p.Nodes
+				j.Placed = true
+			} else {
+				j.Undeploy()
+			}
 		}
-		j.state = p.State
-		if p.PS > 0 && p.W > 0 {
-			j.Alloc = core.Allocation{PS: p.PS, Workers: p.W}
-			j.Nodes = p.Nodes
-			j.Placed = true
-		} else {
-			j.Undeploy()
-		}
-		a.dirty[p.ID] = j
+		sh.mu.Unlock()
 	case wal.TypeComplete:
 		var p walComplete
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("completion of unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
+		sh := d.reg.shard(p.ID)
+		sh.mu.Lock()
 		if !j.state.terminal() {
-			d.live.Add(-1)
+			d.completeJob(j, p.DoneAt)
 		}
-		j.state = StateDone
-		j.Progress = j.TotalEpochs
-		j.DoneAt = p.DoneAt
-		j.Undeploy()
-		d.rec.Complete(p.ID, p.DoneAt)
-		a.dirty[p.ID] = j
+		sh.mu.Unlock()
 	case wal.TypeFault:
 		var p walFault
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		j := d.reg.get(p.ID)
-		if j == nil {
-			return fmt.Errorf("fault on unknown job %d", p.ID)
+		j, err := a.job(p.ID)
+		if err != nil {
+			return err
 		}
 		j.Straggling = p.Straggling
-		a.dirty[p.ID] = j
 	case wal.TypeRound:
 		var p walRound
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
@@ -637,10 +612,23 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 	return nil
 }
 
-// Finish normalizes the applied state for serving, mirroring snapshot
-// restore: replayed running jobs have no real deployment, so they restart
-// as waiting and the first round after takeover re-places them (§5.4). It
-// also republishes every job's status and the cluster snapshot.
+// job returns the existing job a record names, marked dirty for the next
+// round record's republish. Apply prefixes the error with the record.
+func (a *WALApplier) job(id int) (*job, error) {
+	a.started = true
+	j := a.d.reg.get(id)
+	if j == nil {
+		return nil, fmt.Errorf("unknown job %d", id)
+	}
+	a.dirty[id] = j
+	return j, nil
+}
+
+// Finish normalizes the applied state for serving, and Restore ends with it
+// too: replayed or restored running jobs have no real deployment, so they
+// restart as waiting and the first round after takeover re-places them
+// (§5.4). This is the only place that step happens. Finish also refits
+// every job and republishes its status and the cluster snapshot.
 func (a *WALApplier) Finish() {
 	d := a.d
 	d.mu.Lock()

@@ -234,14 +234,36 @@ func TestWALReadOnlyFollower(t *testing.T) {
 }
 
 // TestWALRestartContinues replays a log, reattaches the repaired log, and
-// keeps scheduling — the single-node crash-restart lifecycle.
+// keeps scheduling — the single-node crash-restart lifecycle. The job and
+// interval counters in /metrics read the same after a replay or a restore
+// as before the stop.
 func TestWALRestartContinues(t *testing.T) {
 	dir := t.TempDir()
 	d, l := walTestDaemon(t, dir, 7, -1)
 	driveWAL(t, d, rand.New(rand.NewSource(7)), 5)
+	// One fast job runs to completion, so the completed counter is not 0.
+	fast := submit(t, d, SubmitRequest{Model: "resnext-110", Mode: "async"})
+	for i := 0; i < 200; i++ {
+		if st, _ := d.Status(fast); st.State == StateDone {
+			break
+		}
+		d.Step()
+	}
 	rounds := d.Rounds()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	counters := func(d *Daemon) [3]string {
+		m := metricSamples(t, d)
+		if m["optimus_intervals_total"] != m["optimusd_rounds_total"] {
+			t.Errorf("intervals %s, rounds %s", m["optimus_intervals_total"], m["optimusd_rounds_total"])
+		}
+		return [3]string{m["optimus_jobs_arrived_total"],
+			m["optimus_jobs_completed_total"], m["optimus_intervals_total"]}
+	}
+	want := counters(d)
+	if want[1] == "0" {
+		t.Fatalf("precondition: no job completed in %d rounds", rounds)
 	}
 
 	d2 := freshDaemon(t, 7)
@@ -250,6 +272,20 @@ func TestWALRestartContinues(t *testing.T) {
 	}
 	if d2.Rounds() != rounds {
 		t.Fatalf("replayed rounds %d, want %d", d2.Rounds(), rounds)
+	}
+	if got := counters(d2); got != want {
+		t.Errorf("arrived, completed, intervals after replay %v, want %v", got, want)
+	}
+	var snap bytes.Buffer
+	if err := d.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := freshDaemon(t, 7)
+	if err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters(restored); got != want {
+		t.Errorf("arrived, completed, intervals after restore %v, want %v", got, want)
 	}
 	l2, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
 	if err != nil {

@@ -165,6 +165,24 @@ func TestWALBinaryRejectsMalformed(t *testing.T) {
 			t.Errorf("%s payload % x: err %v", rec.Type, rec.Payload, err)
 		}
 	}
+
+	// A submit record replays only what admission admits.
+	for payload, want := range map[string]string{
+		`{"id":1,"model":"resnet-50","mode":"async","th":0.9,"at":0}`:         "threshold must be in (0, 0.5]",
+		`{"id":1,"model":"resnet-50","mode":"async","th":-1,"at":0}`:          "threshold must be in (0, 0.5]",
+		`{"id":1,"model":"resnet-50","mode":"async","th":0.02,"ds":7,"at":0}`: "downscale must be in (0, 1]",
+		`{"id":1,"model":"no-such","mode":"async","th":0.02,"at":0}`:          "unknown model",
+		`{"id":1,"model":"resnet-50","mode":"batch","th":0.02,"at":0}`:        "bad mode",
+	} {
+		rec := wal.Record{Seq: 1, Type: wal.TypeSubmit, Payload: []byte(payload)}
+		d := freshDaemon(t, 1)
+		if err := d.NewWALApplier().Apply(rec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Apply(submit %s): err %v, want %q", payload, err, want)
+		}
+		if d.reg.len() != 0 {
+			t.Errorf("Apply(submit %s) admitted a job", payload)
+		}
+	}
 }
 
 // TestWALDecodePayloadJSONLines checks that optimus-trace wal prints a

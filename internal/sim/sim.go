@@ -304,7 +304,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		// The §3.1 refits run in parallel ahead of the views, on exactly the
-		// fitters estimatedEpochs would refit, so the views read caches.
+		// fitters EstimatedEpochs would refit, so the views read caches.
 		if cfg.InjectConvError <= 0 && !cfg.UseTrueModels {
 			fits = fits[:0]
 			for _, js := range active {
@@ -603,7 +603,7 @@ func schedulerView(js *jobState, cfg Config, fitCache map[string]speedfit.Model)
 	case cfg.UseTrueModels:
 		totalEst = js.TotalEpochs
 	default:
-		totalEst = estimatedEpochs(js.LossFit, spec.Threshold, PriorEpochs)
+		totalEst = EstimatedEpochs(js.LossFit, spec.Threshold, PriorEpochs)
 	}
 	remaining := totalEst - js.Progress
 	if remaining < 0.1 {

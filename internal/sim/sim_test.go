@@ -351,7 +351,7 @@ func TestEstimateEpochsFallsBackToPrior(t *testing.T) {
 		Model: workload.ZooByName("cnn-rand"), Mode: speedfit.Sync,
 		Threshold: 0.02,
 	})
-	estimate := func() float64 { return estimatedEpochs(js.LossFit, js.Spec.Threshold, 42) }
+	estimate := func() float64 { return EstimatedEpochs(js.LossFit, js.Spec.Threshold, 42) }
 	if got := estimate(); got != 42 {
 		t.Errorf("prior = %g, want 42", got)
 	}

@@ -73,9 +73,10 @@ func PreRunProfile(est *speedfit.Estimator, spec workload.JobSpec, n int, noise 
 	return out
 }
 
-// estimatedEpochs runs the online loss fit and converts it to a total-epoch
-// estimate, falling back to the prior when the fit is not ready.
-func estimatedEpochs(fit *lossfit.Fitter, threshold, priorEpochs float64) float64 {
+// EstimatedEpochs runs the online loss fit and converts it to a total-epoch
+// estimate, falling back to the prior when the fit is not ready. It is the
+// one remaining-work rule: EstimatedView and optimusd's job status share it.
+func EstimatedEpochs(fit *lossfit.Fitter, threshold, priorEpochs float64) float64 {
 	if fit.Len() >= 5 {
 		if m, err := fit.Fit(); err == nil {
 			if steps, err := m.StepsToConverge(threshold, 1, 3); err == nil {
@@ -128,7 +129,7 @@ func EstimatedView(c *cluster.Cluster, spec workload.JobSpec, progress float64,
 	if spec.Mode == speedfit.Sync {
 		info.MaxWorkers = spec.Model.GlobalBatch // m = M/w must stay ≥ 1
 	}
-	totalEst := estimatedEpochs(fit, spec.Threshold, priorEpochs)
+	totalEst := EstimatedEpochs(fit, spec.Threshold, priorEpochs)
 	remaining := totalEst - progress
 	if remaining < 0.1 {
 		remaining = 0.1

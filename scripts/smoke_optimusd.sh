@@ -2,7 +2,7 @@
 # End-to-end smoke test for the optimusd daemon: boot on a random port,
 # submit a job over HTTP, poll it to a running allocation, stop it gracefully
 # (SIGTERM writes a WAL checkpoint), restart on the same -wal-dir, and verify
-# the job survived.
+# the job and the arrival counter survived.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -112,6 +112,13 @@ grep -q '^optimus_build_info{' "$workdir/metrics.txt" ||
 
 "$workdir/optimusd-load" -url "http://$addr" -duration 2s -rate 100 -mix submit=100 -max-error-rate 0
 
+# The arrival counter is read from the job registry, so the restarted
+# daemon must report the same value.
+curl -s "http://$addr/metrics" >"$workdir/metrics.txt"
+arrived=$(grep '^optimus_jobs_arrived_total ' "$workdir/metrics.txt" | cut -d' ' -f2)
+[ -n "$arrived" ] && [ "$arrived" -gt 1 ] ||
+    { echo "arrival counter $arrived after the load run"; exit 1; }
+
 # Graceful shutdown writes a WAL checkpoint as the log's last record.
 kill -TERM $pid
 wait $pid
@@ -134,6 +141,9 @@ grep -Eq '"state":"(running|waiting|done)"' "$workdir/restored.json" ||
     { echo "job lost in restart:"; cat "$workdir/restored.json"; exit 1; }
 grep -q '"progressEpochs":0,' "$workdir/restored.json" &&
     { echo "restored job lost its progress:"; cat "$workdir/restored.json"; exit 1; }
+curl -s "http://$addr2/metrics" >"$workdir/metrics2.txt"
+grep -q "^optimus_jobs_arrived_total $arrived\$" "$workdir/metrics2.txt" ||
+    { echo "arrival counter not $arrived after restart:"; grep '^optimus_jobs_' "$workdir/metrics2.txt"; exit 1; }
 kill -TERM $pid
 wait $pid
 
