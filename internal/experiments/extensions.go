@@ -69,7 +69,6 @@ func stragglerStudy(opt Options) (Table, error) {
 			testbedCase{policy: policy},
 			testbedCase{policy: policy, mutate: func(c *sim.Config) {
 				c.StragglerProb = 0.4
-				c.StragglerSlowdown = 0.5
 			}})
 	}
 	stats, err := testbedSweep(opt, cases, 3)

@@ -506,9 +506,9 @@ func (d *Daemon) writeMetrics(w io.Writer) {
 	e.Counter("optimusd_interval_overruns_total",
 		"Scheduling rounds that outlasted the wall-clock tick.", float64(d.overruns.Load()))
 	e.Counter("optimusd_sse_dropped_total",
-		"Events dropped from slow SSE subscriber queues.", float64(d.bus.droppedTotal()))
+		"Events SSE subscribers missed because the event ring overwrote them first.", float64(d.bus.dropped.Load()))
 	e.Gauge("optimusd_sse_subscribers",
-		"Currently connected SSE subscribers.", float64(d.bus.numSubscribers()))
+		"Currently connected SSE subscribers.", float64(d.bus.subscribers.Load()))
 	e.Gauge("optimusd_sim_time_seconds",
 		"Simulated clock of the event loop.", d.Now())
 	e.Gauge("optimusd_uptime_seconds",

@@ -170,7 +170,7 @@ func (d *Daemon) stepLocked() {
 			j.Straggling = true
 			d.rec.AddFault()
 			d.publish(Event{Type: EventFault, Job: id,
-				Detail: fmt.Sprintf("straggler x%.2f", stragglerSlowdown)})
+				Detail: fmt.Sprintf("straggler x%.2f", sim.StragglerSlowdown)})
 			if d.walOn() {
 				d.walAppend(wal.TypeFault, walFault{ID: id, Straggling: true})
 			}
@@ -194,7 +194,7 @@ func (d *Daemon) stepLocked() {
 
 		stepsPerSec := j.Spec.Model.PlacedSpeed(j.Spec.Mode, spread)
 		if j.Straggling {
-			stepsPerSec *= stragglerSlowdown
+			stepsPerSec *= sim.StragglerSlowdown
 		}
 		w := j.Advance(d.now, intervalEnd, stepsPerSec)
 		if !w.Trained {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -44,132 +45,50 @@ type Event struct {
 	Detail  string           `json:"detail,omitempty"`
 }
 
-// subQueueLen is the per-subscriber bounded queue depth. A subscriber that
-// falls further behind loses its oldest queued events (drop-oldest), then
-// recovers them from the ring on the handler side — Publish itself never
-// waits and never disconnects anyone.
-const subQueueLen = 256
-
-// subscriber is one SSE consumer's delivery state.
-type subscriber struct {
-	mu sync.Mutex // serializes push vs close; the reader side needs no lock
-	ch chan Event
-	// after is the sequence already covered by the subscriber's replay at
-	// registration; pushes at or below it are duplicates and skipped.
-	after   int64
-	closed  bool
-	dropped atomic.Int64 // events evicted from this queue
-}
-
-// push enqueues ev without ever blocking: when the bounded queue is full the
-// oldest queued event is evicted (counted in dropped) to make room. The
-// handler detects the resulting gap by sequence number and backfills from
-// the ring.
-func (s *subscriber) push(ev Event, b *eventBus) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || ev.Seq <= s.after {
-		return
-	}
-	for {
-		select {
-		case s.ch <- ev:
-			return
-		default:
-		}
-		select {
-		case <-s.ch:
-			s.dropped.Add(1)
-			// Throttled black-box evidence: one event per 1024 drops keeps a
-			// melting-down subscriber from flooding the flight ring.
-			if n := b.dropped.Add(1); n&1023 == 1 {
-				b.flight.Record("sse", obs.SevWarn, "subscriber dropping events",
-					obs.KI("droppedTotal", n), obs.KI("seq", ev.Seq))
-			}
-		default:
-			// A concurrent reader drained the queue between our two selects;
-			// retry the send.
-		}
-	}
-}
-
-// eventBus fans scheduler events out to SSE subscribers. A small publish
-// mutex serializes the ring store (which issues the sequence) and subscribe
-// cuts; fanout happens outside it into per-subscriber bounded queues that
-// drop-oldest rather than backpressure. The ring lets late or lossy
-// subscribers replay recent history.
+// eventBus is the one store of the /v1/events stream: a ring of the newest
+// eventBuffer decisions that every SSE handler tails by sequence. Nothing is
+// copied per subscriber, so a slow reader costs publish nothing; a reader
+// that falls more than the ring's capacity behind loses the overwritten
+// events and is told so.
 type eventBus struct {
 	ring *obs.Ring[Event] // an event's Seq is its ring sequence
 
-	pubMu sync.Mutex // serializes ring writes + subscribe cuts
+	mu   sync.Mutex
+	wake chan struct{} // closed by the next publish; nil while no handler waits
 
-	subsMu  sync.RWMutex
-	subs    map[int]*subscriber
-	nextSub int
-
-	dropped atomic.Int64 // total events evicted across all subscriber queues
+	subscribers atomic.Int64 // connected /v1/events handlers
+	dropped     atomic.Int64 // events overwritten before a subscriber read them
 
 	flight *obs.FlightRecorder // black-box evidence for drop storms
 }
 
 func newEventBus(size int, flight *obs.FlightRecorder) *eventBus {
-	return &eventBus{
-		ring:   obs.NewRing[Event](size),
-		subs:   make(map[int]*subscriber),
-		flight: flight,
-	}
+	return &eventBus{ring: obs.NewRing[Event](size), flight: flight}
 }
 
 // publish records the event in the ring, which assigns its sequence, and
-// delivers it to every subscriber's queue. It never blocks on a slow
-// subscriber: queue overflow evicts that subscriber's oldest event instead.
+// wakes the handlers waiting for it. It never waits on a subscriber, and
+// with none waiting it allocates nothing.
 func (b *eventBus) publish(ev Event) {
-	b.pubMu.Lock()
-	ev.Seq = b.ring.Put(ev)
-	b.pubMu.Unlock()
-
-	b.subsMu.RLock()
-	for _, s := range b.subs {
-		s.push(ev, b)
+	b.ring.Put(ev)
+	b.mu.Lock()
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
 	}
-	b.subsMu.RUnlock()
+	b.mu.Unlock()
 }
 
-// subscribe registers a new subscriber and returns its id, live channel and
-// the replay of ring events with Seq > after (in order). The replay cut is
-// taken under the publish mutex, so an event is delivered either in the
-// replay or via the channel — never both, never neither.
-func (b *eventBus) subscribe(after int64) (int, chan Event, []Event) {
-	s := &subscriber{ch: make(chan Event, subQueueLen)}
-	b.pubMu.Lock()
-	s.after = b.ring.Head()
-	replay, _ := b.window(after+1, s.after)
-	b.subsMu.Lock()
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = s
-	b.subsMu.Unlock()
-	b.pubMu.Unlock()
-	return id, s.ch, replay
-}
-
-// unsubscribe removes a subscriber and closes its channel.
-func (b *eventBus) unsubscribe(id int) {
-	b.subsMu.Lock()
-	s, ok := b.subs[id]
-	if ok {
-		delete(b.subs, id)
+// waiter returns a channel the next publish closes. A handler takes it
+// before it reads the ring, so a publish that lands after the read still
+// wakes it.
+func (b *eventBus) waiter() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.wake == nil {
+		b.wake = make(chan struct{})
 	}
-	b.subsMu.Unlock()
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
-	}
-	s.mu.Unlock()
+	return b.wake
 }
 
 // window returns the ring events with lo <= Seq <= hi that are still
@@ -181,25 +100,26 @@ func (b *eventBus) window(lo, hi int64) ([]Event, int64) {
 	})
 }
 
-// droppedTotal reports events evicted from subscriber queues since start.
-func (b *eventBus) droppedTotal() int64 { return b.dropped.Load() }
-
-// numSubscribers reports currently registered subscribers.
-func (b *eventBus) numSubscribers() int {
-	b.subsMu.RLock()
-	n := len(b.subs)
-	b.subsMu.RUnlock()
-	return n
+// noteDropped counts events a subscriber missed. Throttled black-box
+// evidence: one flight record per 1024 drops keeps a melting-down
+// subscriber from flooding the flight ring.
+func (b *eventBus) noteDropped(n, seq int64) {
+	total := b.dropped.Add(n)
+	if (total-n)>>10 != total>>10 || total == n {
+		b.flight.Record("sse", obs.SevWarn, "subscriber dropping events",
+			obs.KI("droppedTotal", total), obs.KI("seq", seq))
+	}
 }
 
 // handleEvents streams the decision log as Server-Sent Events. `?since=N`
 // or a Last-Event-ID header resumes after sequence N; a cursor that is not
-// a non-negative integer is answered 400. The handler owns gap
-// repair: when its bounded queue dropped events (or racing publishers
-// delivered out of order), it backfills the missing sequence range from the
-// ring, so the emitted stream is strictly ordered and exactly-once per
-// sequence number; only events already overwritten in the ring are truly
-// lost, and those are announced with a ": dropped N events" comment.
+// a non-negative integer is answered 400. The handler tails the bus ring:
+// it writes every event after its cursor, then waits for the next publish.
+// The stream is strictly ordered and exactly-once per sequence; events the
+// ring overwrote before the handler read them are announced with a
+// ": dropped N events" comment. A cursor above the ring's head was issued
+// by an earlier process, whose sequences this one restarted at 1, so the
+// stream says so and starts from the oldest resident event.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -219,49 +139,43 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	id, ch, replay := d.bus.subscribe(after)
-	defer d.bus.unsubscribe(id)
+	d.bus.subscribers.Add(1)
+	defer d.bus.subscribers.Add(-1)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	next := after + 1
-	for _, ev := range replay {
-		if err := writeSSE(w, ev); err != nil {
+	// History older than the ring is no loss to a reader with no cursor of
+	// this process.
+	fresh := after == 0
+	if after > d.bus.ring.Head() {
+		if _, err := fmt.Fprint(w, ": stream restarted at 1\n\n"); err != nil {
 			return
 		}
-		next = ev.Seq + 1
+		after, fresh = 0, true
 	}
-	flusher.Flush()
+	next := after + 1
 	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
+		wake := d.bus.waiter()
+		evs, lost := d.bus.window(next, math.MaxInt64)
+		if lost > 0 && !fresh {
+			d.bus.noteDropped(lost, next)
+			if _, err := fmt.Fprintf(w, ": dropped %d events\n\n", lost); err != nil {
 				return
 			}
-			if ev.Seq < next { // duplicate of an already-emitted sequence
-				continue
-			}
-			if ev.Seq > next { // queue dropped events; repair from the ring
-				fill, missing := d.bus.window(next, ev.Seq-1)
-				if missing > 0 {
-					if _, err := fmt.Fprintf(w, ": dropped %d events\n\n", missing); err != nil {
-						return
-					}
-				}
-				for _, f := range fill {
-					if err := writeSSE(w, f); err != nil {
-						return
-					}
-				}
-			}
+		}
+		fresh = false
+		for _, ev := range evs {
 			if err := writeSSE(w, ev); err != nil {
 				return
 			}
-			next = ev.Seq + 1
-			flusher.Flush()
+		}
+		next += lost + int64(len(evs))
+		flusher.Flush()
+		select {
+		case <-r.Context().Done():
+			return
+		case <-wake:
 		}
 	}
 }

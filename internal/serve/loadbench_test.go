@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,37 +237,39 @@ func BenchmarkServingClusterSharded(b *testing.B) {
 	benchClusterRead(b, shardedServing{d: d})
 }
 
-// BenchmarkServingSSEPublish measures event publication with four healthy
-// subscribers and one permanently stalled one — the fanout case the old
-// broker handled by evicting the slow consumer inside the publish lock, and
-// the new broker handles with drop-oldest queues.
+// BenchmarkServingSSEPublish measures event publication while four
+// /v1/events handlers tail the ring and a fifth is stalled in a write that
+// never returns. Publish stores into the ring and wakes the waiting
+// handlers; it never touches a handler's connection, so the stalled one
+// costs it nothing.
 func BenchmarkServingSSEPublish(b *testing.B) {
-	bus := newEventBus(4096, nil)
-	// Stalled subscriber: never drained.
-	id0, _, _ := bus.subscribe(0)
-	defer bus.unsubscribe(id0)
-	// Healthy subscribers, drained concurrently.
+	d := newBenchDaemon(b)
+	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	stopIDs := make([]int, 0, 4)
-	for i := 0; i < 4; i++ {
-		id, ch, _ := bus.subscribe(0)
-		stopIDs = append(stopIDs, id)
+	serveSSE := func(w *sseWriter) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range ch {
-			}
+			d.handleEvents(w, httptest.NewRequest("GET", "/v1/events", nil).WithContext(ctx))
 		}()
 	}
 	ev := Event{Type: EventScaled, Job: 7, Detail: "1ps/4w -> 2ps/8w"}
+	d.bus.publish(ev)
+	stalled := newSSEWriter(nil, "")
+	serveSSE(stalled)
+	<-stalled.entered
+	for i := 0; i < 4; i++ {
+		w := newSSEWriter(io.Discard, "")
+		close(w.release)
+		serveSSE(w)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bus.publish(ev)
+		d.bus.publish(ev)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(bus.droppedTotal())/float64(b.N), "dropped/op")
-	for _, id := range stopIDs {
-		bus.unsubscribe(id)
-	}
+	b.ReportMetric(float64(d.bus.dropped.Load())/float64(b.N), "dropped/op")
+	cancel()
+	close(stalled.release)
 	wg.Wait()
 }

@@ -28,9 +28,10 @@
 //
 // Serving-path concurrency (DESIGN.md §16): the registry is sharded by job
 // ID with per-shard locks, job and cluster statuses are immutable snapshots
-// swapped in atomically (reads never block on the scheduler), and the SSE
-// broker never blocks on slow subscribers. The engine mutex serializes
-// scheduling rounds only; it is not on any request path.
+// swapped in atomically (reads never block on the scheduler), and each SSE
+// subscriber tails the one event ring, so publishing never waits on a slow
+// one. The engine mutex serializes scheduling rounds only; it is not on any
+// request path.
 //
 // Durability is the write-ahead log (wal.go): every state change is a
 // record, and a checkpoint record holds a JSON snapshot of all job state
@@ -86,7 +87,7 @@ type Config struct {
 	ScalingBase float64
 
 	// Stragglers: per running job per round, probability that one worker
-	// degrades to stragglerSlowdown speed (§5.2). The Optimus policy
+	// degrades to sim.StragglerSlowdown speed (§5.2). The Optimus policy
 	// replaces the straggler after one detection round. Zero disables.
 	StragglerProb float64
 
@@ -125,15 +126,15 @@ type Config struct {
 	SLOAPILatencyTarget time.Duration
 }
 
-// The paper's fixed estimation and straggler settings, and the daemon's
-// readiness, event and SLO bounds.
+// The paper's fixed estimation settings, and the daemon's readiness, event
+// and SLO bounds.
 const (
-	preRunSamples     = 5    // §3.2 profiling runs per job
-	priorityFactor    = 0.95 // §4.1 damping of beginning-state jobs
-	stragglerSlowdown = 0.5  // §5.2 speed of a job with a straggling worker
+	preRunSamples  = 5    // §3.2 profiling runs per job
+	priorityFactor = 0.95 // §4.1 damping of beginning-state jobs
 
-	// eventBuffer is the SSE ring size: how many past scheduler decisions a
-	// late subscriber can replay.
+	// eventBuffer is the size of the event ring every SSE subscriber tails:
+	// how many past scheduler decisions a late subscriber can replay, and
+	// how far a slow one can fall behind before it misses some.
 	eventBuffer = 4096
 	// engineStaleTicks bounds the engine readiness check in GET /readyz: a
 	// leader whose last scheduling round is more than this many Ticks old

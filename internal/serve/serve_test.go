@@ -190,7 +190,6 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestSchedulerEventsEmitted(t *testing.T) {
 	d := testDaemon(t)
-	_, ch, _ := d.bus.subscribe(0)
 	id := submit(t, d, SubmitRequest{Model: "resnext-110", Mode: "async",
 		Threshold: 0.02, Downscale: 1})
 	for i := 0; i < 200; i++ {
@@ -199,15 +198,10 @@ func TestSchedulerEventsEmitted(t *testing.T) {
 			break
 		}
 	}
+	replay, _ := d.bus.window(1, d.bus.ring.Head())
 	var kinds []string
-drain:
-	for {
-		select {
-		case ev := <-ch:
-			kinds = append(kinds, string(ev.Type))
-		default:
-			break drain
-		}
+	for _, ev := range replay {
+		kinds = append(kinds, string(ev.Type))
 	}
 	joined := strings.Join(kinds, ",")
 	for _, want := range []EventType{EventSubmitted, EventPlaced, EventCompleted} {
@@ -216,7 +210,6 @@ drain:
 		}
 	}
 	// Sequence numbers must be strictly increasing from 1.
-	_, _, replay := d.bus.subscribe(0)
 	for i, ev := range replay {
 		if ev.Seq != int64(i+1) {
 			t.Fatalf("replay[%d].Seq = %d", i, ev.Seq)
@@ -233,16 +226,19 @@ func TestRescheduledEventReportsMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ch, _ := d.bus.subscribe(0)
+	var seen int64
 	moved := 0
 	for r := 0; r < 20; r++ {
 		if r < len(pinnedSubmits) {
 			submit(t, d, pinnedSubmits[r])
 		}
 		d.Step()
+		head := d.bus.ring.Head()
+		evs, _ := d.bus.window(seen+1, head)
+		seen = head
 		var details []string
-		for len(ch) > 0 {
-			if ev := <-ch; ev.Type == EventRescheduled {
+		for _, ev := range evs {
+			if ev.Type == EventRescheduled {
 				details = append(details, ev.Detail)
 			}
 		}
@@ -294,7 +290,7 @@ func TestStragglerFaultEvents(t *testing.T) {
 		t.Fatal("job not straggling with StragglerProb=1")
 	}
 	d.Step() // Optimus replaces the straggler after one detection round
-	_, _, replay := d.bus.subscribe(0)
+	replay, _ := d.bus.window(1, d.bus.ring.Head())
 	var faults, recoveries int
 	for _, ev := range replay {
 		switch ev.Type {

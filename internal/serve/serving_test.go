@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,83 +99,241 @@ func TestClusterEncodeLargeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSSESlowSubscriber: a stalled subscriber must not delay publish or
-// starve healthy subscribers; its overflow is dropped oldest-first and
-// counted, and a Last-Event-ID reconnect recovers the dropped span from the
-// ring.
+// sseWriter is an http.ResponseWriter for driving handleEvents directly.
+// Each Write waits until release is closed and then goes to out (nil out
+// fails the write, as a closed connection does). The first Write closes
+// entered; a Write that begins with last closes reached.
+type sseWriter struct {
+	release, entered, reached chan struct{}
+	last                      string
+	out                       io.Writer
+	enter, reach              sync.Once
+}
+
+func newSSEWriter(out io.Writer, last string) *sseWriter {
+	return &sseWriter{release: make(chan struct{}), entered: make(chan struct{}),
+		reached: make(chan struct{}), out: out, last: last}
+}
+
+func (w *sseWriter) Header() http.Header { return http.Header{} }
+func (w *sseWriter) WriteHeader(int)     {}
+func (w *sseWriter) Flush()              {}
+func (w *sseWriter) Write(p []byte) (int, error) {
+	w.enter.Do(func() { close(w.entered) })
+	<-w.release
+	if w.out == nil {
+		return 0, io.ErrClosedPipe
+	}
+	n, err := w.out.Write(p)
+	if w.last != "" && strings.HasPrefix(string(p), w.last) {
+		w.reach.Do(func() { close(w.reached) })
+	}
+	return n, err
+}
+
+// readSSEIDs sends the id of every event on an SSE body, in stream order,
+// until the body ends.
+func readSSEIDs(body io.Reader, ids chan<- int64) {
+	defer close(ids)
+	sc := bufio.NewScanner(body)
+	for sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			seq, _ := strconv.ParseInt(id, 10, 64)
+			ids <- seq
+		}
+	}
+}
+
+// TestSSESlowSubscriber: a /v1/events handler stalled in a write must not
+// delay publish or the healthy subscribers, which see every event in order.
+// Once the stalled one writes again, it announces the exact number of events
+// the ring overwrote meanwhile and carries on from the oldest resident one.
 func TestSSESlowSubscriber(t *testing.T) {
-	bus := newEventBus(4096, nil)
+	d, srv := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ev := Event{Type: EventSubmitted, Job: 1}
 
-	// The stalled subscriber never drains its channel.
-	stalledID, stalledCh, _ := bus.subscribe(0)
-	defer bus.unsubscribe(stalledID)
-	// The healthy subscriber drains concurrently; it may still drop a few if
-	// the race scheduler starves its goroutine, so completeness is asserted
-	// as received + its own dropped count.
-	healthyID, healthyCh, _ := bus.subscribe(0)
-	defer bus.unsubscribe(healthyID)
-	bus.subsMu.RLock()
-	stalledSub, healthySub := bus.subs[stalledID], bus.subs[healthyID]
-	bus.subsMu.RUnlock()
-	var received atomic.Int64
-	done := make(chan struct{})
+	// The stalled handler reads event 1 and blocks writing it.
+	const total = 3 * eventBuffer
+	d.bus.publish(ev)
+	var stalledOut bytes.Buffer
+	stalled := newSSEWriter(&stalledOut, fmt.Sprintf("id: %d\n", total))
+	stalledDone := make(chan struct{})
 	go func() {
-		defer close(done)
-		for range healthyCh {
-			received.Add(1)
-		}
+		defer close(stalledDone)
+		d.handleEvents(stalled, httptest.NewRequest("GET", "/v1/events", nil).WithContext(ctx))
 	}()
+	<-stalled.entered
 
-	const total = subQueueLen * 4
-	start := time.Now()
-	for i := 0; i < total; i++ {
-		bus.publish(Event{Type: EventSubmitted, Job: i + 1})
-	}
-	elapsed := time.Since(start)
-	// Publish must never block on the stalled queue: with drop-oldest this
-	// loop is pure channel ops; a generous bound still catches a blocking
-	// regression (which would hang forever, not just run slow).
-	if elapsed > 10*time.Second {
-		t.Fatalf("publishing %d events took %s; publish is blocking on the stalled subscriber", total, elapsed)
-	}
-
-	bus.unsubscribe(healthyID)
-	<-done
-	if got := received.Load() + healthySub.dropped.Load(); got != total {
-		t.Fatalf("healthy subscriber accounts for %d of %d events", got, total)
-	}
-
-	// Drop-oldest accounting: the stalled queue holds the NEWEST subQueueLen
-	// events; everything older was evicted and counted, per subscriber and
-	// in the bus total.
-	wantDropped := int64(total - subQueueLen)
-	if got := stalledSub.dropped.Load(); got != wantDropped {
-		t.Fatalf("stalled subscriber dropped %d events, want %d", got, wantDropped)
-	}
-	if got := bus.droppedTotal(); got != wantDropped+healthySub.dropped.Load() {
-		t.Fatalf("bus dropped %d events, want %d", got, wantDropped+healthySub.dropped.Load())
-	}
-	// The queue's contents are exactly the newest events, in order.
-	wantSeq := int64(total - subQueueLen + 1)
-	for i := 0; i < subQueueLen; i++ {
-		ev := <-stalledCh
-		if ev.Seq != wantSeq {
-			t.Fatalf("stalled queue event %d has seq %d, want %d (drop-oldest violated)", i, ev.Seq, wantSeq)
+	healthy := make([]chan int64, 2)
+	for i := range healthy {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/events", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantSeq++
+		defer resp.Body.Close()
+		// Room for every id published between two catch-ups, so the
+		// reader never waits on this test.
+		healthy[i] = make(chan int64, eventBuffer)
+		go readSSEIDs(resp.Body, healthy[i])
+	}
+	next := []int64{1, 1} // each healthy subscriber's next expected id
+	// catchUp requires each healthy subscriber's next ids to run on,
+	// without a gap or a repeat, through seq.
+	catchUp := func(seq int64) {
+		for i, ids := range healthy {
+			for next[i] <= seq {
+				select {
+				case got, ok := <-ids:
+					if !ok || got != next[i] {
+						t.Fatalf("healthy subscriber %d read id %d (open %v), want %d", i, got, ok, next[i])
+					}
+					next[i]++
+				case <-time.After(10 * time.Second):
+					t.Fatalf("healthy subscriber %d stuck before id %d", i, next[i])
+				}
+			}
+		}
+	}
+	// Publish in quarter-ring batches and let the healthy subscribers catch
+	// up after each one, so only the stalled subscriber can fall behind the
+	// ring. That all of this completes while the stalled handler still sits
+	// in its first Write shows publish never waits on it.
+	for seq := int64(2); seq <= total; seq++ {
+		d.bus.publish(ev)
+		if seq%(eventBuffer/4) == 0 {
+			catchUp(seq)
+		}
+	}
+	if got := d.bus.dropped.Load(); got != 0 {
+		t.Fatalf("%d events dropped before the stalled subscriber read again", got)
 	}
 
-	// Last-Event-ID-style resume after the drops: subscribing after the last
-	// sequence the stalled consumer actually saw replays the rest exactly.
-	resumeAfter := int64(total - subQueueLen)
-	_, _, replay := bus.subscribe(resumeAfter)
-	if len(replay) != subQueueLen {
-		t.Fatalf("resume replayed %d events, want %d", len(replay), subQueueLen)
+	close(stalled.release)
+	select {
+	case <-stalled.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("released subscriber never reached the last event")
 	}
-	for i, ev := range replay {
-		if want := resumeAfter + int64(i) + 1; ev.Seq != want {
-			t.Fatalf("resume replay[%d].Seq = %d, want %d", i, ev.Seq, want)
+	cancel()
+	<-stalledDone
+	lost := int64(total - eventBuffer - 1) // events 2 .. total-eventBuffer
+	want := "id: 1\n"
+	if out := stalledOut.String(); !strings.HasPrefix(out, want) {
+		t.Fatalf("stalled stream starts %.40q, want %q", out, want)
+	}
+	checkSSETail(t, stalledOut.String(), lost, total-eventBuffer+1, total)
+	if got := d.bus.dropped.Load(); got != lost {
+		t.Fatalf("optimusd_sse_dropped_total source reads %d, want %d", got, lost)
+	}
+}
+
+// checkSSETail requires an SSE stream to hold exactly one "dropped" comment,
+// for lost events, and after it the ids from through to, each once and in
+// order.
+func checkSSETail(t *testing.T, stream string, lost, from, to int64) {
+	t.Helper()
+	comment := fmt.Sprintf(": dropped %d events\n\n", lost)
+	if n := strings.Count(stream, ": dropped "); n != 1 || !strings.Contains(stream, comment) {
+		t.Fatalf("stream has %d dropped comments, want one %q", n, comment)
+	}
+	_, tail, _ := strings.Cut(stream, comment)
+	want := from
+	for _, line := range strings.Split(tail, "\n") {
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			if id != fmt.Sprint(want) {
+				t.Fatalf("after the dropped comment: id %s, want %d", id, want)
+			}
+			want++
 		}
+	}
+	if want != to+1 {
+		t.Fatalf("stream ends before id %d", want)
+	}
+}
+
+// TestSSEDroppedComment: a subscriber whose cursor is more than the ring
+// behind gets one ": dropped N events" comment with the exact N over HTTP,
+// then every resident event and the live ones after it, in order and once
+// each, and /metrics counts the N.
+func TestSSEDroppedComment(t *testing.T) {
+	d, srv := testServer(t)
+	const since, more = 5, 10
+	head := int64(eventBuffer + more)
+	for i := int64(0); i < head; i++ {
+		d.bus.publish(Event{Type: EventSubmitted, Job: 1})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
+		fmt.Sprintf("%s/v1/events?since=%d", srv.URL, since), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	const live = 3
+	for i := 0; i < live; i++ {
+		d.bus.publish(Event{Type: EventSubmitted, Job: 1})
+	}
+	// Read through the last live event's blank line, then stop.
+	var stream strings.Builder
+	last := fmt.Sprintf("id: %d", head+live)
+	sc := bufio.NewScanner(resp.Body)
+	for sawLast := false; sc.Scan(); {
+		stream.WriteString(sc.Text() + "\n")
+		sawLast = sawLast || sc.Text() == last
+		if sawLast && sc.Text() == "" {
+			break
+		}
+	}
+	lost := head - eventBuffer - since // ids since+1 .. head-eventBuffer
+	checkSSETail(t, stream.String(), lost, head-eventBuffer+1, head+live)
+	if m := metricSamples(t, d); m["optimusd_sse_dropped_total"] != fmt.Sprint(lost) {
+		t.Fatalf("optimusd_sse_dropped_total = %q, want %d", m["optimusd_sse_dropped_total"], lost)
+	}
+}
+
+// TestSSERestartedCursor: a Last-Event-ID from an earlier process, above
+// this one's head, restarts the stream at the oldest event rather than
+// waiting silently until the new sequences pass the old cursor.
+func TestSSERestartedCursor(t *testing.T) {
+	d, srv := testServer(t)
+	for i := 0; i < 3; i++ {
+		d.bus.publish(Event{Type: EventSubmitted, Job: i + 1})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/events?since=100", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var restarted bool
+	var ids []string
+	for len(ids) < 3 && sc.Scan() {
+		line := sc.Text()
+		restarted = restarted || line == ": stream restarted at 1"
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			ids = append(ids, id)
+		}
+	}
+	if got := strings.Join(ids, ","); got != "1,2,3" || !restarted {
+		t.Fatalf("ids %q (restart comment %v), want 1,2,3 after the comment", got, restarted)
+	}
+}
+
+// TestEventPublishAllocFree: with no subscriber waiting, publish stores into
+// the ring and allocates nothing.
+func TestEventPublishAllocFree(t *testing.T) {
+	bus := newEventBus(eventBuffer, nil)
+	ev := Event{Type: EventScaled, Job: 7, Detail: "1ps/4w -> 2ps/8w"}
+	if n := testing.AllocsPerRun(1000, func() { bus.publish(ev) }); n != 0 {
+		t.Fatalf("publish: %.1f allocs/op, want 0", n)
 	}
 }
 

@@ -140,16 +140,23 @@ func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 	if d.reg.len() != 0 || d.rounds != 0 {
 		return fmt.Errorf("serve: cannot restore over live state")
 	}
-	var live int64
-	for _, js := range snap.Jobs {
+	jobs := make([]*job, len(snap.Jobs))
+	for i, js := range snap.Jobs {
 		j, err := restoreJob(js)
 		if err != nil {
 			return err
 		}
+		jobs[i] = j
+	}
+	// One parallel §3.1 refit of every restored curve, so building the
+	// statuses below only reads the fits.
+	d.refitLocked(jobs)
+	var live int64
+	for _, j := range jobs {
 		// Publish the status snapshot before the registry insert so the job
 		// is never findable without one.
 		j.status.Store(newStatusSnap(d.buildStatus(j)))
-		d.reg.put(js.ID, j)
+		d.reg.put(j.Spec.ID, j)
 		if !j.state.terminal() {
 			live++
 		}

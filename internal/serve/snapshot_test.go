@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -86,15 +87,16 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 
 	// First round after restore re-places the job with a full-size
 	// allocation and emits a fresh "placed" event.
-	_, ch, _ := d2.bus.subscribe(0)
+	seen := d2.bus.ring.Head()
 	d2.Step()
 	after, _ = d2.Status(slow)
 	if after.State != StateRunning || after.Alloc.Tasks() == 0 {
 		t.Fatalf("job not re-placed after restore: %+v", after)
 	}
 	var placed bool
-	for len(ch) > 0 {
-		if ev := <-ch; ev.Type == EventPlaced && ev.Job == slow {
+	evs, _ := d2.bus.window(seen+1, d2.bus.ring.Head())
+	for _, ev := range evs {
+		if ev.Type == EventPlaced && ev.Job == slow {
 			placed = true
 		}
 	}
@@ -212,4 +214,42 @@ func TestLongJobRestoreKeepsLossFit(t *testing.T) {
 		t.Fatal("expected a checkpoint anchor in the log")
 	}
 	same("checkpoint + replay", replayed)
+}
+
+// TestRestoreRefitsInParallel: Restore fits every restored loss curve in one
+// refit pass, so the refit histogram holds one sample per job with a curve
+// to fit, rather than none from status builds that fit each one serially.
+func TestRestoreRefitsInParallel(t *testing.T) {
+	d := testDaemon(t)
+	for i := 0; i < 4; i++ {
+		submit(t, d, SubmitRequest{Model: "resnet-50", Mode: "async",
+			Threshold: 0.01, Downscale: 1})
+	}
+	for i := 0; i < 12; i++ {
+		d.Step()
+	}
+	var buf bytes.Buffer
+	if err := d.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var k uint64
+	for _, js := range snap.Jobs {
+		if len(js.LossObs) >= 5 {
+			k++
+		}
+	}
+	if k < 2 {
+		t.Fatalf("precondition: %d of %d jobs hold 5 loss samples", k, len(snap.Jobs))
+	}
+	restored := freshDaemon(t, 7)
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.rec.RefitDuration().Count(); got != k {
+		t.Fatalf("restore recorded %d refits, want %d", got, k)
+	}
 }

@@ -55,6 +55,10 @@ type Policy struct {
 // enough data (the "beginning state" of §4.1), by Run and by the daemon.
 const PriorEpochs float64 = 80
 
+// StragglerSlowdown is the §5.2 speed of a job with a straggling worker: it
+// trains at half its placed speed until the straggler is replaced.
+const StragglerSlowdown = 0.5
+
 // maxTime is Run's hard stop in simulated seconds: 40 days.
 const maxTime = 40 * 24 * 3600
 
@@ -100,8 +104,7 @@ type Config struct {
 	// degrades (§5.2). Policies named "optimus" replace stragglers after one
 	// detection interval; others suffer them for the job's lifetime on that
 	// configuration.
-	StragglerProb     float64
-	StragglerSlowdown float64 // e.g. 0.5 → straggling job runs at 50%
+	StragglerProb float64
 
 	// Faults, when non-nil, is a chaos schedule replayed against the run:
 	// node crashes, task kills, stragglers, network slowdowns, checkpoint
@@ -139,9 +142,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ScalingBase < 0 {
 		c.ScalingBase = 0
-	}
-	if c.StragglerSlowdown <= 0 || c.StragglerSlowdown > 1 {
-		c.StragglerSlowdown = 0.5
 	}
 }
 
@@ -437,7 +437,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			stepsPerSec := js.Spec.Model.PlacedSpeed(js.Spec.Mode, js.Spread)
 			if js.Straggling {
-				sev := cfg.StragglerSlowdown
+				sev := StragglerSlowdown
 				if js.stragglerSev > 0 {
 					sev = js.stragglerSev
 				}

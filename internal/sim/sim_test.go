@@ -223,7 +223,6 @@ func TestStragglersHurtButOptimusRecovers(t *testing.T) {
 	}
 	strag := clean
 	strag.StragglerProb = 0.5
-	strag.StragglerSlowdown = 0.5
 	stragRes, err := Run(strag)
 	if err != nil {
 		t.Fatal(err)
