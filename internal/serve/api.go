@@ -471,26 +471,38 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // writeMetrics renders the full exposition to any writer — the /metrics
 // handler and the debug bundle (bundle.go) share it. Only the unsynchronized
-// recorder and the last round's digest need the engine mutex; everything
-// else reads atomics and snapshots. The job counters come from the registry,
-// so a restarted daemon reports what its WAL or snapshot restored.
+// recorder needs the engine mutex; everything else reads atomics and
+// snapshots. The job counters and the deployment gauges come from the
+// registry's statuses, so a restarted daemon or a follower reports what its
+// WAL or snapshot restored.
 func (d *Daemon) writeMetrics(w io.Writer) {
 	e := metrics.NewExporter(w)
 	byState := map[JobState]int{}
+	var tasks int
+	var usedCPU float64
 	d.reg.forEach(func(_ int, j *job) {
-		byState[j.status.Load().st.State]++
+		st := &j.status.Load().st
+		byState[st.State]++
+		if st.State == StateRunning {
+			tasks += st.Alloc.Tasks()
+			usedCPU += j.Spec.Model.WorkerRes[cluster.CPU]*float64(st.Alloc.Workers) +
+				j.Spec.Model.PSRes[cluster.CPU]*float64(st.Alloc.PS)
+		}
 	})
 	e.Counter("optimus_jobs_arrived_total", "Jobs submitted to the scheduler.", float64(d.reg.len()))
 	e.Counter("optimus_jobs_completed_total", "Jobs that reached convergence.", float64(byState[StateDone]))
 	e.Counter("optimus_intervals_total", "Scheduling intervals run.", float64(d.roundsN.Load()))
 	d.mu.Lock()
 	d.rec.WritePrometheus(e)
-	last := d.last
 	d.mu.Unlock()
-	e.Gauge("optimus_running_jobs", "Jobs with tasks deployed in the last interval.", float64(last.RunningJobs))
-	e.Gauge("optimus_waiting_jobs", "Admitted jobs without a deployment in the last interval.", float64(last.WaitingJobs))
-	e.Gauge("optimus_running_tasks", "PS + worker tasks deployed in the last interval.", float64(last.RunningTasks))
-	e.Gauge("optimus_cluster_share", "Fraction of total cluster CPU allocated in the last interval.", last.ClusterShare)
+	share := 0.0
+	if total := d.cfg.Cluster.Capacity()[cluster.CPU]; total > 0 {
+		share = usedCPU / total
+	}
+	e.Gauge("optimus_running_jobs", "Jobs with tasks deployed in the last interval.", float64(byState[StateRunning]))
+	e.Gauge("optimus_waiting_jobs", "Admitted jobs without a deployment in the last interval.", float64(byState[StatePending]+byState[StateWaiting]))
+	e.Gauge("optimus_running_tasks", "PS + worker tasks deployed in the last interval.", float64(tasks))
+	e.Gauge("optimus_cluster_share", "Fraction of total cluster CPU allocated in the last interval.", share)
 	// API latency is recorded lock-free by the middleware into the daemon's
 	// own histogram.
 	if d.apiHist.Count() > 0 {

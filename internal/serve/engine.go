@@ -2,27 +2,27 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"optimus/internal/cluster"
 	"optimus/internal/core"
 	"optimus/internal/lossfit"
-	"optimus/internal/metrics"
 	"optimus/internal/obs"
 	"optimus/internal/sim"
 	"optimus/internal/wal"
+	"optimus/internal/workload"
 )
 
 // Step executes one scheduling round: profile newly admitted jobs, rebuild
 // the scheduler's estimated views, re-run §4.1 allocation and §4.2
 // placement against the whole cluster through the round kernel sim.Run
-// also runs (sim.Round), then apply, advance and observe each job through
-// the sim.Job methods sim.Run also calls: Deploy or Undeploy it, Advance it
-// by one interval of the ground-truth physics, and Observe the noisy
-// measurements into its estimators. Around those calls Step adds what only
-// the daemon has: shard locks, lifecycle states, SSE events and WAL
-// records. It is the live equivalent of one iteration of sim.Run's interval
-// loop and is safe to call concurrently with the HTTP handlers.
+// also runs (sim.Round), then deploy, advance and observe each job: Advance
+// it by one interval of the ground-truth physics and Measure it through the
+// sim.Job methods sim.Run also calls, and change its recorded state through
+// the WAL apply functions replay runs (wal.go). Around those calls Step adds
+// what only the daemon has: shard locks, lifecycle states, SSE events and
+// WAL records. It is the live equivalent of one iteration of sim.Run's
+// interval loop and is safe to call concurrently with the HTTP handlers.
 //
 // Concurrency: Step holds the engine mutex for the whole round, but the
 // round never freezes the serving path — deployment state is swapped in and
@@ -43,26 +43,32 @@ func (d *Daemon) active() []*job {
 }
 
 func (d *Daemon) stepLocked() {
-	active := d.active()
-	if len(active) == 0 {
+	p := walRound{Round: d.rounds + 1, SimTime: d.now + d.cfg.Interval}
+	var err error
+	if active := d.active(); len(active) > 0 {
+		err = d.intervalLocked(active, p)
+	} else {
 		// Still release whatever the previous round deployed: the last
 		// live job may have been cancelled since.
 		d.cfg.Cluster.ResetAll()
-		d.last = metrics.IntervalStats{}
-		d.advanceClockLocked(d.now + d.cfg.Interval)
-		d.rounds++
-		d.roundsN.Store(int64(d.rounds))
-		d.lastRoundWall.Store(time.Now().UnixNano())
 		d.flight.Record("engine", obs.SevDebug, "round",
-			obs.KI("round", int64(d.rounds)), obs.KI("jobs", 0))
-		d.walRoundLocked()
-		d.publishClusterLocked()
-		return
+			obs.KI("round", int64(p.Round)), obs.KI("jobs", 0))
+		err = d.walAppendDurable(wal.TypeRound, p)
+		d.applyRound(p, nil)
 	}
-	d.rounds++
-	d.roundsN.Store(int64(d.rounds))
-	intervalEnd := d.now + d.cfg.Interval
-	d.audit.Stamp(d.rounds, d.now)
+	d.lastRoundWall.Store(time.Now().UnixNano())
+	n, l := d.cfg.WALCheckpointRounds, d.wlog.Load()
+	if err == nil && l != nil && n > 0 && p.Round%n == 0 {
+		d.walCheckpointLocked(l)
+	}
+}
+
+// intervalLocked runs scheduling round p over the active jobs and commits
+// it. Every change to a job's recorded state follows one rule: build the
+// WAL payload, append it, then apply it with the applyX function replay
+// runs too (wal.go).
+func (d *Daemon) intervalLocked(active []*job, p walRound) error {
+	d.audit.Stamp(p.Round, d.now)
 	ivSpan := d.tracer.Begin("interval")
 	ivStart := time.Now()
 
@@ -72,13 +78,10 @@ func (d *Daemon) stepLocked() {
 	fitSpan := d.tracer.Begin("fit")
 	for _, j := range active {
 		if !j.profiled {
-			samples := sim.PreRunProfile(j.SpeedEst, j.Spec, preRunSamples,
-				d.cfg.SpeedNoise, d.rng)
-			j.profiled = true
-			if d.walOn() {
-				d.walAppend(wal.TypeProfile,
-					walProfile{ID: j.Spec.ID, Samples: samples})
-			}
+			pr := walProfile{ID: j.Spec.ID,
+				Samples: sim.ProfileSamples(j.Spec, preRunSamples, d.cfg.SpeedNoise, d.rng)}
+			d.walAppend(wal.TypeProfile, pr)
+			d.applyProfile(j, pr)
 		}
 	}
 	infos := make([]*core.JobInfo, len(active))
@@ -104,49 +107,50 @@ func (d *Daemon) stepLocked() {
 	// configurations. Each job's deployment swap is one short shard-lock
 	// critical section; a job cancelled since the round's active cut is
 	// detected here and skipped (its resources were never in this round's
-	// placement anyway once the next round rebuilds the cluster).
+	// placement anyway once the next round rebuilds the cluster). A deploy
+	// record is written whenever the job's nodes change, so a follower
+	// serves the leader's nodes.
 	deploySpan := d.tracer.Begin("deploy")
 	for _, j := range active {
 		id := j.Spec.ID
 		pl, ok := d.round.Placement(id)
+		dp := walDeploy{ID: id, State: StateWaiting}
+		if ok {
+			dp.State, dp.Nodes = StateRunning, pl.NodeIDs
+			dp.PS, dp.W = pl.Counts()
+		}
+		a := core.Allocation{PS: dp.PS, Workers: dp.W}
 		sh := d.reg.shard(id)
 		sh.mu.Lock()
 		if j.state.terminal() { // cancelled mid-round
 			sh.mu.Unlock()
 			continue
 		}
-		if !ok {
-			if j.Placed {
-				d.publish(Event{Type: EventUnplaced, Job: id})
-			}
-			moved := j.Placed || j.state != StateWaiting
-			j.Undeploy()
-			j.state = StateWaiting
-			if moved && d.walOn() {
-				d.walAppendDeploy(walDeploy{ID: id, State: StateWaiting})
-			}
-			sh.mu.Unlock()
-			continue
+		old, wasPlaced := j.Alloc, j.Placed
+		if j.state != dp.State || old != a || !slices.Equal(j.Nodes, dp.Nodes) {
+			d.walAppendDeploy(dp)
 		}
-		old := j.Alloc
-		fresh, changed := j.Deploy(pl)
-		newAlloc := j.Alloc
-		j.state = StateRunning
+		// Applied when unchanged too, so the job drops its reference to an
+		// older round's node-ID arena.
+		d.applyDeploy(j, dp)
+		fresh, changed := ok && !wasPlaced, ok && wasPlaced && old != a
 		switch {
+		case !ok && wasPlaced:
+			d.publish(Event{Type: EventUnplaced, Job: id})
 		case fresh:
-			d.publish(Event{Type: EventPlaced, Job: id, Alloc: &newAlloc,
-				Nodes: pl.NodeIDs})
+			d.publish(Event{Type: EventPlaced, Job: id, Alloc: &a, Nodes: pl.NodeIDs})
 		case changed:
-			d.publish(Event{Type: EventScaled, Job: id, Alloc: &newAlloc,
-				Nodes: pl.NodeIDs,
-				Detail: fmt.Sprintf("%dps/%dw -> %dps/%dw",
-					old.PS, old.Workers, newAlloc.PS, newAlloc.Workers)})
+			d.publish(Event{Type: EventScaled, Job: id, Alloc: &a, Nodes: pl.NodeIDs,
+				Detail: fmt.Sprintf("%dps/%dw -> %dps/%dw", old.PS, old.Workers, a.PS, a.Workers)})
 		}
-		if (fresh || changed) && d.walOn() {
-			d.walAppendDeploy(walDeploy{ID: id, State: StateRunning,
-				PS: newAlloc.PS, W: newAlloc.Workers, Nodes: pl.NodeIDs})
+		if ok {
+			j.Spread = workload.TaskSpread{PSOnNode: pl.PSOnNode, WorkersOnNode: pl.WorkersOnNode}
 		}
 		sh.mu.Unlock()
+		if !ok {
+			continue
+		}
+		j.Pause = 0
 		if fresh || changed {
 			j.Pause = min(d.cfg.ScalingBase, d.cfg.Interval)
 			if changed { // §6.2 counts reconfiguration, not first launch
@@ -158,22 +162,20 @@ func (d *Daemon) stepLocked() {
 		// worker after one detection round. Straggling is engine-guarded, so
 		// these stay outside the shard lock.
 		if j.Straggling {
-			j.Straggling = false
 			d.rec.AddRestarts(1)
 			d.publish(Event{Type: EventRecovered, Job: id,
 				Detail: "straggler replaced"})
-			if d.walOn() {
-				d.walAppend(wal.TypeFault, walFault{ID: id})
-			}
+			f := walFault{ID: id}
+			d.walAppend(wal.TypeFault, f)
+			d.applyFault(j, f)
 		}
 		if d.cfg.StragglerProb > 0 && d.rng.Float64() < d.cfg.StragglerProb {
-			j.Straggling = true
 			d.rec.AddFault()
 			d.publish(Event{Type: EventFault, Job: id,
 				Detail: fmt.Sprintf("straggler x%.2f", sim.StragglerSlowdown)})
-			if d.walOn() {
-				d.walAppend(wal.TypeFault, walFault{ID: id, Straggling: true})
-			}
+			f := walFault{ID: id, Straggling: true}
+			d.walAppend(wal.TypeFault, f)
+			d.applyFault(j, f)
 		}
 	}
 
@@ -196,13 +198,21 @@ func (d *Daemon) stepLocked() {
 		if j.Straggling {
 			stepsPerSec *= sim.StragglerSlowdown
 		}
-		w := j.Advance(d.now, intervalEnd, stepsPerSec)
+		w := j.Advance(d.now, p.SimTime, stepsPerSec)
 		if !w.Trained {
 			continue
 		}
 		if !w.Done {
-			j.Progress = w.Progress
-			d.observe(j, alloc, stepsPerSec)
+			speed, loss := j.Measure(w.Progress, stepsPerSec, d.cfg.SpeedNoise, d.cfg.LossNoise, d.rng)
+			ob := walObserve{ID: id, Progress: w.Progress}
+			if speed > 0 {
+				ob.PS, ob.W, ob.Speed = alloc.PS, alloc.Workers, speed
+			}
+			if loss > 0 {
+				ob.K, ob.Loss = w.Progress, loss
+			}
+			d.walAppendObserve(ob)
+			d.applyObserve(j, ob)
 			continue
 		}
 		sh.mu.Lock()
@@ -210,59 +220,32 @@ func (d *Daemon) stepLocked() {
 			sh.mu.Unlock()
 			continue
 		}
-		d.completeJob(j, w.DoneAt)
+		c := walComplete{ID: id, DoneAt: w.DoneAt}
+		d.walAppend(wal.TypeComplete, c)
+		d.applyComplete(j, c)
 		d.publish(Event{Type: EventCompleted, Job: id,
 			Detail: fmt.Sprintf("jct=%.0fs", w.DoneAt-j.Spec.Arrival)})
-		if d.walOn() {
-			d.walAppend(wal.TypeComplete, walComplete{ID: id, DoneAt: w.DoneAt})
-		}
 		sh.mu.Unlock()
 	}
 
-	// Republish every active job's read-mostly status snapshot and digest the
-	// round for the last-round gauges in the same shard-lock pass. Jobs that
-	// went terminal mid-round already republished in Cancel / the completion
-	// branch above, but rebuilding here is harmless (terminal state wins).
-	// The round's §3.1 refits run first, in parallel; next round's fit phase
-	// reads their caches.
-	d.refitLocked(active)
-	var stats metrics.IntervalStats
-	var usedCPU float64
-	for _, j := range active {
-		sh := d.reg.shard(j.Spec.ID)
-		sh.mu.Lock()
-		j.status.Store(newStatusSnap(d.buildStatus(j)))
-		switch j.state {
-		case StateRunning:
-			stats.RunningJobs++
-			stats.RunningTasks += j.Alloc.Tasks()
-			usedCPU += j.Spec.Model.WorkerRes[cluster.CPU]*float64(j.Alloc.Workers) +
-				j.Spec.Model.PSRes[cluster.CPU]*float64(j.Alloc.PS)
-		case StatePending, StateWaiting:
-			stats.WaitingJobs++
-		}
-		sh.mu.Unlock()
-	}
-	if total := d.cfg.Cluster.Capacity()[cluster.CPU]; total > 0 {
-		stats.ClusterShare = usedCPU / total
-	}
-	d.last = stats
-
+	// Commit the interval: one durable round record, whose group flush also
+	// hardens every record above, then its apply, which refits the active
+	// jobs' loss curves in parallel (next round's fit phase reads their
+	// caches) and republishes their statuses. Jobs that went terminal
+	// mid-round republished already, but rebuilding is harmless (terminal
+	// state wins).
+	err := d.walAppendDurable(wal.TypeRound, p)
+	d.applyRound(p, active)
 	d.tracer.End(deploySpan)
 	d.rec.ObserveIntervalDuration(time.Since(ivStart).Seconds())
 	if d.tracer.Enabled() {
-		d.tracer.Annotate(ivSpan, fmt.Sprintf("round=%d jobs=%d", d.rounds, len(active)))
+		d.tracer.Annotate(ivSpan, fmt.Sprintf("round=%d jobs=%d", p.Round, len(active)))
 	}
 	d.tracer.End(ivSpan)
-	d.advanceClockLocked(intervalEnd)
-	d.lastRoundWall.Store(time.Now().UnixNano())
 	d.flight.Record("engine", obs.SevDebug, "round",
-		obs.KI("round", int64(d.rounds)), obs.KI("jobs", int64(len(active))),
+		obs.KI("round", int64(p.Round)), obs.KI("jobs", int64(len(active))),
 		obs.KI("elapsedUs", time.Since(ivStart).Microseconds()))
-	// Commit the interval: one durable round record whose group flush also
-	// hardens every buffered engine record above.
-	d.walRoundLocked()
-	d.publishClusterLocked()
+	return err
 }
 
 // refitLocked runs, in parallel, exactly the loss refits buildStatus would
@@ -275,23 +258,4 @@ func (d *Daemon) refitLocked(jobs []*job) {
 		}
 	}
 	lossfit.FitAll(d.fits, d.rec.ObserveRefitDuration)
-}
-
-// observe feeds the running job's interval measurements to its estimators.
-// alloc is the caller's shard-lock-consistent copy of the job's deployment.
-func (d *Daemon) observe(j *job, alloc core.Allocation, stepsPerSec float64) {
-	speed, loss := j.Observe(alloc.PS, alloc.Workers, stepsPerSec,
-		d.cfg.SpeedNoise, d.cfg.LossNoise, d.rng)
-	// The WAL record carries exactly the accepted raw measurements, so
-	// replaying it performs the same Observe/Add calls byte-identically.
-	if d.walOn() {
-		rec := walObserve{ID: j.Spec.ID, Progress: j.Progress}
-		if speed > 0 {
-			rec.PS, rec.W, rec.Speed = alloc.PS, alloc.Workers, speed
-		}
-		if loss > 0 {
-			rec.K, rec.Loss = j.Progress, loss
-		}
-		d.walAppendObserve(rec)
-	}
 }

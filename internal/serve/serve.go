@@ -38,10 +38,13 @@
 // (snapshot.go). ReplayWAL resumes every job with its fitted model state
 // and progress intact, after a crash or a graceful stop alike.
 //
-// Each job has one record, its registry entry. The live paths, the WAL
-// applier and Restore change it through the same code (SubmitRequest.spec,
-// cancelJob, completeJob, WALApplier.Finish), and the /metrics job counters
-// are read from it, so they survive a restart.
+// Each job has one record, its registry entry. The live paths and the WAL
+// applier change it through one apply function per WAL record type
+// (applySubmit, applyProfile, applyObserve, applyDeploy, applyFault,
+// applyCancel, applyComplete and applyRound, in wal.go): the live path
+// builds a record, appends it and applies it; the applier decodes one and
+// applies it. Replay and Restore end in WALApplier.Finish. The /metrics job
+// counters are read from the registry, so they survive a restart.
 package serve
 
 import (
@@ -213,6 +216,10 @@ func (s JobState) terminal() bool { return s == StateDone || s == StateCancelled
 //   - Progress, DoneAt, Straggling, Pause, LossFit, SpeedEst and profiled
 //     are estimation/physics state owned by the engine, guarded by the
 //     engine mutex (Daemon.mu); the serving path never reads them directly.
+//   - Every field a WAL record carries changes only in that record type's
+//     apply function (wal.go). Spread and Pause are physics inputs no record
+//     carries: the engine sets them from the round's placement, so a
+//     replayed or restored job has none until a round places it.
 //   - status is the job's read-mostly snapshot: an immutable JobStatus (plus
 //     a lazily cached JSON encoding) republished on every state change. All
 //     reads go through it, lock-free.
@@ -281,15 +288,12 @@ type Daemon struct {
 	// mu is the engine mutex: it serializes scheduling rounds, snapshot and
 	// restore, and guards the fields below plus every job's engine-guarded
 	// fields. No HTTP read path takes it; /metrics takes it only around the
-	// unsynchronized recorder and the last round's digest.
+	// unsynchronized recorder.
 	mu     sync.Mutex
 	now    float64 // canonical simulated clock, mirrored into simNow
 	rounds int     // mirrored into roundsN
 	rec    *metrics.Recorder
 	rng    *rand.Rand
-	// last digests the last round's deployments for the optimus_running_*,
-	// optimus_waiting_jobs and optimus_cluster_share gauges.
-	last metrics.IntervalStats
 
 	startWall time.Time
 }
@@ -368,20 +372,16 @@ func (d *Daemon) Submit(req SubmitRequest) (int, error) {
 		return 0, ErrFull
 	}
 	id := int(d.nextID.Add(1))
-	now := d.Now()
-	spec.ID = id
-	spec.Arrival = now
-	j := &job{Job: sim.NewJob(spec), submittedWall: time.Now(), state: StatePending}
-	j.status.Store(newStatusSnap(d.buildStatus(j)))
+	p := walSubmit{
+		ID: id, Model: spec.Model.Name, Mode: spec.Mode.String(),
+		Threshold: spec.Threshold, Downscale: spec.Downscale,
+		Arrival: d.Now(), Wall: time.Now(),
+	}
 	// Write-ahead: the admission is durable before the job is findable, so
 	// every acked submission survives a crash and no engine record for the
 	// job can precede its submit record. A failed append burns the assigned
 	// ID (replay's nextID skips it — the submission was never acked).
-	if err := d.walAppendDurable(wal.TypeSubmit, walSubmit{
-		ID: id, Model: spec.Model.Name, Mode: spec.Mode.String(),
-		Threshold: spec.Threshold, Downscale: spec.Downscale,
-		Arrival: now, Wall: j.submittedWall,
-	}); err != nil {
+	if err := d.walAppendDurable(wal.TypeSubmit, p); err != nil {
 		d.live.Add(-1)
 		return 0, fmt.Errorf("serve: wal append: %w", err)
 	}
@@ -389,7 +389,7 @@ func (d *Daemon) Submit(req SubmitRequest) (int, error) {
 	// it is findable, so its "submitted" event is always first in the stream.
 	d.publish(Event{Type: EventSubmitted, Job: id,
 		Detail: fmt.Sprintf("%s %s th=%g", spec.Model.Name, spec.Mode, spec.Threshold)})
-	d.reg.put(id, j)
+	d.applySubmit(spec, p)
 	return id, nil
 }
 
@@ -411,43 +411,17 @@ func (d *Daemon) Cancel(id int) error {
 		sh.mu.Unlock()
 		return ErrTerminal
 	}
-	d.cancelJob(j)
+	p := walCancel{ID: id}
+	d.applyCancel(j, p)
 	d.publish(Event{Type: EventCancelled, Job: id})
 	sh.mu.Unlock()
-	// Durable after the shard-locked mutation: the engine re-checks terminal
+	// Durable after the shard-locked apply: the engine re-checks terminal
 	// state under the shard lock before every mutation, so no state-changing
 	// record for this job can land after this one.
-	if err := d.walAppendDurable(wal.TypeCancel, walCancel{ID: id}); err != nil {
+	if err := d.walAppendDurable(wal.TypeCancel, p); err != nil {
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	return nil
-}
-
-// cancelJob moves a live job to StateCancelled and releases its deployment.
-// Cancel and the WAL applier share it. The new status is patched from the
-// previous snapshot rather than rebuilt: the estimation fields belong to the
-// engine and may be mid-mutation, and the snapshot is immutable, so a
-// copy-and-patch is safe. Callers hold j's shard lock.
-func (d *Daemon) cancelJob(j *job) {
-	j.state = StateCancelled
-	j.Undeploy()
-	st := j.status.Load().st
-	st.State = StateCancelled
-	st.Alloc = core.Allocation{}
-	st.Nodes = nil
-	j.status.Store(newStatusSnap(st))
-	d.live.Add(-1)
-}
-
-// completeJob moves a live job to StateDone, converged at simulated time
-// doneAt, and releases its deployment. The engine's completion branch and
-// the WAL applier share it. Callers hold d.mu and j's shard lock.
-func (d *Daemon) completeJob(j *job, doneAt float64) {
-	j.Progress = j.TotalEpochs
-	j.state = StateDone
-	j.DoneAt = doneAt
-	j.Undeploy()
-	d.live.Add(-1)
 }
 
 // Run drives the scheduling loop until ctx is cancelled: one Step every

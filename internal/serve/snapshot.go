@@ -162,16 +162,14 @@ func (d *Daemon) restoreSnapLocked(snap Snapshot) error {
 		}
 	}
 	d.live.Store(live)
-	d.advanceClockLocked(snap.SimTime)
-	d.rounds = snap.Rounds
-	d.roundsN.Store(int64(snap.Rounds))
 	last := int64(snap.NextID) - 1
 	if last < 0 {
 		last = 0
 	}
 	d.nextID.Store(last)
 	d.rejected.Store(int64(snap.Rejected))
-	d.publishClusterLocked()
+	// The checkpoint ends like the round record it was written after.
+	d.applyRound(walRound{Round: snap.Rounds, SimTime: snap.SimTime}, nil)
 	return nil
 }
 

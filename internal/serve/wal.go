@@ -14,31 +14,36 @@ import (
 	"optimus/internal/sim"
 	"optimus/internal/speedfit"
 	"optimus/internal/wal"
+	"optimus/internal/workload"
 )
 
 // This file is the daemon's durability and replication seam (DESIGN.md §17):
 // the typed WAL record payloads, the append hooks the serving/engine paths
-// call, and the replay applier that rebuilds a daemon from a log.
+// call, one apply function per record type, and the replay applier that
+// rebuilds a daemon from a log.
 //
 // The replay contract is byte-identical state: every mutation of durable job
-// state flows through exactly one record type carrying the *observed* values
-// (noisy speed/loss measurements, not their post-hoc averages), so replaying
-// the log performs the same Observe/Add calls the live engine performed and
-// a post-replay WriteSnapshot equals a graceful-shutdown snapshot, modulo
-// the savedWall timestamp. The applier applies a record through the code the
-// live path ran: SubmitRequest.spec for a submit, cancelJob and completeJob
-// for a cancel or a completion, restoreSnapLocked for a checkpoint. Two counters are deliberately outside the
-// contract: admission rejections (telemetry, never acked as state) and IDs
-// burned by a failed WAL append (the submission was never acked).
+// state flows through exactly one record type carrying the *drawn* values
+// (noisy speed/loss measurements, not their post-hoc averages), and through
+// that type's one apply function (applySubmit, applyProfile, applyObserve,
+// applyDeploy, applyFault, applyCancel, applyComplete, applyRound). The live
+// path builds a payload, appends it, then applies it; WALApplier decodes it
+// and applies it; restoreSnapLocked applies a checkpoint. So a post-replay
+// WriteSnapshot equals a graceful-shutdown snapshot, modulo the savedWall
+// timestamp, and a follower tailing the log serves the leader's statuses.
+// Two counters are deliberately outside the contract: admission rejections
+// (telemetry, never acked as state) and IDs burned by a failed WAL append
+// (the submission was never acked).
 //
 // Record ordering relies on the same seams as the serving path itself:
 //   - a job's submit record is appended durably before the registry insert,
 //     so no engine record for the job can precede it;
 //   - deploy/complete records are appended inside the job's shard-lock
 //     critical section, in mutation order;
-//   - a cancel record is appended after its shard-locked mutation; engine
-//     sections re-check terminal state under the shard lock before mutating,
-//     so no state-changing record for the job can follow its cancel.
+//   - a cancel record is appended after its shard-locked apply, so no
+//     durable append holds a shard lock; engine sections re-check terminal
+//     state under the shard lock before mutating, so no state-changing
+//     record for the job can follow its cancel.
 
 // ErrNotLeader rejects writes on a daemon serving as a read-only HA
 // follower; clients should retry against the current leader.
@@ -68,9 +73,10 @@ type walProfile struct {
 	Samples []speedfit.Sample `json:"samples"`
 }
 
-// walObserve carries one interval's accepted measurements for one job.
-// A zero Speed or Loss means that half was rejected (or not measured) and
-// must not be replayed into the estimators.
+// walObserve carries one interval's drawn measurements for one job, as
+// sim.Job.Measure returned them. A zero Speed or Loss means that half was
+// not measured (or drawn nonpositive); applyObserve feeds the rest to the
+// estimators, which accept or reject it as they did live.
 type walObserve struct {
 	ID       int     `json:"id"`
 	Progress float64 `json:"prog"`
@@ -255,17 +261,15 @@ func (d *Daemon) WALStats() (wal.Stats, bool) {
 	return l.Stats(), true
 }
 
-// walOn reports whether a log is attached; hot paths check it before
-// building a payload so the WAL-less daemon pays nothing.
-func (d *Daemon) walOn() bool { return d.wlog.Load() != nil }
-
 // walAppend buffers one JSON record (durable at the next group flush — the
 // round commit at the latest). Engine-path errors are counted, not
 // propagated: the log's sticky error will surface on the next durable ack
 // append.
 func (d *Daemon) walAppend(t wal.Type, v any) {
-	b, err := json.Marshal(v)
-	d.walBuffer(t, b, err)
+	if d.wlog.Load() != nil {
+		b, err := json.Marshal(v)
+		d.walBuffer(t, b, err)
+	}
 }
 
 // walAppendObserve buffers one binary observe record, encoded in the
@@ -325,24 +329,6 @@ func (d *Daemon) WALAppendMembership(holder string, term uint64, role string) er
 		walMembership{Holder: holder, Term: term, Role: role})
 }
 
-// walRoundLocked commits one scheduling interval: a durable round record
-// (the group flush that also hardens the interval's buffered engine
-// records), then a snapshot checkpoint every WALCheckpointRounds rounds.
-// Callers hold d.mu with the round's mutations already applied.
-func (d *Daemon) walRoundLocked() {
-	l := d.wlog.Load()
-	if l == nil {
-		return
-	}
-	if err := d.walAppendDurable(wal.TypeRound,
-		walRound{Round: d.rounds, SimTime: d.now}); err != nil {
-		return
-	}
-	if n := d.cfg.WALCheckpointRounds; n > 0 && d.rounds%n == 0 {
-		d.walCheckpointLocked(l)
-	}
-}
-
 // walCheckpointLocked writes the full snapshot as a checkpoint record,
 // retiring every earlier segment. Callers hold d.mu.
 func (d *Daemon) walCheckpointLocked(l *wal.Log) error {
@@ -372,9 +358,6 @@ func (d *Daemon) WALCheckpoint() error {
 // fail with ErrNotLeader (HTTP 503) while every read path keeps serving.
 func (d *Daemon) SetReadOnly(v bool) { d.readOnly.Store(v) }
 
-// ReadOnly reports follower mode.
-func (d *Daemon) ReadOnly() bool { return d.readOnly.Load() }
-
 // HAStatus is the control-plane block of GET /v1/cluster when the daemon
 // runs under internal/ha leadership.
 type HAStatus struct {
@@ -396,8 +379,109 @@ func (d *Daemon) SetHAStatus(st HAStatus) {
 	d.mu.Unlock()
 }
 
-// HAState returns the last published HA status, or nil when not under HA.
-func (d *Daemon) HAState() *HAStatus { return d.haStat.Load() }
+// The apply functions, one per record type: with restoreJob, the only code
+// that changes a job's recorded state. Callers hold the locks of the fields
+// written (see job): d.mu for applyProfile, applyObserve, applyFault,
+// applyComplete and applyRound, and j's shard lock for applyDeploy,
+// applyCancel and applyComplete. applySubmit changes only a job not yet in
+// the registry.
+
+// applySubmit admits the job p records as pending and returns it. spec is
+// the record's validated spec: SubmitRequest.spec of the request live, of
+// the record on replay. The status is published before the registry insert,
+// so the job is never findable without one.
+func (d *Daemon) applySubmit(spec workload.JobSpec, p walSubmit) *job {
+	spec.ID, spec.Arrival = p.ID, p.Arrival
+	j := &job{Job: sim.NewJob(spec), submittedWall: p.Wall}
+	d.applyDeploy(j, walDeploy{ID: p.ID, State: StatePending})
+	j.status.Store(newStatusSnap(d.buildStatus(j)))
+	d.reg.put(p.ID, j)
+	return j
+}
+
+// applyProfile feeds the job's §3.2 pre-run samples to its speed estimator.
+func (d *Daemon) applyProfile(j *job, p walProfile) {
+	for _, s := range p.Samples {
+		_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
+	}
+	j.profiled = true
+}
+
+// applyObserve moves the job to p's progress and feeds p's measurements to
+// its estimators. It applies to a job cancelled in the same round too: the
+// physics pass may race a cancel, live as on replay.
+func (d *Daemon) applyObserve(j *job, p walObserve) {
+	j.Progress = p.Progress
+	j.Observe(p.PS, p.W, p.Speed, p.K, p.Loss)
+}
+
+// applyDeploy sets the job's lifecycle state and deployment: p.PS
+// parameter servers and p.W workers on p.Nodes, or none unless both counts
+// are positive. It is the one writer of state, Alloc, Nodes and Placed:
+// applySubmit, applyCancel, applyComplete and WALApplier.Finish pass it
+// states no deploy record carries. A terminal job is left alone.
+func (d *Daemon) applyDeploy(j *job, p walDeploy) {
+	if j.state.terminal() {
+		return
+	}
+	placed := p.PS > 0 && p.W > 0
+	j.state, j.Placed = p.State, placed
+	j.Alloc, j.Nodes = core.Allocation{}, nil
+	if placed {
+		j.Alloc, j.Nodes = core.Allocation{PS: p.PS, Workers: p.W}, p.Nodes
+	}
+}
+
+// applyFault marks the job straggling, or recovered (§5.2).
+func (d *Daemon) applyFault(j *job, p walFault) { j.Straggling = p.Straggling }
+
+// applyCancel moves a live job to StateCancelled and releases its
+// deployment; a terminal job is left alone, as the live Cancel refuses it.
+// The new status is patched from the previous snapshot rather than rebuilt:
+// the estimation fields belong to the engine and may be mid-mutation, and
+// the snapshot is immutable, so a copy-and-patch is safe.
+func (d *Daemon) applyCancel(j *job, p walCancel) {
+	if j.state.terminal() {
+		return
+	}
+	d.applyDeploy(j, walDeploy{ID: p.ID, State: StateCancelled})
+	st := j.status.Load().st
+	st.State = StateCancelled
+	st.Alloc = core.Allocation{}
+	st.Nodes = nil
+	j.status.Store(newStatusSnap(st))
+	d.live.Add(-1)
+}
+
+// applyComplete moves a live job to StateDone, converged at p.DoneAt: its
+// progress becomes its total epochs and its deployment is released.
+func (d *Daemon) applyComplete(j *job, p walComplete) {
+	if j.state.terminal() {
+		return
+	}
+	d.applyObserve(j, walObserve{ID: p.ID, Progress: j.TotalEpochs})
+	d.applyDeploy(j, walDeploy{ID: p.ID, State: StateDone})
+	j.DoneAt = p.DoneAt
+	d.live.Add(-1)
+}
+
+// applyRound commits one scheduling interval: the round count and clock
+// move to p's, and the loss curves of jobs are refit in parallel before
+// their statuses and the cluster snapshot are republished. The live round
+// passes its active jobs, replay the jobs touched since the last round.
+func (d *Daemon) applyRound(p walRound, jobs []*job) {
+	d.rounds = p.Round
+	d.roundsN.Store(int64(p.Round))
+	d.advanceClockLocked(p.SimTime)
+	d.refitLocked(jobs)
+	for _, j := range jobs {
+		sh := d.reg.shard(j.Spec.ID)
+		sh.mu.Lock()
+		j.status.Store(newStatusSnap(d.buildStatus(j)))
+		sh.mu.Unlock()
+	}
+	d.publishClusterLocked()
+}
 
 // WALApplier replays records into a daemon: a fresh one at startup
 // (ReplayWAL) or a warm standby continuously (the internal/ha follower).
@@ -410,7 +494,7 @@ type WALApplier struct {
 	records    uint64
 	duplicates uint64 // submit records for already-present IDs
 	dirty      map[int]*job
-	batch      []*job // dirty's jobs, for refitLocked
+	batch      []*job // dirty's jobs, for applyRound
 	started    bool   // a non-checkpoint record has been applied
 }
 
@@ -445,10 +529,11 @@ func (a *WALApplier) Apply(rec wal.Record) error {
 	return nil
 }
 
+// applyLocked decodes one record and applies it with its type's apply
+// function.
 func (a *WALApplier) applyLocked(rec wal.Record) error {
 	d := a.d
-	switch rec.Type {
-	case wal.TypeCheckpoint:
+	if rec.Type == wal.TypeCheckpoint {
 		// A checkpoint is a summary of everything before it. On a fresh
 		// daemon (replay starting at the checkpoint) restore it; on a warm
 		// one (a tailing follower that already applied that history) it is
@@ -461,167 +546,110 @@ func (a *WALApplier) applyLocked(rec wal.Record) error {
 			return err
 		}
 		return d.restoreSnapLocked(snap)
+	}
+	a.started = true
+	switch rec.Type {
 	case wal.TypeSubmit:
 		var p walSubmit
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		if d.reg.get(p.ID) != nil {
-			a.duplicates++
-			return nil
-		}
-		// Replay admits exactly what Submit admits.
-		spec, err := SubmitRequest{Model: p.Model, Mode: p.Mode,
-			Threshold: p.Threshold, Downscale: p.Downscale}.spec()
-		if err != nil {
-			return err
-		}
-		spec.ID, spec.Arrival = p.ID, p.Arrival
-		j := &job{Job: sim.NewJob(spec), submittedWall: p.Wall, state: StatePending}
-		j.status.Store(newStatusSnap(d.buildStatus(j)))
-		d.reg.put(p.ID, j)
-		if int64(p.ID) > d.nextID.Load() {
-			d.nextID.Store(int64(p.ID))
-		}
-		d.live.Add(1)
-		a.dirty[p.ID] = j
+		return a.submit(p)
 	case wal.TypeCancel:
 		var p walCancel
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		sh := d.reg.shard(p.ID)
-		sh.mu.Lock()
-		if !j.state.terminal() { // live Cancel refuses a terminal job
-			d.cancelJob(j)
-		}
-		sh.mu.Unlock()
+		return a.apply(p.ID, func(j *job) { d.applyCancel(j, p) })
 	case wal.TypeProfile:
 		var p walProfile
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		for _, s := range p.Samples {
-			_ = j.SpeedEst.Observe(s.P, s.W, s.Speed)
-		}
-		j.profiled = true
+		return a.apply(p.ID, func(j *job) { d.applyProfile(j, p) })
 	case wal.TypeObserve:
 		var p walObserve
 		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		// Observations may legitimately land on a job cancelled in the same
-		// round (the physics pass raced the cancel, exactly as live): apply
-		// the estimator updates, leave the state alone.
-		j.Progress = p.Progress
-		if p.Speed > 0 {
-			_ = j.SpeedEst.Observe(p.PS, p.W, p.Speed)
-		}
-		if p.Loss > 0 {
-			_ = j.LossFit.Add(p.K, p.Loss)
-		}
+		return a.apply(p.ID, func(j *job) { d.applyObserve(j, p) })
 	case wal.TypeDeploy:
 		var p walDeploy
 		if err := p.decode(rec.Payload); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		sh := d.reg.shard(p.ID)
-		sh.mu.Lock()
-		if !j.state.terminal() {
-			j.state = p.State
-			if p.PS > 0 && p.W > 0 {
-				j.Alloc = core.Allocation{PS: p.PS, Workers: p.W}
-				j.Nodes = p.Nodes
-				j.Placed = true
-			} else {
-				j.Undeploy()
-			}
-		}
-		sh.mu.Unlock()
+		return a.apply(p.ID, func(j *job) { d.applyDeploy(j, p) })
 	case wal.TypeComplete:
 		var p walComplete
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		sh := d.reg.shard(p.ID)
-		sh.mu.Lock()
-		if !j.state.terminal() {
-			d.completeJob(j, p.DoneAt)
-		}
-		sh.mu.Unlock()
+		return a.apply(p.ID, func(j *job) { d.applyComplete(j, p) })
 	case wal.TypeFault:
 		var p walFault
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		j, err := a.job(p.ID)
-		if err != nil {
-			return err
-		}
-		j.Straggling = p.Straggling
+		return a.apply(p.ID, func(j *job) { d.applyFault(j, p) })
 	case wal.TypeRound:
 		var p walRound
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		a.started = true
-		d.rounds = p.Round
-		d.roundsN.Store(int64(p.Round))
-		d.advanceClockLocked(p.SimTime)
-		// Interval boundary: republish the round's touched jobs and the
-		// cluster view, so a tailing follower serves fresh reads.
-		a.batch = a.batch[:0]
-		for _, j := range a.dirty {
-			a.batch = append(a.batch, j)
-		}
-		d.refitLocked(a.batch)
-		for id, j := range a.dirty {
-			sh := d.reg.shard(id)
-			sh.mu.Lock()
-			j.status.Store(newStatusSnap(d.buildStatus(j)))
-			sh.mu.Unlock()
-		}
-		clear(a.dirty)
-		d.publishClusterLocked()
+		d.applyRound(p, a.takeDirty())
 	case wal.TypeMembership:
-		a.started = true // role changes don't touch job state
+		// Role changes don't touch job state.
 	default:
 		return fmt.Errorf("unknown record type %d", rec.Type)
 	}
 	return nil
 }
 
-// job returns the existing job a record names, marked dirty for the next
-// round record's republish. Apply prefixes the error with the record.
-func (a *WALApplier) job(id int) (*job, error) {
-	a.started = true
+// submit applies a submit record, counting one for an existing ID as a
+// duplicate instead. Replay admits exactly what Submit admits.
+func (a *WALApplier) submit(p walSubmit) error {
+	d := a.d
+	if d.reg.get(p.ID) != nil {
+		a.duplicates++
+		return nil
+	}
+	spec, err := SubmitRequest{Model: p.Model, Mode: p.Mode,
+		Threshold: p.Threshold, Downscale: p.Downscale}.spec()
+	if err != nil {
+		return err
+	}
+	a.dirty[p.ID] = d.applySubmit(spec, p)
+	if int64(p.ID) > d.nextID.Load() {
+		d.nextID.Store(int64(p.ID))
+	}
+	d.live.Add(1)
+	return nil
+}
+
+// apply runs f on the existing job id names, under its shard lock, and
+// marks the job dirty for the next round record's republish. Apply
+// prefixes the error with the record.
+func (a *WALApplier) apply(id int, f func(*job)) error {
 	j := a.d.reg.get(id)
 	if j == nil {
-		return nil, fmt.Errorf("unknown job %d", id)
+		return fmt.Errorf("unknown job %d", id)
 	}
 	a.dirty[id] = j
-	return j, nil
+	sh := a.d.reg.shard(id)
+	sh.mu.Lock()
+	f(j)
+	sh.mu.Unlock()
+	return nil
+}
+
+// takeDirty returns the jobs marked dirty since the last call, unmarked.
+func (a *WALApplier) takeDirty() []*job {
+	a.batch = a.batch[:0]
+	for _, j := range a.dirty {
+		a.batch = append(a.batch, j)
+	}
+	clear(a.dirty)
+	return a.batch
 }
 
 // Finish normalizes the applied state for serving, and Restore ends with it
@@ -637,10 +665,9 @@ func (a *WALApplier) Finish() {
 	var live int64
 	d.reg.lockAll()
 	for i := range d.reg.shards {
-		for _, j := range d.reg.shards[i].jobs {
+		for id, j := range d.reg.shards[i].jobs {
 			if j.state == StateRunning {
-				j.state = StateWaiting
-				j.Undeploy()
+				d.applyDeploy(j, walDeploy{ID: id, State: StateWaiting})
 			}
 			if !j.state.terminal() {
 				live++

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -314,5 +315,73 @@ func TestWALRestartContinues(t *testing.T) {
 	}
 	if _, err := d3.Status(id); err != nil {
 		t.Fatalf("job submitted after restart missing from replay: %v", err)
+	}
+}
+
+// TestFollowerMatchesLeader tails a leader's log into a follower after every
+// round, the way an HA standby does, and requires the follower to serve what
+// the leader serves: the same job statuses, nodes included, and the same
+// checkpoint. The workload has submits, cancels, straggler faults and
+// completions, so every job record type is tailed.
+func TestFollowerMatchesLeader(t *testing.T) {
+	var faults, completions int
+	for seed := int64(1); seed <= 10; seed++ {
+		dir := t.TempDir()
+		leader, l := walTestDaemon(t, dir, seed, -1)
+		follower := freshDaemon(t, seed)
+		applier := follower.NewWALApplier()
+		rng := rand.New(rand.NewSource(seed))
+		models := []string{"resnext-110", "inception-bn", "seq2seq", "dssm"}
+		modes := []string{"async", "sync"}
+		var ids []int
+		for r := 1; r <= 12; r++ {
+			for n := rng.Intn(3); n > 0; n-- {
+				ids = append(ids, submit(t, leader, SubmitRequest{
+					Model: models[rng.Intn(len(models))], Mode: modes[rng.Intn(len(modes))]}))
+			}
+			if len(ids) > 0 && rng.Float64() < 0.15 {
+				if err := leader.Cancel(ids[rng.Intn(len(ids))]); err != nil && err != ErrTerminal {
+					t.Fatal(err)
+				}
+			}
+			leader.Step()
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wal.ScanFrom(dir, applier.AppliedSeq(), applier.Apply); err != nil {
+				t.Fatalf("seed %d round %d: tail: %v", seed, r, err)
+			}
+			want, got := leader.List(), follower.List()
+			if len(want) != len(got) {
+				t.Fatalf("seed %d round %d: follower lists %d jobs, leader %d", seed, r, len(got), len(want))
+			}
+			for i := range want {
+				if !want[i].Submitted.Equal(got[i].Submitted) {
+					t.Fatalf("seed %d round %d: job %d submitted %v on the follower, %v on the leader",
+						seed, r, want[i].ID, got[i].Submitted, want[i].Submitted)
+				}
+				got[i].Submitted = want[i].Submitted
+				if !reflect.DeepEqual(want[i], got[i]) {
+					t.Fatalf("seed %d round %d: job status differs\nleader:   %+v\nfollower: %+v",
+						seed, r, want[i], got[i])
+				}
+				if want[i].Straggling {
+					faults++
+				}
+				if want[i].State == StateDone {
+					completions++
+				}
+			}
+			if w, g := snapshotBytes(t, leader), snapshotBytes(t, follower); !bytes.Equal(w, g) {
+				t.Fatalf("seed %d round %d: checkpoints differ\n--- leader ---\n%s\n--- follower ---\n%s",
+					seed, r, firstDiff(w, g), firstDiff(g, w))
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if faults == 0 || completions == 0 {
+		t.Fatalf("workload too tame: %d straggling and %d done job-rounds", faults, completions)
 	}
 }

@@ -59,9 +59,8 @@ func (j *Job) Deploy(pl core.Placement) (fresh, changed bool) {
 	return fresh, changed
 }
 
-// Undeploy tears the job's deployment down. It leaves Pause, which only
-// the round loop touches, alone: a daemon cancel may undeploy a job while
-// the loop reads Pause outside the job's lock. The next Deploy clears it.
+// Undeploy tears the job's deployment down. It leaves Pause alone; the next
+// Deploy clears it.
 func (j *Job) Undeploy() {
 	j.Alloc = core.Allocation{}
 	j.Spread = workload.TaskSpread{}
@@ -98,24 +97,31 @@ func (j *Job) Advance(t0, t1, stepsPerSec float64) Window {
 	return w
 }
 
-// Observe feeds the estimators one interval's noisy measurements of a job
-// trained at stepsPerSec on ps parameter servers and w workers: a speed
-// sample when stepsPerSec > 0 and a loss sample at Progress when
-// Progress > 0, each drawing one rng.NormFloat64. It returns the speed and
-// loss the estimators accepted; zero means that half was not measured or
-// was rejected.
-func (j *Job) Observe(ps, w int, stepsPerSec, speedNoise, lossNoise float64, rng *rand.Rand) (speed, loss float64) {
+// Measure draws one interval's noisy measurements of a job trained at
+// stepsPerSec up to progress epochs: a speed when stepsPerSec > 0 and a loss
+// at progress when progress > 0, each drawing one rng.NormFloat64. A half
+// not measured, or drawn nonpositive, is zero. Measure does not change the
+// job; Observe feeds what it drew to the estimators, so a durability layer
+// can log the draw in between and replay the same Observe (DESIGN.md §17).
+func (j *Job) Measure(progress, stepsPerSec, speedNoise, lossNoise float64, rng *rand.Rand) (speed, loss float64) {
 	if stepsPerSec > 0 {
-		s := stepsPerSec * (1 + speedNoise*rng.NormFloat64())
-		if s > 0 && j.SpeedEst.Observe(ps, w, s) == nil {
-			speed = s
-		}
+		speed = max(stepsPerSec*(1+speedNoise*rng.NormFloat64()), 0)
 	}
-	if j.Progress > 0 {
-		l := j.Spec.Model.TrueLoss(j.Progress) * (1 + lossNoise*rng.NormFloat64())
-		if l > 0 && j.LossFit.Add(j.Progress, l) == nil {
-			loss = l
-		}
+	if progress > 0 {
+		loss = max(j.Spec.Model.TrueLoss(progress)*(1+lossNoise*rng.NormFloat64()), 0)
 	}
 	return speed, loss
+}
+
+// Observe feeds the estimators one interval's measurements: a speed on ps
+// parameter servers and w workers, and a loss at k epochs. A zero half is
+// skipped. The estimators draw nothing and reject only invalid input, so
+// the same arguments always change them the same way.
+func (j *Job) Observe(ps, w int, speed, k, loss float64) {
+	if speed > 0 {
+		_ = j.SpeedEst.Observe(ps, w, speed)
+	}
+	if loss > 0 {
+		_ = j.LossFit.Add(k, loss)
+	}
 }

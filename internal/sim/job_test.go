@@ -46,16 +46,18 @@ func TestJob(t *testing.T) {
 			t.Errorf("Advance moved Progress to %g", j.Progress)
 		}
 	}
-	// observe checks that Observe drew exactly draws normals from rng.
+	// observe measures and observes one interval, checking that Measure
+	// drew exactly draws normals from rng.
 	observe := func(t *testing.T, j *Job, stepsPerSec float64, draws int) (speed, loss float64) {
 		t.Helper()
 		rng, twin := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-		speed, loss = j.Observe(2, 4, stepsPerSec, 0.03, 0.03, rng)
+		speed, loss = j.Measure(j.Progress, stepsPerSec, 0.03, 0.03, rng)
+		j.Observe(2, 4, speed, j.Progress, loss)
 		for i := 0; i < draws; i++ {
 			twin.NormFloat64()
 		}
 		if rng.Int63() != twin.Int63() {
-			t.Errorf("Observe did not draw exactly %d normals", draws)
+			t.Errorf("Measure did not draw exactly %d normals", draws)
 		}
 		return speed, loss
 	}
@@ -104,24 +106,24 @@ func TestJob(t *testing.T) {
 		{"observe speed and loss", func(t *testing.T, j *Job) {
 			speed, loss := observe(t, j, 3, 2)
 			if speed <= 0 || loss <= 0 || j.SpeedEst.Configurations() != 1 || j.LossFit.Len() != 1 {
-				t.Errorf("Observe = %g, %g; estimators hold %d speeds, %d losses", speed, loss, j.SpeedEst.Configurations(), j.LossFit.Len())
+				t.Errorf("Measure = %g, %g; estimators hold %d speeds, %d losses", speed, loss, j.SpeedEst.Configurations(), j.LossFit.Len())
 			}
 		}},
 		{"observe speed only", func(t *testing.T, j *Job) {
 			j.Progress = 0
 			if speed, loss := observe(t, j, 3, 1); speed <= 0 || loss != 0 {
-				t.Errorf("Observe = %g, %g", speed, loss)
+				t.Errorf("Measure = %g, %g", speed, loss)
 			}
 		}},
 		{"observe loss only", func(t *testing.T, j *Job) {
 			if speed, loss := observe(t, j, 0, 1); speed != 0 || loss <= 0 {
-				t.Errorf("Observe = %g, %g", speed, loss)
+				t.Errorf("Measure = %g, %g", speed, loss)
 			}
 		}},
 		{"observe nothing", func(t *testing.T, j *Job) {
 			j.Progress = 0
 			if speed, loss := observe(t, j, 0, 0); speed != 0 || loss != 0 {
-				t.Errorf("Observe = %g, %g", speed, loss)
+				t.Errorf("Measure = %g, %g", speed, loss)
 			}
 		}},
 	} {

@@ -20,8 +20,9 @@ import (
 // scratch reused from round to round and is not safe for concurrent use.
 //
 // The other half of the round — apply the placement, advance the physics,
-// observe — is Job's Deploy, Undeploy, Advance and Observe for sim.Run and
-// the daemon; the operator binds pods. What stays with those two, and why:
+// observe — is Job's Advance, Measure and Observe, plus Deploy and Undeploy
+// in sim.Run (the daemon applies WAL records); the operator binds pods.
+// What stays with those two, and why:
 //   - The views. sim's schedulerView damps beginning-state priority on the
 //     ground-truth progress fraction, EstimatedView (the daemon's) on the
 //     estimated one; merging them would move the pinned sim schedules.

@@ -459,7 +459,8 @@ func Run(cfg Config) (*Result, error) {
 			// Online observations for the estimators. A crashed job's
 			// interval telemetry dies with its tasks.
 			if w.Trained && !cfg.UseTrueModels && !crashed {
-				js.Observe(js.Alloc.PS, js.Alloc.Workers, stepsPerSec, cfg.SpeedNoise, cfg.LossNoise, rng)
+				speed, loss := js.Measure(js.Progress, stepsPerSec, cfg.SpeedNoise, cfg.LossNoise, rng)
+				js.Observe(js.Alloc.PS, js.Alloc.Workers, speed, js.Progress, loss)
 			}
 			if crashed && !js.done {
 				faults.crash(js, w.Rate)

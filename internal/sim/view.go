@@ -48,12 +48,12 @@ func placedSpeed(c *cluster.Cluster, spec workload.JobSpec) func(p, w int) float
 	}
 }
 
-// PreRunProfile simulates the §3.2 sample runs on a small dataset: n (p, w)
+// ProfileSamples simulates the §3.2 sample runs on a small dataset: n (p, w)
 // configurations measured against the job's ground-truth physics with
-// relative observation noise, fed into the job's speed estimator. It returns
-// the raw observations exactly as accepted, so a durability layer can log
-// them and replay Observe calls byte-identically (DESIGN.md §17).
-func PreRunProfile(est *speedfit.Estimator, spec workload.JobSpec, n int, noise float64, rng *rand.Rand) []speedfit.Sample {
+// relative observation noise. It only draws; the caller feeds the samples to
+// the job's speed estimator, so a durability layer can log them first and
+// replay the same Observe calls (DESIGN.md §17).
+func ProfileSamples(spec workload.JobSpec, n int, noise float64, rng *rand.Rand) []speedfit.Sample {
 	plan := speedfit.SamplingPlan(n, 24)
 	out := make([]speedfit.Sample, 0, len(plan))
 	for _, c := range plan {
@@ -65,12 +65,16 @@ func PreRunProfile(est *speedfit.Estimator, spec workload.JobSpec, n int, noise 
 		if obs <= 0 {
 			obs = truth
 		}
-		// Ignore the impossible: Observe only rejects invalid inputs, which
-		// cannot occur here by construction.
-		_ = est.Observe(c[0], c[1], obs)
 		out = append(out, speedfit.Sample{P: c[0], W: c[1], Speed: obs})
 	}
 	return out
+}
+
+// PreRunProfile feeds est the §3.2 samples ProfileSamples draws.
+func PreRunProfile(est *speedfit.Estimator, spec workload.JobSpec, n int, noise float64, rng *rand.Rand) {
+	for _, s := range ProfileSamples(spec, n, noise, rng) {
+		_ = est.Observe(s.P, s.W, s.Speed) // valid by construction
+	}
 }
 
 // EstimatedEpochs runs the online loss fit and converts it to a total-epoch
